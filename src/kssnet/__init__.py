@@ -7,6 +7,7 @@ and evaluates multi-label predictions with the standard ranking and
 precision/recall suite.
 """
 
+from .checks import grad_check
 from .graph import (
     GraphPipelineConfig,
     build_ks_graph,
@@ -19,7 +20,6 @@ from .graph import (
     superimpose,
     threshold_filter,
 )
-from .gcn import GcnLayer, GcnStack, gcn_layer_forward, gcn_stack_forward, grad_check, leaky_relu
 from .ingest import (
     AnnotationSet,
     EmbeddingTable,
@@ -33,16 +33,13 @@ from .ingest import (
     load_knowledge_edges,
     load_vocabulary,
 )
-from .lateral import LcParams, lc_backward, lc_forward_2d, lc_forward_3d
 from .metrics import average_precision, map_score, prf_suite
 from .model import (
     Adam,
     KssModel,
     TrainConfig,
     TrainingDiverged,
-    bce_loss,
     make_depth_variant,
-    model_forward,
     train_toy,
 )
 

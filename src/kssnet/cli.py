@@ -62,14 +62,17 @@ def _build_parser() -> _Parser:
     p.add_argument("--eta", type=float, default=0.4, help="identity mixing weight")
     p.add_argument("--binarize-t", type=float, default=0.4,
                    help="conditional-probability cut for the statistical graph")
-    p.add_argument("--out", required=True, help="output path for the mixed adjacency")
+    p.add_argument("--out", required=True,
+                   help="output path for the mixed adjacency (text matrix, 'rows cols' header)")
     p.add_argument("--out-normalized", default=None,
-                   help="output path for the normalized adjacency (default: OUT.norm)")
+                   help="output path for the normalized adjacency, same format "
+                        "(default: OUT.norm)")
     p.add_argument("--summary-json", default=None, help="also write the summary as JSON")
 
     p = sub.add_parser("inspect", help="summarize a stored adjacency matrix")
     p.add_argument("--graph", required=True)
-    p.add_argument("--binary", action="store_true", help="read the binary format")
+    p.add_argument("--binary", action="store_true",
+                   help="read a KSNTCKPT file holding one tensor instead of a text matrix")
 
     p = sub.add_parser("gradcheck", help="finite-difference checks of every component")
     p.add_argument("--seed", type=int, default=0)
@@ -119,8 +122,8 @@ def _cmd_build_graph(args) -> int:
 
     out = Path(args.out)
     out_norm = Path(args.out_normalized) if args.out_normalized else out.with_name(out.name + ".norm")
-    graph.save_adjacency_text(a_ks, out)
-    graph.save_adjacency_text(a_norm, out_norm)
+    storage.save_matrix_text(a_ks, out)
+    storage.save_matrix_text(a_norm, out_norm)
 
     summary = {
         "lambda": lam, "tau": args.tau, "eta": eta, "binarize_t": binarize,
@@ -136,8 +139,14 @@ def _cmd_build_graph(args) -> int:
 
 def _cmd_inspect(args) -> int:
     path = _positive_file(args.graph, "--graph")
-    a = graph.load_adjacency_binary(path) if args.binary else graph.load_adjacency_text(path)
-    _print_kv(graph.graph_summary(a))
+    if args.binary:
+        tensors = storage.load_named_tensors(path)
+        if len(tensors) != 1:
+            raise CliError(f"{path}: expected one tensor, found {len(tensors)}")
+        (a,) = tensors.values()
+    else:
+        a = storage.load_matrix_text(path)
+    _print_kv(graph.graph_summary(graph.check_adjacency(a, str(path))))
     return 0
 
 
@@ -224,9 +233,7 @@ def _load_toy_setup(config_path, seed_override=None, divisor=None):
         lr=get("lr", 0.01, float),
         gcn_lr=get("gcn_lr", 0.01, float),
         weight_decay=get("weight_decay", 1e-4, float),
-        dropout=get("dropout", 0.5, float),
         seed=seed,
-        dtype=get("dtype", "float32", str),
         stop_at_train_map=get("stop_at_train_map", None, float),
     )
     return data, model, train_cfg, stage_channels
@@ -350,3 +357,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

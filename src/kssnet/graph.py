@@ -15,9 +15,7 @@ hundred, so sparsity machinery would buy nothing.  All functions are pure.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -59,7 +57,11 @@ class GraphPipelineConfig:
             )
 
 
-def _check_adjacency(a: np.ndarray, name: str = "adjacency") -> np.ndarray:
+def check_adjacency(a: np.ndarray, name: str = "adjacency") -> np.ndarray:
+    """Return ``a`` as float64 if it is square, finite and non-negative; else raise.
+
+    ``name`` (for a loaded file, its path) leads every error message.
+    """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
@@ -137,7 +139,7 @@ def normalize(a: np.ndarray) -> np.ndarray:
     (D_ii^{-1/2} is defined as 0 there); they regain a self-connection later
     through identity mixing.
     """
-    a = _check_adjacency(a)
+    a = check_adjacency(a)
     deg = a.sum(axis=1)
     denom = np.sqrt(np.outer(deg, deg))
     return np.divide(a, denom, out=np.zeros_like(a), where=denom > 0)
@@ -208,68 +210,11 @@ def graph_summary(a: np.ndarray) -> dict:
     """Degree statistics and structural flags used by the CLI summaries."""
     a = np.asarray(a, dtype=np.float64)
     deg = a.sum(axis=1)
-    nnz = int(np.count_nonzero(a))
     return {
         "n": int(a.shape[0]),
-        "nnz": nnz,
-        "edges": nnz,
+        "nnz": int(np.count_nonzero(a)),
         "symmetric": bool(np.array_equal(a, a.T)),
         "degree_min": float(deg.min()),
         "degree_mean": float(deg.mean()),
         "degree_max": float(deg.max()),
     }
-
-
-# --- serialization -------------------------------------------------------
-
-_BINARY_MAGIC = b"KSADJBIN"
-_BINARY_VERSION = 1
-
-
-def save_adjacency_text(a: np.ndarray, path) -> None:
-    """Text format: header ``N``, then N rows of N space-separated decimals.
-
-    Values are printed with 17 significant digits, enough to round-trip
-    float64 exactly.
-    """
-    a = _check_adjacency(a)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{a.shape[0]}\n")
-        for row in a:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def load_adjacency_text(path) -> np.ndarray:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty adjacency file")
-    try:
-        n = int(lines[0])
-    except ValueError:
-        raise ValueError(f"{path}: bad header {lines[0]!r}") from None
-    rows = [line.split() for line in lines[1:] if line.strip()]
-    if len(rows) != n or any(len(r) != n for r in rows):
-        raise ValueError(f"{path}: expected {n}x{n} entries")
-    return _check_adjacency(np.array([[float(v) for v in r] for r in rows]), str(path))
-
-
-def save_adjacency_binary(a: np.ndarray, path) -> None:
-    """Binary format: magic, version, N, then row-major little-endian float64."""
-    a = _check_adjacency(a)
-    with open(path, "wb") as fh:
-        fh.write(_BINARY_MAGIC)
-        fh.write(struct.pack("<II", _BINARY_VERSION, a.shape[0]))
-        fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
-
-
-def load_adjacency_binary(path) -> np.ndarray:
-    blob = Path(path).read_bytes()
-    if blob[:8] != _BINARY_MAGIC:
-        raise ValueError(f"{path}: bad magic")
-    version, n = struct.unpack("<II", blob[8:16])
-    if version != _BINARY_VERSION:
-        raise ValueError(f"{path}: unsupported version {version}")
-    data = np.frombuffer(blob[16:], dtype="<f8")
-    if data.size != n * n:
-        raise ValueError(f"{path}: expected {n * n} values, got {data.size}")
-    return _check_adjacency(data.reshape(n, n).astype(np.float64), str(path))

@@ -14,117 +14,17 @@ form used inside the model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from . import autodiff as ad
-
-LC_ACTIVATIONS = ("tanh", "sigmoid")
-
-
-@dataclass
-class LcParams:
-    """Pointwise-convolution parameters of one lateral connection.
-
-    ``conv_weight`` maps N label channels to C feature channels; the bias is
-    conventional for a convolution and can be held at zero where an exact
-    residual pass-through is wanted.
-    """
-
-    conv_weight: np.ndarray  # (C, N)
-    conv_bias: np.ndarray  # (C,)
-    activation: str = "tanh"
-
-    def __post_init__(self):
-        self.conv_weight = np.asarray(self.conv_weight, dtype=np.float64)
-        self.conv_bias = np.asarray(self.conv_bias, dtype=np.float64)
-        if self.conv_weight.ndim != 2:
-            raise ValueError(f"conv_weight must be 2-D, got {self.conv_weight.shape}")
-        if self.conv_bias.shape != (self.conv_weight.shape[0],):
-            raise ValueError(
-                f"conv_bias shape {self.conv_bias.shape} != ({self.conv_weight.shape[0]},)"
-            )
-        if not (np.all(np.isfinite(self.conv_weight)) and np.all(np.isfinite(self.conv_bias))):
-            raise ValueError("non-finite lateral-connection parameters")
-        if self.activation not in LC_ACTIVATIONS:
-            raise ValueError(f"activation must be one of {LC_ACTIVATIONS}, got {self.activation!r}")
 
 
 def lc_core(xf: ad.Tensor, e: ad.Tensor, w: ad.Tensor, b: ad.Tensor, activation: str) -> ad.Tensor:
     """Lateral connection on channel-flattened features ``xf`` of shape (..., C, S).
 
-    ``e`` is (N, C); returns a tensor of the same shape as ``xf``.
+    ``e`` is (N, C), ``w`` the (C, N) pointwise-convolution weight and ``b``
+    its (C,) bias; returns a tensor of the same shape as ``xf``.
     """
     s = ad.activate(ad.swap_last(e), activation)  # (C, N)
     m = ad.matmul(ad.swap_last(xf), s)  # (..., S, N)
     g_out = ad.matmul(w, ad.swap_last(m))  # (..., C, S)
     g_out = ad.add(g_out, ad.reshape(b, (b.shape[0], 1)))
     return ad.add(g_out, xf)
-
-
-def _validate(x: np.ndarray, e: np.ndarray, params: LcParams, want_ndim: int) -> None:
-    if x.ndim != want_ndim:
-        raise ValueError(f"expected a {want_ndim}-D feature map, got shape {x.shape}")
-    if np.any(np.asarray(x.shape) < 1):
-        raise ValueError(f"all feature-map dims must be >= 1, got {x.shape}")
-    c = x.shape[0]
-    if e.ndim != 2 or e.shape[1] != c:
-        raise ValueError(f"embedding shape {e.shape} incompatible with {c} feature channels")
-    if params.conv_weight.shape != (c, e.shape[0]):
-        raise ValueError(
-            f"conv_weight shape {params.conv_weight.shape} != ({c}, {e.shape[0]})"
-        )
-
-
-def _lc_forward(x: np.ndarray, e: np.ndarray, params: LcParams, want_ndim: int) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    e = np.asarray(e, dtype=np.float64)
-    _validate(x, e, params, want_ndim)
-    xf = ad.Tensor(x.reshape(x.shape[0], -1))
-    out = lc_core(
-        xf, ad.Tensor(e), ad.Tensor(params.conv_weight), ad.Tensor(params.conv_bias),
-        params.activation,
-    )
-    return out.data.reshape(x.shape)
-
-
-def lc_forward_3d(x: np.ndarray, e: np.ndarray, params: LcParams) -> np.ndarray:
-    """Lateral connection on a (C, T, H, W) feature map; output shape equals input."""
-    return _lc_forward(x, e, params, want_ndim=4)
-
-
-def lc_forward_2d(x: np.ndarray, e: np.ndarray, params: LcParams) -> np.ndarray:
-    """Lateral connection on a (C, H, W) feature map; output shape equals input."""
-    return _lc_forward(x, e, params, want_ndim=3)
-
-
-def lc_backward(x: np.ndarray, e: np.ndarray, params: LcParams, upstream: np.ndarray):
-    """Exact reverse-mode gradients of the lateral connection.
-
-    Returns ``(grad_x, grad_e, grad_conv_weight, grad_conv_bias)`` for an
-    upstream gradient of the output.  The embedding gradient is the pathway
-    that regularizes hidden label embeddings during joint training.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    e = np.asarray(e, dtype=np.float64)
-    if x.ndim not in (3, 4):
-        raise ValueError(f"expected a 3-D or 4-D feature map, got shape {x.shape}")
-    _validate(x, e, params, x.ndim)
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != x.shape:
-        raise ValueError(f"upstream shape {upstream.shape} != feature shape {x.shape}")
-
-    xt = ad.Tensor(x.reshape(x.shape[0], -1), requires_grad=True)
-    et = ad.Tensor(e, requires_grad=True)
-    wt = ad.Tensor(params.conv_weight, requires_grad=True)
-    bt = ad.Tensor(params.conv_bias, requires_grad=True)
-    out = lc_core(xt, et, wt, bt, params.activation)
-    out.backward(upstream.reshape(x.shape[0], -1))
-    return xt.grad.reshape(x.shape), et.grad, wt.grad, bt.grad
-
-
-def init_lc_params(c: int, n: int, rng: np.random.Generator, activation: str = "tanh") -> LcParams:
-    """Variance-scaled pointwise-convolution weights, zero bias."""
-    w = rng.normal(0.0, np.sqrt(2.0 / n), size=(c, n))
-    return LcParams(w, np.zeros(c), activation)

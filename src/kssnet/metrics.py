@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
+
 
 def average_precision(scores: np.ndarray, targets: np.ndarray) -> float:
     """AP of one class from per-sample scores and binary targets.
@@ -74,7 +76,7 @@ def decide(scores: np.ndarray, decision=("sigmoid", 0.5)) -> np.ndarray:
     scores = np.asarray(scores, dtype=np.float64)
     kind, arg = decision
     if kind == "sigmoid":
-        return (1.0 / (1.0 + np.exp(-scores)) >= arg).astype(np.int64)
+        return (ad._sigmoid(scores) >= arg).astype(np.int64)
     if kind == "score":
         return (scores >= arg).astype(np.int64)
     if kind == "top_k":

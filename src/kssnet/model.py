@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from . import metrics
-from . import storage
+from . import lateral, metrics, storage
 from .synthetic import LabeledImages
 
 _DTYPES = {"float32": np.float32, "float64": np.float64}
@@ -32,7 +31,8 @@ class TrainConfig:
 
     Learning rates are per parameter group: ``gcn_lr`` drives the graph
     convolution weights, ``lr`` everything else.  Weight decay is decoupled
-    and skipped for biases.  All randomness flows from ``seed``.
+    and skipped for biases.  All randomness flows from ``seed``.  Dropout
+    rate and dtype are model settings; :class:`KssModel` owns them.
     """
 
     epochs: int = 30
@@ -43,9 +43,7 @@ class TrainConfig:
     beta2: float = 0.999
     eps: float = 1e-8
     weight_decay: float = 1e-4
-    dropout: float = 0.5
     seed: int = 0
-    dtype: str = "float32"
     stop_at_train_map: float | None = None
 
     def __post_init__(self):
@@ -55,10 +53,6 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.lr <= 0 or self.gcn_lr <= 0:
             raise ValueError("learning rates must be positive")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
-        if self.dtype not in _DTYPES:
-            raise ValueError(f"dtype must be one of {sorted(_DTYPES)}, got {self.dtype!r}")
 
 
 class KssModel:
@@ -97,6 +91,8 @@ class KssModel:
             raise ValueError(f"gcn_depth must lie in [2, {n_stages}], got {gcn_depth}")
         if not 0.0 <= dropout_rate < 1.0:
             raise ValueError(f"dropout_rate must lie in [0, 1), got {dropout_rate}")
+        if dtype not in _DTYPES:
+            raise ValueError(f"dtype must be one of {sorted(_DTYPES)}, got {dtype!r}")
         offset = n_stages - gcn_depth
         if lc_stages is None:
             lc_stages = tuple(range(offset, n_stages - 1))
@@ -212,11 +208,9 @@ class KssModel:
         return ad.matmul(pooled, ad.swap_last(embeds[-1]))
 
     def _inject(self, h: ad.Tensor, e: ad.Tensor, stage: int) -> ad.Tensor:
-        from .lateral import lc_core  # deferred to keep module import order simple
-
         b, c, hh, ww = h.shape
         flat = ad.reshape(h, (b, c, hh * ww))
-        out = lc_core(
+        out = lateral.lc_core(
             flat,
             e,
             self._params[f"lc.{stage}.g.weight"],
@@ -267,28 +261,10 @@ class KssModel:
         }
 
 
-def model_forward(model: KssModel, x: np.ndarray, e0: np.ndarray) -> np.ndarray:
-    """Evaluation-mode logits as a plain array."""
-    return np.asarray(model.forward(x, e0, train=False).data)
-
-
-def bce_loss(logits: np.ndarray, targets: np.ndarray) -> float:
-    """Mean sigmoid binary cross-entropy in the overflow-safe form."""
-    z = np.asarray(logits, dtype=np.float64)
-    y = np.asarray(targets)
-    if z.shape != y.shape:
-        raise ValueError(f"shape mismatch: logits {z.shape}, targets {y.shape}")
-    if not np.all((y == 0) | (y == 1)):
-        raise ValueError("targets must be 0 or 1")
-    y = y.astype(np.float64)
-    loss = np.maximum(z, 0) - z * y + np.log1p(np.exp(-np.abs(z)))
-    return float(loss.mean())
-
-
 def predict(model: KssModel, x: np.ndarray, e0: np.ndarray, batch_size: int = 256) -> np.ndarray:
-    """Chunked evaluation-mode scores for a whole split."""
+    """Chunked evaluation-mode logits for a whole split, as a plain array."""
     chunks = [
-        model_forward(model, x[i:i + batch_size], e0)
+        model.forward(x[i:i + batch_size], e0, train=False).data
         for i in range(0, x.shape[0], batch_size)
     ]
     return np.concatenate(chunks, axis=0)

@@ -1,14 +1,36 @@
-"""On-disk formats shared across modules.
+"""On-disk formats for numeric data and configs: one writer and one reader each.
 
-* named-tensor checkpoints: binary, versioned, shape header per tensor,
-  row-major 64-bit floats;
-* plain matrices: text, ``rows cols`` header then one row per line
-  (17 significant digits, lossless for float64);
-* flat key=value config files, no nesting.
+The dataset inputs (vocabulary, annotations, knowledge triples, word
+embedding tables) are parsed in :mod:`kssnet.ingest`.
+
+Named-tensor file (magic ``KSNTCKPT``), used for model checkpoints and, as a
+file holding exactly one tensor, for binary adjacencies.  Integers are
+little-endian::
+
+    magic      8 bytes   b"KSNTCKPT"
+    version    uint32    1
+    count      uint32    number of tensors, then per tensor:
+      name_len uint16
+      name     name_len bytes, UTF-8
+      ndim     uint8
+      shape    ndim x uint32
+      data     prod(shape) x float64, row-major (one value when ndim = 0)
+
+Nothing follows the last tensor.  A field or payload that runs past the end
+of the file, and any trailing byte, is a ``ValueError`` naming the file.
+
+Text matrix, used for adjacencies, score and target matrices and initial
+embeddings: a ``rows cols`` header line, then one line per row of
+space-separated values, written with 17 significant digits so float64
+round-trips exactly.
+
+Config: flat ``key = value`` lines; ``#`` starts a comment; keys are unique;
+no nesting.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -23,7 +45,7 @@ def save_named_tensors(path, tensors: dict[str, np.ndarray]) -> None:
         fh.write(_CKPT_MAGIC)
         fh.write(struct.pack("<II", _CKPT_VERSION, len(tensors)))
         for name, arr in tensors.items():
-            arr = np.ascontiguousarray(arr, dtype="<f8")
+            arr = np.asarray(arr, dtype="<f8")
             encoded = name.encode("utf-8")
             fh.write(struct.pack("<H", len(encoded)))
             fh.write(encoded)
@@ -34,26 +56,36 @@ def save_named_tensors(path, tensors: dict[str, np.ndarray]) -> None:
 
 def load_named_tensors(path) -> dict[str, np.ndarray]:
     blob = Path(path).read_bytes()
-    if blob[:8] != _CKPT_MAGIC:
+    offset = 0
+
+    def take(size: int, what: str) -> bytes:
+        nonlocal offset
+        if offset + size > len(blob):
+            raise ValueError(
+                f"{path}: truncated: {what} needs {size} bytes at offset {offset}, "
+                f"file has {len(blob)}"
+            )
+        offset += size
+        return blob[offset - size:offset]
+
+    if take(8, "magic") != _CKPT_MAGIC:
         raise ValueError(f"{path}: bad checkpoint magic")
-    version, count = struct.unpack("<II", blob[8:16])
+    version, count = struct.unpack("<II", take(8, "header"))
     if version != _CKPT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    offset = 16
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", blob, offset)
-        offset += 2
-        name = blob[offset:offset + name_len].decode("utf-8")
-        offset += name_len
-        (ndim,) = struct.unpack_from("<B", blob, offset)
-        offset += 1
-        shape = struct.unpack_from(f"<{ndim}I", blob, offset)
-        offset += 4 * ndim
-        size = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=size, offset=offset)
-        offset += 8 * size
-        tensors[name] = arr.reshape(shape).astype(np.float64)
+        (name_len,) = struct.unpack("<H", take(2, "name length"))
+        try:
+            name = take(name_len, "name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: tensor name is not UTF-8") from None
+        (ndim,) = struct.unpack("<B", take(1, f"{name!r} ndim"))
+        shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"{name!r} shape"))
+        data = take(8 * math.prod(shape), f"{name!r} data")
+        tensors[name] = np.frombuffer(data, dtype="<f8").reshape(shape).astype(np.float64)
+    if offset != len(blob):
+        raise ValueError(f"{path}: {len(blob) - offset} trailing bytes after the last tensor")
     return tensors
 
 
@@ -78,7 +110,10 @@ def load_matrix_text(path) -> np.ndarray:
     rows = [line.split() for line in lines[1:] if line.strip()]
     if len(rows) != r or any(len(row) != c for row in rows):
         raise ValueError(f"{path}: expected {r}x{c} entries")
-    return np.array([[float(v) for v in row] for row in rows], dtype=np.float64)
+    try:
+        return np.array([[float(v) for v in row] for row in rows], dtype=np.float64)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def parse_config_text(text: str) -> dict[str, str]:

@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 import kssnet.autodiff as ad
-from kssnet.gcn import grad_check
+from kssnet.checks import grad_check
 
 
 def scalar_handle(build):
@@ -36,6 +36,17 @@ class TestForward:
         npt.assert_array_equal(ad.tanh(t).data, np.tanh(x))
         npt.assert_allclose(ad.sigmoid(t).data, 1 / (1 + np.exp(-x)), rtol=0, atol=1e-15)
         npt.assert_array_equal(ad.leaky_relu(t, 0.2).data, np.where(x >= 0, x, 0.2 * x))
+        # the sigmoid is exactly the two-sided form, in both dtypes, at the extremes too
+        for dtype in (np.float32, np.float64):
+            z = np.array([0.0, -0.0, 1e-30, -1e-30, 0.5, -0.5, 3.0, -3.0,
+                          100.0, -100.0, 800.0, -800.0], dtype=dtype)
+            pos = z >= 0
+            ref = np.empty_like(z)
+            ref[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+            ref[~pos] = np.exp(z[~pos]) / (1.0 + np.exp(z[~pos]))
+            out = ad.sigmoid(ad.Tensor(z)).data
+            assert out.dtype == dtype
+            npt.assert_array_equal(out.view(np.uint8), ref.view(np.uint8))
 
     def test_avg_pool(self):
         x = np.arange(16.0).reshape(1, 1, 4, 4)

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import kssnet
 from kssnet import cli, graph, storage
 
 
@@ -46,7 +52,7 @@ class TestBuildGraph:
         assert code == 0
         out = capsys.readouterr().out
         assert "lambda=0.4" in out and "tau=0.02" in out and "eta=0.4" in out
-        assert "edges=" in out and "dropped_knowledge_records=1" in out
+        assert "nnz=" in out and "dropped_knowledge_records=1" in out
         assert (tmp_path / "a.txt").exists() and (tmp_path / "a.txt.norm").exists()
 
     def test_success_with_video_dataset_settings(self, toy_files, tmp_path):
@@ -92,8 +98,8 @@ class TestBuildGraph:
     def test_edge_count_matches_edge_set(self, toy_files, tmp_path, capsys):
         assert run(self.base_args(toy_files, tmp_path)) == 0
         out = capsys.readouterr().out
-        reported = int([l for l in out.splitlines() if l.startswith("edges=")][0].split("=")[1])
-        a = graph.load_adjacency_text(tmp_path / "a.txt")
+        reported = int([l for l in out.splitlines() if l.startswith("nnz=")][0].split("=")[1])
+        a = storage.load_matrix_text(tmp_path / "a.txt")
         assert reported == len(graph.edge_set(a))
 
 
@@ -110,9 +116,46 @@ class TestInspect:
 
     def test_inspect_binary(self, tmp_path, capsys):
         path = tmp_path / "a.bin"
-        graph.save_adjacency_binary(np.eye(3), path)
+        storage.save_named_tensors(path, {"adjacency": np.eye(3)})
         assert run(["inspect", "--graph", str(path), "--binary"]) == 0
         assert "nnz=3" in capsys.readouterr().out
+
+    def test_binary_needs_exactly_one_tensor(self, tmp_path, capsys):
+        path = tmp_path / "two.bin"
+        storage.save_named_tensors(path, {"a": np.eye(2), "b": np.eye(2)})
+        assert run(["inspect", "--graph", str(path), "--binary"]) == 1
+        assert str(path) in capsys.readouterr().err
+
+    def test_truncated_binary_is_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "a.bin"
+        storage.save_named_tensors(path, {"adjacency": np.eye(3)})
+        path.write_bytes(path.read_bytes()[:-30])
+        assert run(["inspect", "--graph", str(path), "--binary"]) == 1
+        assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        "2\n1 0\n0 1\n",  # the retired single-N header
+        "2 3\n1 0 0\n0 1 0\n",  # not square
+        "2 2\n1 -1\n0 1\n",  # negative weight
+        "2 2\n1 nan\n0 1\n",  # not finite
+        "2 2\n1 x\n0 1\n",  # not a number
+    ])
+    def test_invalid_text_adjacency_names_file(self, tmp_path, capsys, text):
+        path = tmp_path / "a.txt"
+        path.write_text(text)
+        assert run(["inspect", "--graph", str(path)]) == 1
+        assert str(path) in capsys.readouterr().err
+
+    def test_module_entry_point_runs_the_cli(self, tmp_path):
+        src = str(Path(kssnet.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "kssnet.cli", "inspect", "--graph", str(tmp_path / "nope")],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert "--graph" in proc.stderr
 
 
 class TestGradcheck:
@@ -204,6 +247,13 @@ class TestTrainAndEvaluate:
                     str(tmp_path / "m.ckpt"), "--history", str(tmp_path / "h.csv"),
                     "--channel-divisor", "32"]) == 0
         assert "stage_channels=8,16,32,64" in capsys.readouterr().out
+
+    def test_unknown_dtype_is_validation_error(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("epochs = 0\nn_train = 16\nn_val = 8\ndtype = float16\n")
+        assert run(["train-toy", "--config", str(cfg), "--checkpoint",
+                    str(tmp_path / "m.ckpt"), "--history", str(tmp_path / "h.csv")]) == 1
+        assert "dtype" in capsys.readouterr().err
 
     def test_bad_divisor_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"

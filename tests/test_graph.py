@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from kssnet import graph
+from kssnet import graph, storage
 from kssnet.ingest import AnnotationSet, KnowledgeEdgeList
 
 import oracles
@@ -356,28 +356,30 @@ class TestConfig:
 
 
 class TestSerialization:
+    # adjacencies are stored as storage text matrices or one-tensor
+    # named-tensor files, and checked on load
     def test_text_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(15)
         a = rng.random((7, 7))
         path = tmp_path / "a.txt"
-        graph.save_adjacency_text(a, path)
-        npt.assert_array_equal(graph.load_adjacency_text(path), a)
+        storage.save_matrix_text(a, path)
+        npt.assert_array_equal(graph.check_adjacency(storage.load_matrix_text(path)), a)
 
     def test_binary_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(16)
         a = rng.random((9, 9))
         path = tmp_path / "a.bin"
-        graph.save_adjacency_binary(a, path)
-        npt.assert_array_equal(graph.load_adjacency_binary(path), a)
+        storage.save_named_tensors(path, {"adjacency": a})
+        npt.assert_array_equal(storage.load_named_tensors(path)["adjacency"], a)
 
     def test_binary_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
         with pytest.raises(ValueError, match="magic"):
-            graph.load_adjacency_binary(path)
+            storage.load_named_tensors(path)
 
     def test_text_rejects_ragged(self, tmp_path):
         path = tmp_path / "a.txt"
-        path.write_text("2\n1 0\n1\n")
+        path.write_text("2 2\n1 0\n1\n")
         with pytest.raises(ValueError, match="expected"):
-            graph.load_adjacency_text(path)
+            storage.load_matrix_text(path)

@@ -2,43 +2,53 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import kssnet.autodiff as ad
 from kssnet import lateral
-from kssnet.gcn import grad_check
-from kssnet.checks import lc_2d_check, lc_3d_check
+from kssnet.checks import grad_check, lc_2d_check, lc_3d_check
 
 import oracles
 
 
-def zero_params(c, n, activation="tanh"):
-    return lateral.LcParams(np.zeros((c, n)), np.zeros(c), activation)
+def lc(x, e, w, b, activation="tanh"):
+    """Lateral connection on one (C, ...) feature map through ``lc_core``."""
+    xf = ad.Tensor(x.reshape(x.shape[0], -1))
+    out = lateral.lc_core(xf, ad.Tensor(e), ad.Tensor(w), ad.Tensor(b), activation)
+    return out.data.reshape(x.shape)
+
+
+def lc_grads(x, e, w, b, upstream, activation="tanh"):
+    """Reverse-mode gradients ``(grad_x, grad_e, grad_w, grad_b)`` for an upstream gradient."""
+    xt = ad.Tensor(x.reshape(x.shape[0], -1), requires_grad=True)
+    et, wt, bt = (ad.Tensor(a, requires_grad=True) for a in (e, w, b))
+    out = lateral.lc_core(xt, et, wt, bt, activation)
+    out.backward(upstream.reshape(x.shape[0], -1))
+    return xt.grad.reshape(x.shape), et.grad, wt.grad, bt.grad
+
+
+def random_weight(c, n, rng):
+    return rng.normal(0.0, np.sqrt(2.0 / n), size=(c, n))
 
 
 class TestForward3d:
     def test_zero_embedding_zero_bias_is_identity(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(3, 2, 4, 5))
-        params = lateral.init_lc_params(3, 7, rng)
-        y = lateral.lc_forward_3d(x, np.zeros((7, 3)), params)
+        y = lc(x, np.zeros((7, 3)), random_weight(3, 7, rng), np.zeros(3))
         npt.assert_array_equal(y, x)
 
     def test_shape_preserved_on_video_sized_map(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(64, 8, 14, 14))
         e = rng.normal(size=(157, 64))
-        params = lateral.init_lc_params(64, 157, rng)
-        assert lateral.lc_forward_3d(x, e, params).shape == (64, 8, 14, 14)
+        assert lc(x, e, random_weight(64, 157, rng), np.zeros(64)).shape == (64, 8, 14, 14)
 
     def test_scalar_hand_case(self):
-        params = lateral.LcParams(np.array([[3.0]]), np.array([0.5]))
-        y = lateral.lc_forward_3d(
-            np.array([[[[2.0]]]]), np.array([[0.0]]), params
-        )
+        y = lc(np.array([[[[2.0]]]]), np.array([[0.0]]), np.array([[3.0]]), np.array([0.5]))
         npt.assert_allclose(y, [[[[2.5]]]], rtol=0, atol=1e-15)
 
     def test_channel_mismatch_rejected(self):
-        params = zero_params(4, 6)
-        with pytest.raises(ValueError, match="incompatible"):
-            lateral.lc_forward_3d(np.zeros((4, 2, 3, 3)), np.zeros((6, 3)), params)
+        with pytest.raises(ValueError):
+            lc(np.zeros((4, 2, 3, 3)), np.zeros((6, 3)), np.zeros((4, 6)), np.zeros(4))
 
     def test_linear_in_x_structure(self):
         # with fixed sigma(E), the map x -> y is (W sigma(E) + I) x + b per location
@@ -46,10 +56,11 @@ class TestForward3d:
         c, n = 3, 5
         x = rng.normal(size=(c, 1, 2, 2))
         e = rng.normal(size=(n, c))
-        params = lateral.LcParams(rng.normal(size=(c, n)), rng.normal(size=c))
-        y = lateral.lc_forward_3d(x, e, params)
-        op = params.conv_weight @ np.tanh(e) + np.eye(c)
-        expected = np.einsum("cd,dthw->cthw", op, x) + params.conv_bias[:, None, None, None]
+        w = rng.normal(size=(c, n))
+        b = rng.normal(size=c)
+        y = lc(x, e, w, b)
+        op = w @ np.tanh(e) + np.eye(c)
+        expected = np.einsum("cd,dthw->cthw", op, x) + b[:, None, None, None]
         npt.assert_allclose(y, expected, rtol=0, atol=1e-12)
 
 
@@ -57,23 +68,22 @@ class TestForward2d:
     def test_zero_embedding_zero_bias_is_identity(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(5, 6, 4))
-        params = lateral.init_lc_params(5, 3, rng)
-        npt.assert_array_equal(lateral.lc_forward_2d(x, np.zeros((3, 5)), params), x)
+        npt.assert_array_equal(lc(x, np.zeros((3, 5)), random_weight(5, 3, rng), np.zeros(5)), x)
 
     def test_image_sized_map_shape(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(256, 56, 56))
         e = rng.normal(size=(80, 256))
-        params = lateral.init_lc_params(256, 80, rng)
-        assert lateral.lc_forward_2d(x, e, params).shape == (256, 56, 56)
+        assert lc(x, e, random_weight(256, 80, rng), np.zeros(256)).shape == (256, 56, 56)
 
     def test_2d_equals_3d_with_singleton_time(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(4, 6, 5))
         e = rng.normal(size=(3, 4))
-        params = lateral.LcParams(rng.normal(size=(4, 3)), rng.normal(size=4), "sigmoid")
-        y2 = lateral.lc_forward_2d(x, e, params)
-        y3 = lateral.lc_forward_3d(x[:, None], e, params)
+        w = rng.normal(size=(4, 3))
+        b = rng.normal(size=4)
+        y2 = lc(x, e, w, b, "sigmoid")
+        y3 = lc(x[:, None], e, w, b, "sigmoid")
         npt.assert_array_equal(y3[:, 0], y2)
 
     def test_spatial_permutation_equivariance(self):
@@ -81,11 +91,12 @@ class TestForward2d:
         c, h, w = 3, 4, 5
         x = rng.normal(size=(c, h, w))
         e = rng.normal(size=(6, c))
-        params = lateral.LcParams(rng.normal(size=(c, 6)), rng.normal(size=c))
-        y = lateral.lc_forward_2d(x, e, params)
+        wt = rng.normal(size=(c, 6))
+        b = rng.normal(size=c)
+        y = lc(x, e, wt, b)
         perm = rng.permutation(h * w)
         x_perm = x.reshape(c, -1)[:, perm].reshape(c, h, w)
-        y_perm = lateral.lc_forward_2d(x_perm, e, params)
+        y_perm = lc(x_perm, e, wt, b)
         npt.assert_array_equal(y_perm.reshape(c, -1), y.reshape(c, -1)[:, perm])
 
     def test_label_permutation_invariance(self):
@@ -94,11 +105,9 @@ class TestForward2d:
         x = rng.normal(size=(c, 4, 4))
         e = rng.normal(size=(n, c))
         w = rng.normal(size=(c, n))
-        params = lateral.LcParams(w, np.zeros(c))
         perm = rng.permutation(n)
-        params_perm = lateral.LcParams(w[:, perm], np.zeros(c))
-        y = lateral.lc_forward_2d(x, e, params)
-        y_perm = lateral.lc_forward_2d(x, e[perm], params_perm)
+        y = lc(x, e, w, np.zeros(c))
+        y_perm = lc(x, e[perm], w[:, perm], np.zeros(c))
         npt.assert_allclose(y_perm, y, rtol=0, atol=1e-12)
 
     def test_label_permutation_invariance_exact(self):
@@ -111,11 +120,9 @@ class TestForward2d:
         w = np.zeros((c, n))
         for row in range(c):
             w[row, rng.integers(0, n)] = oracles.dyadic(rng, ())
-        params = lateral.LcParams(w, np.zeros(c))
         perm = rng.permutation(n)
-        params_perm = lateral.LcParams(w[:, perm], np.zeros(c))
-        y = lateral.lc_forward_2d(x, e, params)
-        y_perm = lateral.lc_forward_2d(x, e[perm], params_perm)
+        y = lc(x, e, w, np.zeros(c))
+        y_perm = lc(x, e[perm], w[:, perm], np.zeros(c))
         npt.assert_array_equal(y_perm, y)
 
 
@@ -124,8 +131,7 @@ class TestBackward:
         rng = np.random.default_rng(8)
         x = rng.normal(size=(3, 4, 4))
         e = rng.normal(size=(5, 3))
-        params = lateral.LcParams(rng.normal(size=(3, 5)), rng.normal(size=3))
-        grads = lateral.lc_backward(x, e, params, np.zeros_like(x))
+        grads = lc_grads(x, e, rng.normal(size=(3, 5)), rng.normal(size=3), np.zeros_like(x))
         for g in grads:
             npt.assert_array_equal(g, np.zeros_like(g))
 
@@ -134,7 +140,7 @@ class TestBackward:
         x = rng.normal(size=(3, 2, 2))
         e = rng.normal(size=(4, 3))
         upstream = rng.normal(size=x.shape)
-        grads = lateral.lc_backward(x, e, zero_params(3, 4), upstream)
+        grads = lc_grads(x, e, np.zeros((3, 4)), np.zeros(3), upstream)
         npt.assert_array_equal(grads[0], upstream)
 
     def test_matches_finite_differences_2d(self):
@@ -146,10 +152,11 @@ class TestBackward:
         assert grad_check(fn, params) <= 1e-5
 
     def test_upstream_shape_checked(self):
-        params = zero_params(2, 3)
-        with pytest.raises(ValueError, match="upstream"):
-            lateral.lc_backward(np.zeros((2, 2, 2)), np.zeros((3, 2)), params,
-                                np.zeros((2, 2, 3)))
+        xf = ad.Tensor(np.zeros((2, 4)), requires_grad=True)
+        out = lateral.lc_core(xf, ad.Tensor(np.zeros((3, 2))), ad.Tensor(np.zeros((2, 3))),
+                              ad.Tensor(np.zeros(2)), "tanh")
+        with pytest.raises(ValueError, match="gradient shape"):
+            out.backward(np.zeros((2, 6)))
 
     def test_backward_against_hand_formulas(self):
         # y[:, p] = (W s + I) x[:, p] + b with s = tanh(E), so the four
@@ -160,9 +167,8 @@ class TestBackward:
         e = rng.normal(size=(n, c))
         wt = rng.normal(size=(c, n))
         b = rng.normal(size=c)
-        params = lateral.LcParams(wt, b)
         up = rng.normal(size=(c, h, w))
-        gx, ge, gw, gb = lateral.lc_backward(x, e, params, up)
+        gx, ge, gw, gb = lc_grads(x, e, wt, b, up)
 
         xf = x.reshape(c, -1)
         uf = up.reshape(c, -1)
@@ -178,8 +184,8 @@ class TestBackward:
 class TestParams:
     def test_bad_activation_rejected(self):
         with pytest.raises(ValueError, match="activation"):
-            lateral.LcParams(np.zeros((2, 3)), np.zeros(2), "relu")
+            lc(np.zeros((2, 3, 3)), np.zeros((3, 2)), np.zeros((2, 3)), np.zeros(2), "relu")
 
     def test_bias_shape_checked(self):
-        with pytest.raises(ValueError, match="conv_bias"):
-            lateral.LcParams(np.zeros((2, 3)), np.zeros(3))
+        with pytest.raises(ValueError):
+            lc(np.zeros((2, 3, 3)), np.zeros((3, 2)), np.zeros((2, 3)), np.zeros(3))

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -100,8 +101,10 @@ class TestMapScore:
 
 class TestDecide:
     def test_sigmoid_rule(self):
-        pred = metrics.decide(np.array([[1.0, -1.0, 0.0]]), ("sigmoid", 0.5))
-        npt.assert_array_equal(pred, [[1, 0, 1]])  # sigmoid(0) = 0.5 passes >=
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # large |score| must not overflow
+            pred = metrics.decide(np.array([[1.0, -1.0, 0.0, -1000.0, 1000.0]]), ("sigmoid", 0.5))
+        npt.assert_array_equal(pred, [[1, 0, 1, 0, 1]])  # sigmoid(0) = 0.5 passes >=
 
     def test_score_rule(self):
         pred = metrics.decide(np.array([[0.6, 0.4]]), ("score", 0.5))
