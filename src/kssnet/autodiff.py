@@ -3,10 +3,15 @@
 Just enough machinery for the label-graph pathway, lateral connections, and
 the toy backbone: broadcast-aware elementwise ops, batched matmul,
 reshape/axis swap, a few activations, reductions, stride-1 convolution,
-2x average pooling, and a numerically stable binary cross-entropy head.
+non-overlapping average pooling, and a numerically stable binary
+cross-entropy head.
 
 Arrays stay in whatever float dtype they arrive in (float64 for gradient
-checks, float32 allowed for training); all ops are deterministic.
+checks, float32 allowed for training), gradients included; all ops are
+deterministic.  The convolution is im2col followed by one GEMM; its
+backward is one GEMM for the weight gradient and GEMM followed by col2im for
+the input gradient, rebuilding the column matrix from the padded input it
+retains (see :func:`conv2d`).
 """
 
 from __future__ import annotations
@@ -187,13 +192,27 @@ def swap_last(a) -> Tensor:
 
 
 def leaky_relu(a, slope: float = 0.2) -> Tensor:
+    """``x`` where ``x >= 0``, else ``slope * x``.
+
+    Bit for bit ``np.where(x >= 0, x, slope * x)``, signed zeros,
+    infinities and NaNs included.  A positive slope keeps the sign, so the
+    result is the larger (for ``slope > 1`` the smaller) of ``x`` and
+    ``slope * x``, computed branch-free; a zero or negative slope takes
+    ``np.where``.  Backward multiplies ``g`` by ``slope`` or 1 looked up in
+    a table of ``g``'s dtype, so float32 gradients stay float32.
+    """
     a = as_tensor(a)
-    mask = a.data >= 0
+    mask = np.asarray(a.data >= 0)
+    scaled = a.data * slope
+    if slope > 0:
+        out = (np.minimum if slope > 1 else np.maximum)(a.data, scaled)
+    else:  # 0 * inf is NaN and a negative slope flips the sign of zero
+        out = np.where(mask, a.data, scaled)
 
     def backward(g):
-        return (g * np.where(mask, 1.0, slope),)
+        return (g * np.take(np.array([slope, 1], dtype=g.dtype), mask.view(np.uint8)),)
 
-    return _node(np.where(mask, a.data, slope * a.data), (a,), backward)
+    return _node(out, (a,), backward)
 
 
 def tanh(a) -> Tensor:
@@ -268,47 +287,88 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     return mul_scalar(tsum(a, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
+def _im2col(xp: np.ndarray, k: int) -> np.ndarray:
+    """Columns (C*k*k, B*oh*ow) of the k x k windows of a padded (B, C, Hp, Wp) input."""
+    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
+    bs, c, oh, ow = win.shape[:4]
+    return win.transpose(1, 4, 5, 0, 2, 3).reshape(c * k * k, bs * oh * ow)
+
+
 def conv2d(x, w, b=None, padding: int = 1) -> Tensor:
-    """Stride-1 2D convolution of (B, C, H, W) with (O, C, kh, kw) kernels."""
+    """Stride-1 2D convolution of (B, C, H, W) with (O, C, k, k) kernels.
+
+    Forward is im2col then one GEMM: the padded input's k x k windows become
+    a (C*k*k, B*oh*ow) column matrix, ``w`` reshaped to (O, C*k*k) multiplies
+    it, the bias is added to the product, and the sum is returned as a
+    C-contiguous (B, O, oh, ow) array, all in one graph node.  It retains the padded input, not the columns; backward rebuilds
+    the columns and computes the weight gradient as one GEMM against them,
+    and the input gradient as ``w.T @ g`` followed by col2im: k*k shifted
+    slice-adds into a zeroed padded buffer, then a crop.  Gradients nobody
+    needs (the input of the first layer) are not computed.
+    """
     x, w = as_tensor(x), as_tensor(w)
-    kh, kw = w.shape[2], w.shape[3]
+    o, c, kh, kw = w.shape
     if kh != kw:
         raise ValueError("only square kernels are supported")
-    if x.shape[1] != w.shape[1]:
-        raise ValueError(f"channel mismatch: input {x.shape[1]}, kernel {w.shape[1]}")
+    if x.shape[1] != c:
+        raise ValueError(f"channel mismatch: input {x.shape[1]}, kernel {c}")
     k = kh
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
-    out = np.einsum("bcijuv,ocuv->boij", win, w.data, optimize=True)
-
-    def backward(g):
-        gw = np.einsum("boij,bcijuv->ocuv", g, win, optimize=True)
-        gp = np.pad(g, ((0, 0), (0, 0), (k - 1 - padding,) * 2, (k - 1 - padding,) * 2))
-        gwin = np.lib.stride_tricks.sliding_window_view(gp, (k, k), axis=(2, 3))
-        wflip = w.data[:, :, ::-1, ::-1]
-        gx = np.einsum("boijuv,ocuv->bcij", gwin, wflip, optimize=True)
-        return gx, gw
-
-    out_t = _node(out, (x, w), backward)
+    bs, _, h, wd = x.shape
+    oh, ow = h + 2 * padding - k + 1, wd + 2 * padding - k + 1
+    if padding < 0 or oh < 1 or ow < 1:
+        raise ValueError(f"kernel {k} with padding {padding} does not fit a {h}x{wd} input")
+    parents = (x, w)
     if b is not None:
         b = as_tensor(b)
-        out_t = add(out_t, reshape(b, (1, b.shape[0], 1, 1)))
-    return out_t
+        if b.shape != (o,):
+            raise ValueError(f"bias shape {b.shape} != ({o},)")
+        parents = (x, w, b)
+    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    wmat = w.data.reshape(o, c * k * k)
+    out = wmat @ _im2col(xp, k)
+    if b is not None:
+        out += b.data[:, None]
+    out = np.ascontiguousarray(out.reshape(o, bs, oh, ow).transpose(1, 0, 2, 3))
+
+    def backward(g):
+        gmat = g.transpose(1, 0, 2, 3).reshape(o, bs * oh * ow)
+        gw = (gmat @ _im2col(xp, k).T).reshape(w.shape) if w.requires_grad else None
+        gx = None
+        if x.requires_grad:
+            gcols = (wmat.T @ gmat).reshape(c, k, k, bs, oh, ow)
+            gxp = np.zeros((c, bs) + xp.shape[2:], dtype=gcols.dtype)
+            for u in range(k):
+                for v in range(k):
+                    gxp[:, :, u:u + oh, v:v + ow] += gcols[:, u, v]
+            gxp = gxp[:, :, padding:padding + h, padding:padding + wd]
+            gx = np.ascontiguousarray(gxp.transpose(1, 0, 2, 3))
+        if b is None:
+            return gx, gw
+        return gx, gw, gmat.sum(axis=1)
+
+    return _node(out, parents, backward)
 
 
 def avg_pool2d(x, k: int = 2) -> Tensor:
-    """Non-overlapping k x k average pooling; spatial dims must divide by k."""
+    """Non-overlapping k x k average pooling; spatial dims must divide by k.
+
+    Forward sums the k*k strided slices ``x[:, :, u::k, v::k]`` into one
+    buffer and divides it by k*k; backward repeats ``g / k**2`` k times
+    along both spatial axes.
+    """
     x = as_tensor(x)
-    bs, c, h, w = x.shape
+    h, w = x.shape[2:]
     if h % k or w % k:
         raise ValueError(f"spatial dims {(h, w)} not divisible by pool size {k}")
-    out = x.data.reshape(bs, c, h // k, k, w // k, k).mean(axis=(3, 5))
+    out = x.data[:, :, ::k, ::k].copy()
+    for u in range(k):
+        for v in range(k):
+            if u or v:
+                out += x.data[:, :, u::k, v::k]
+    out /= k * k
 
     def backward(g):
-        up = np.broadcast_to(
-            g[:, :, :, None, :, None] / (k * k), (bs, c, h // k, k, w // k, k)
-        )
-        return (up.reshape(bs, c, h, w).astype(x.data.dtype, copy=False),)
+        return (np.repeat(np.repeat(g / (k * k), k, axis=3), k, axis=2),)
 
     return _node(out, (x,), backward)
 

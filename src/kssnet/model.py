@@ -275,7 +275,8 @@ class Adam:
 
     Decoupled weight decay is applied to every tensor except biases; GCN
     weights use ``cfg.gcn_lr``, everything else ``cfg.lr``.  Moment buffers
-    are kept in float64 regardless of parameter dtype.
+    are kept in float64 regardless of parameter dtype; each step writes the
+    parameter arrays in place.
     """
 
     def __init__(self, named_params: list[tuple[str, ad.Tensor]], cfg: TrainConfig):
@@ -284,12 +285,22 @@ class Adam:
         self.t = 0
         self.m = {name: np.zeros(p.data.shape) for name, p in named_params}
         self.v = {name: np.zeros(p.data.shape) for name, p in named_params}
+        # float64 work arrays for the update, reused every step
+        self._scratch = {name: (np.empty(p.data.shape), np.empty(p.data.shape))
+                         for name, p in named_params}
 
     def zero_grad(self) -> None:
         for _, p in self.items:
             p.grad = None
 
     def step(self) -> None:
+        """One update, computed in place in each parameter's two work arrays.
+
+        It performs the operations of ``m = b1*m + (1-b1)*g``,
+        ``v = b2*v + (1-b2)*g*g``, ``update = (m/bc1) / (sqrt(v/bc2) + eps)``
+        (plus ``wd*p`` for non-biases) and ``p = p - lr*update`` in the same
+        order and dtypes, so the result is bit for bit that of the formula.
+        """
         cfg = self.cfg
         self.t += 1
         bc1 = 1.0 - cfg.beta1 ** self.t
@@ -300,15 +311,25 @@ class Adam:
             g = np.asarray(p.grad, dtype=np.float64)
             m = self.m[name]
             v = self.v[name]
+            tmp, update = self._scratch[name]
+            np.multiply(g, 1.0 - cfg.beta1, out=tmp)
             m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
+            m += tmp
+            np.multiply(g, 1.0 - cfg.beta2, out=tmp)
+            tmp *= g
             v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+            v += tmp
+            np.divide(v, bc2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += cfg.eps
+            np.divide(m, bc1, out=update)
+            update /= tmp
             lr = cfg.gcn_lr if name.startswith("gcn.") else cfg.lr
             if cfg.weight_decay and not name.endswith(".bias"):
-                update = update + cfg.weight_decay * p.data
-            p.data = (p.data - lr * update).astype(p.data.dtype)
+                update += cfg.weight_decay * p.data  # product in the parameter's dtype
+            update *= lr
+            np.subtract(p.data, update, out=update)
+            p.data[...] = update
 
 
 def train_toy(

@@ -18,6 +18,35 @@ def scalar_handle(build):
     return make
 
 
+# (B, C, H, W, O, k, padding): the model's own 3x3, padding-1 case, then
+# shapes it never uses: no or wide padding, 1x1 and 5x5 kernels, H != W,
+# one channel, one sample, and padding wider than k - 1.
+CONV_SHAPES = [
+    (2, 3, 5, 5, 4, 3, 1),
+    (2, 2, 4, 6, 3, 3, 0),
+    (1, 1, 5, 3, 2, 5, 2),
+    (2, 3, 4, 7, 2, 1, 0),
+    (1, 2, 3, 4, 3, 1, 2),
+    (2, 1, 6, 5, 2, 5, 0),
+]
+
+
+def conv_inputs(rng, shape):
+    bs, c, h, w, o, k, _ = shape
+    return rng.normal(size=(bs, c, h, w)), rng.normal(size=(o, c, k, k)), rng.normal(size=o)
+
+
+def conv_loops(x, w, b, padding):
+    """Stride-1 convolution by its definition, one output element at a time."""
+    bs, _, h, wd = x.shape
+    o, _, k, _ = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    out = np.zeros((bs, o, h + 2 * padding - k + 1, wd + 2 * padding - k + 1))
+    for bi, oi, i, j in np.ndindex(*out.shape):
+        out[bi, oi, i, j] = np.sum(xp[bi, :, i:i + k, j:j + k] * w[oi]) + b[oi]
+    return out
+
+
 class TestForward:
     def test_add_mul_broadcasting(self):
         a = ad.Tensor(np.arange(6.0).reshape(2, 3))
@@ -52,22 +81,57 @@ class TestForward:
         x = np.arange(16.0).reshape(1, 1, 4, 4)
         out = ad.avg_pool2d(ad.Tensor(x), 2).data
         npt.assert_array_equal(out, [[[[2.5, 4.5], [10.5, 12.5]]]])
+        # k = 3 on a non-square input, against the window means
+        x = np.random.default_rng(11).normal(size=(2, 3, 6, 9))
+        out = ad.avg_pool2d(ad.Tensor(x), 3).data
+        expected = np.zeros((2, 3, 2, 3))
+        for i, j in np.ndindex(2, 3):
+            expected[:, :, i, j] = x[:, :, 3 * i:3 * i + 3, 3 * j:3 * j + 3].mean(axis=(2, 3))
+        npt.assert_allclose(out, expected, rtol=0, atol=1e-14)
 
     def test_conv2d_matches_direct_loops(self):
         rng = np.random.default_rng(1)
-        x = rng.normal(size=(2, 3, 5, 5))
-        w = rng.normal(size=(4, 3, 3, 3))
-        b = rng.normal(size=4)
-        out = ad.conv2d(ad.Tensor(x), ad.Tensor(w), ad.Tensor(b), padding=1).data
-        xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-        expected = np.zeros_like(out)
-        for bi in range(2):
-            for o in range(4):
-                for i in range(5):
-                    for j in range(5):
-                        patch = xp[bi, :, i:i + 3, j:j + 3]
-                        expected[bi, o, i, j] = np.sum(patch * w[o]) + b[o]
-        npt.assert_allclose(out, expected, rtol=0, atol=1e-12)
+        for shape in CONV_SHAPES:
+            x, w, b = conv_inputs(rng, shape)
+            padding = shape[-1]
+            out = ad.conv2d(ad.Tensor(x), ad.Tensor(w), ad.Tensor(b), padding=padding).data
+            npt.assert_allclose(out, conv_loops(x, w, b, padding), rtol=0, atol=1e-12,
+                                err_msg=f"(B, C, H, W, O, k, padding) = {shape}")
+
+    def test_conv2d_rejects_what_it_cannot_compute(self):
+        x, w = ad.Tensor(np.ones((1, 2, 3, 3))), ad.Tensor(np.ones((4, 2, 3, 3)))
+        with pytest.raises(ValueError, match="bias shape"):
+            ad.conv2d(x, w, ad.Tensor(np.ones(1)))
+        with pytest.raises(ValueError, match="does not fit"):
+            ad.conv2d(x, w, None, padding=-1)
+        with pytest.raises(ValueError, match="does not fit"):
+            ad.conv2d(x, ad.Tensor(np.ones((4, 2, 5, 5))), None, padding=0)
+        with pytest.raises(ValueError, match="channel mismatch"):
+            ad.conv2d(x, ad.Tensor(np.ones((4, 3, 3, 3))))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_conv2d_output_is_contiguous_in_input_dtype(self, dtype):
+        rng = np.random.default_rng(10)
+        for shape in CONV_SHAPES:
+            x, w, b = (ad.Tensor(a.astype(dtype), requires_grad=True)
+                       for a in conv_inputs(rng, shape))
+            out = ad.conv2d(x, w, b, padding=shape[-1])
+            assert out.data.dtype == dtype and out.data.flags.c_contiguous
+            out.backward(np.ones(out.shape, dtype=dtype))
+            for t in (x, w, b):
+                assert t.grad.dtype == dtype and t.grad.shape == t.shape
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("slope", [0.0, 0.2, 1.0, 1.5, -0.3])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_leaky_relu_bitwise_equals_where(self, slope, dtype):
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e-30, -1e-30, 2.5, -2.5]
+        x = np.concatenate([special, np.random.default_rng(12).normal(size=100), special])
+        x = x.astype(dtype)
+        out = ad.leaky_relu(ad.Tensor(x), slope).data
+        ref = np.where(x >= 0, x, slope * x)
+        assert out.dtype == dtype
+        npt.assert_array_equal(out.view(np.uint8), ref.view(np.uint8))
 
     def test_bce_saturation_is_finite(self):
         logits = ad.Tensor(np.array([[1000.0, -1000.0]]))
@@ -153,6 +217,34 @@ class TestGradients:
 
         assert grad_check(fn, rng.normal(size=32)) < 1e-7
 
+    @pytest.mark.parametrize("shape", [CONV_SHAPES[2], CONV_SHAPES[4]])
+    def test_conv_gradients_on_unused_shapes(self, shape):
+        rng = np.random.default_rng(13)
+        x0, w0, b0 = conv_inputs(rng, shape)
+        padding = shape[-1]
+
+        def input_fn(params):
+            x = ad.Tensor(params.reshape(x0.shape), requires_grad=True)
+            out = ad.conv2d(x, ad.Tensor(w0), ad.Tensor(b0), padding=padding)
+            loss = ad.tsum(ad.mul(out, out))
+            loss.backward()
+            return float(loss.data), x.grad.reshape(-1)
+
+        def weight_fn(params):
+            w = ad.Tensor(params.reshape(w0.shape), requires_grad=True)
+            out = ad.conv2d(ad.Tensor(x0), w, ad.Tensor(b0), padding=padding)
+            loss = ad.tsum(ad.mul(out, out))
+            loss.backward()
+            return float(loss.data), w.grad.reshape(-1)
+
+        assert grad_check(input_fn, x0.ravel()) < 1e-7
+        assert grad_check(weight_fn, w0.ravel()) < 1e-7
+
+    def test_avg_pool_k3_gradient(self):
+        rng = np.random.default_rng(14)
+        fn = scalar_handle(lambda t: ad.tsum(ad.mul(ad.avg_pool2d(t, 3), ad.avg_pool2d(t, 3))))
+        assert grad_check(fn((1, 2, 3, 6)), rng.normal(size=36)) < 1e-8
+
     def test_bce_gradient(self):
         rng = np.random.default_rng(8)
         y = (rng.random((3, 4)) < 0.5).astype(float)
@@ -201,6 +293,15 @@ class TestDeterminism:
             return out.data
 
         npt.assert_array_equal(run(), run())
+
+    def test_float32_backbone_gradients_stay_float32(self):
+        rng = np.random.default_rng(15)
+        x, w, b = (ad.Tensor(a.astype(np.float32), requires_grad=True)
+                   for a in conv_inputs(rng, (2, 3, 8, 8, 4, 3, 1)))
+        out = ad.avg_pool2d(ad.leaky_relu(ad.conv2d(x, w, b, padding=1), 0.2), 2)
+        ad.tsum(ad.mul(out, out)).backward()
+        for t in (x, w, b):
+            assert t.grad.dtype == np.float32
 
     def test_float32_dtype_preserved(self):
         x = ad.Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True)

@@ -238,6 +238,53 @@ class TestTraining:
             tiny_model(dtype="float16")
 
 
+def adam_reference_step(cfg, t, name, p, g, m, v):
+    """The textbook Adam update with decoupled weight decay, one temporary per operation."""
+    bc1 = 1.0 - cfg.beta1 ** t
+    bc2 = 1.0 - cfg.beta2 ** t
+    g = np.asarray(g, dtype=np.float64)
+    m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
+    v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
+    update = (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+    lr = cfg.gcn_lr if name.startswith("gcn.") else cfg.lr
+    if cfg.weight_decay and not name.endswith(".bias"):
+        update = update + cfg.weight_decay * p
+    return (p - lr * update).astype(p.dtype), m, v
+
+
+class TestAdam:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_in_place_step_is_bitwise_the_textbook_formula(self, dtype):
+        rng = np.random.default_rng(0)
+        cfg = km.TrainConfig(lr=0.01, gcn_lr=0.003, weight_decay=1e-3)
+        shapes = {"backbone.stage0.conv.weight": (4, 3, 3, 3),
+                  "backbone.stage0.conv.bias": (4,), "gcn.layer0.W": (5, 4)}
+        params = {n: ad.Tensor(rng.normal(size=s).astype(dtype), requires_grad=True)
+                  for n, s in shapes.items()}
+        ref = {n: [p.data.copy(), np.zeros(p.shape), np.zeros(p.shape)]
+               for n, p in params.items()}
+        opt = km.Adam(list(params.items()), cfg)
+        for t in range(1, 6):
+            for name, p in params.items():
+                p.grad = rng.normal(size=p.shape).astype(dtype)
+                ref[name] = adam_reference_step(cfg, t, name, ref[name][0], p.grad, *ref[name][1:])
+            opt.step()
+            for name, p in params.items():
+                assert p.data.dtype == dtype
+                npt.assert_array_equal(p.data, ref[name][0])
+                npt.assert_array_equal(opt.m[name], ref[name][1])
+                npt.assert_array_equal(opt.v[name], ref[name][2])
+
+    def test_float32_train_step_gradients_stay_float32(self):
+        data = small_data(n=32)
+        m = small_train_model(data, dtype="float32")
+        logits = m.forward(data.train.x[:8], data.train.e0, train=True,
+                           rng=np.random.default_rng(0))
+        ad.bce_with_logits(logits, data.train.y[:8].astype(np.float32)).backward()
+        for name, p in m.named_parameters():
+            assert p.grad is not None and p.grad.dtype == np.float32, name
+
+
 class TestDepthVariant:
     def big_model(self):
         return km.KssModel(
