@@ -15,11 +15,15 @@ hundred, so sparsity machinery would buy nothing.  All functions are pure.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ingest import AnnotationSet, KnowledgeEdgeList
+
+# Rows of the 0/1 indicator block behind each co-occurrence GEMM.
+_COOC_BLOCK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -78,21 +82,35 @@ def cooccurrence_counts(ann: AnnotationSet, n: int | None = None):
     Returns ``(M, counts)`` where ``M[i, j]`` is the number of samples
     containing both labels i and j (zero diagonal, symmetric) and
     ``counts[i]`` is the number of samples containing label i.
+
+    Both come from a blocked exact GEMM: ``Y.T @ Y`` for the 0/1
+    sample-by-label indicator ``Y`` holds the pair counts off its diagonal
+    and the label counts on it.  It is summed in float64 over blocks of at
+    most ``_COOC_BLOCK_ROWS`` samples, each flattened to index arrays and
+    scattered into one reused buffer, so the product runs in BLAS and
+    neither ``Y`` nor the whole index list is ever in memory.  Every partial
+    sum is an integer far below 2**53, so the float64 result is exact.
     """
     if n is None:
         n = ann.n_labels
     elif n < ann.n_labels:
         raise ValueError(f"n={n} smaller than annotation vocabulary {ann.n_labels}")
-    m = np.zeros((n, n), dtype=np.int64)
-    counts = np.zeros(n, dtype=np.int64)
-    for _, labels in ann.samples:
-        idx = sorted(labels)
-        for a in idx:
-            counts[a] += 1
-        for pos, a in enumerate(idx):
-            for b in idx[pos + 1:]:
-                m[a, b] += 1
-                m[b, a] += 1
+    samples = ann.samples
+    m = np.zeros((n, n))
+    block = np.empty((min(_COOC_BLOCK_ROWS, len(samples)), n))
+    for lo in range(0, len(samples), _COOC_BLOCK_ROWS):
+        chunk = samples[lo:lo + _COOC_BLOCK_ROWS]
+        lengths = np.fromiter((len(labels) for _, labels in chunk), dtype=np.intp,
+                              count=len(chunk))
+        cols = np.fromiter(itertools.chain.from_iterable(labels for _, labels in chunk),
+                           dtype=np.intp, count=int(lengths.sum()))
+        y = block[:len(chunk)]
+        y.fill(0.0)
+        y[np.repeat(np.arange(len(chunk)), lengths), cols] = 1.0
+        m += y.T @ y
+    m = m.astype(np.int64)
+    counts = np.diag(m).copy()
+    np.fill_diagonal(m, 0)
     return m, counts
 
 

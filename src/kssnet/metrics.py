@@ -2,7 +2,15 @@
 
 Average precision is the non-interpolated form: precision accumulated at
 every positive hit in descending score order, ties broken by stable original
-order.  Per-class (CP/CR/CF1) and overall (OP/OR/OF1) statistics follow the
+order.  It is computed by counting, not by walking a full argsort: each
+positive's rank is the number of higher scores (from one sort of the column
+and ``searchsorted``) plus, when its score is tied, the number of equal
+scores at lower indices; its hit count is its place among the positives
+alone.  Every precision term is thus the same ratio of two integers as in
+the walk, and ``math.fsum`` sums the terms exactly, so the AP is bitwise
+that of the walk.
+
+Per-class (CP/CR/CF1) and overall (OP/OR/OF1) statistics follow the
 convention of computing CF1/OF1 from the averaged precision and recall, not
 from per-class F1 scores.
 """
@@ -17,12 +25,29 @@ import numpy as np
 
 from . import autodiff as ad
 
+# Rows per block of the top-k rule, to keep its temporaries small.
+_TOP_K_BLOCK_ROWS = 4096
+# Columns per contiguous block copied by ``per_class_ap``: 8 float64 are one
+# 64-byte cache line of each row.
+_AP_BLOCK_COLS = 8
+
 
 def average_precision(scores: np.ndarray, targets: np.ndarray) -> float:
     """AP of one class from per-sample scores and binary targets.
 
     Undefined (raises) when there is no positive target; callers that tolerate
     positive-free classes should skip them, as ``map_score`` does.
+
+    The ranks of the positives are counted, not read off a full argsort: in
+    descending stable order, sample i sits at rank ``#{s_j > s_i} + #{j < i :
+    s_j == s_i} + 1``.  The first count comes from ``searchsorted`` on one
+    ascending sort of the scores; the second is nonzero only for tied scores
+    and comes from one grouped pass over the samples that share a positive's
+    score.  The positives alone are put in stable order, so the k-th of them
+    gets hit count k.  Each term ``hits / rank`` is therefore the quotient of
+    the same two integers as in the rank walk, and ``math.fsum`` makes the
+    sum independent of the order of the terms: the result is bitwise that of
+    the walk.
     """
     scores = np.asarray(scores, dtype=np.float64)
     targets = np.asarray(targets)
@@ -33,12 +58,33 @@ def average_precision(scores: np.ndarray, targets: np.ndarray) -> float:
     n_pos = int(np.sum(targets == 1))
     if n_pos == 0:
         raise ValueError("average precision is undefined without positive targets")
-    order = np.argsort(-scores, kind="stable")
-    hits = np.asarray(targets, dtype=bool)[order]
-    cum_hits = np.cumsum(hits)
-    ranks = np.arange(1, scores.size + 1)
+    hit_idx = np.flatnonzero(np.asarray(targets, dtype=bool))
+    # positives in ascending score order (searchsorted runs fastest on sorted
+    # queries), equal scores by descending index: the reverse of their stable
+    # descending order, in which the k-th positive has hit count k
+    hit_idx = hit_idx[np.argsort(-scores[hit_idx], kind="stable")[::-1]]
+    hit_scores = scores[hit_idx]
+    ascending = np.sort(scores)
+    right = np.searchsorted(ascending, hit_scores, side="right")
+    ranks = scores.size - right + 1
+    tied = right - np.searchsorted(ascending, hit_scores, side="left") > 1
+    if np.any(tied):
+        ranks[tied] += _equal_before(scores, hit_idx[tied])
+    hits = np.arange(hit_idx.size, 0, -1)
     # fsum is exactly rounded, so the result is independent of term order
-    return math.fsum(cum_hits[hits] / ranks[hits]) / n_pos
+    return math.fsum(hits / ranks) / n_pos
+
+
+def _equal_before(scores: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """For each index i in ``idx``, the number of j < i with ``scores[j] == scores[i]``."""
+    values = np.unique(scores[idx])
+    slot = np.minimum(np.searchsorted(values, scores), values.size - 1)
+    group = np.flatnonzero(values[slot] == scores)  # every sample sharing a queried value
+    order = np.argsort(scores[group], kind="stable")  # by value, then by index
+    grouped = scores[group][order]
+    before = np.empty(group.size, dtype=np.int64)
+    before[order] = np.arange(group.size) - np.searchsorted(grouped, grouped, side="left")
+    return before[np.searchsorted(group, idx)]
 
 
 def per_class_ap(scores: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -48,9 +94,13 @@ def per_class_ap(scores: np.ndarray, targets: np.ndarray) -> np.ndarray:
     if scores.shape != targets.shape or scores.ndim != 2:
         raise ValueError(f"expected matching 2-D arrays, got {scores.shape} and {targets.shape}")
     aps = np.full(scores.shape[1], np.nan)
-    for c in range(scores.shape[1]):
-        if np.any(targets[:, c] == 1):
-            aps[c] = average_precision(scores[:, c], targets[:, c])
+    for lo in range(0, scores.shape[1], _AP_BLOCK_COLS):
+        # one gather of a few columns into rows, not a strided pass per column
+        score_rows = np.ascontiguousarray(scores[:, lo:lo + _AP_BLOCK_COLS].T)
+        target_rows = np.ascontiguousarray(targets[:, lo:lo + _AP_BLOCK_COLS].T)
+        for j, (s, t) in enumerate(zip(score_rows, target_rows)):
+            if np.any(t == 1):
+                aps[lo + j] = average_precision(s, t)
     return aps
 
 
@@ -71,9 +121,16 @@ def decide(scores: np.ndarray, decision=("sigmoid", 0.5)) -> np.ndarray:
 
     Rules: ``("sigmoid", t)`` predicts sigmoid(score) >= t, ``("score", t)``
     predicts score >= t, ``("top_k", k)`` predicts the k highest-scoring
-    labels per sample (ties by original order).
+    labels per sample (ties by original order).  Scores must be finite.
+
+    ``top_k`` finds each row's k-th largest score with ``np.partition`` and
+    predicts every label above it; among the labels equal to it, the first
+    ``k - #above`` by index.  That is the first k of a stable descending
+    sort, without sorting.
     """
     scores = np.asarray(scores, dtype=np.float64)
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("scores must be finite")
     kind, arg = decision
     if kind == "sigmoid":
         return (ad._sigmoid(scores) >= arg).astype(np.int64)
@@ -83,11 +140,19 @@ def decide(scores: np.ndarray, decision=("sigmoid", 0.5)) -> np.ndarray:
         k = int(arg)
         if k < 0:
             raise ValueError(f"top_k must be >= 0, got {k}")
-        pred = np.zeros_like(scores, dtype=np.int64)
-        k = min(k, scores.shape[1])
-        for i in range(scores.shape[0]):
-            order = np.argsort(-scores[i], kind="stable")
-            pred[i, order[:k]] = 1
+        n_labels = scores.shape[1]
+        if k == 0:
+            return np.zeros(scores.shape, dtype=np.int64)
+        if k >= n_labels:
+            return np.ones(scores.shape, dtype=np.int64)
+        pred = np.empty(scores.shape, dtype=np.int64)
+        for lo in range(0, scores.shape[0], _TOP_K_BLOCK_ROWS):
+            block = scores[lo:lo + _TOP_K_BLOCK_ROWS]
+            kth = np.partition(block, n_labels - k, axis=1)[:, n_labels - k, None]
+            above = block > kth
+            equal = block == kth
+            first_equal = np.cumsum(equal, axis=1) <= k - above.sum(axis=1, keepdims=True)
+            pred[lo:lo + _TOP_K_BLOCK_ROWS] = above | (equal & first_equal)
         return pred
     raise ValueError(f"unknown decision rule {kind!r}")
 

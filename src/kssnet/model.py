@@ -262,11 +262,24 @@ class KssModel:
 
 
 def predict(model: KssModel, x: np.ndarray, e0: np.ndarray, batch_size: int = 256) -> np.ndarray:
-    """Chunked evaluation-mode logits for a whole split, as a plain array."""
-    chunks = [
-        model.forward(x[i:i + batch_size], e0, train=False).data
-        for i in range(0, x.shape[0], batch_size)
-    ]
+    """Chunked evaluation-mode logits for a whole split, as a plain array.
+
+    No autodiff graph is built: the parameters' ``requires_grad`` flags are
+    cleared for the call and restored afterwards, even when it raises, so
+    no chunk keeps its backward closures and their buffers alive.
+    """
+    params = [p for _, p in model.named_parameters()]
+    flags = [p.requires_grad for p in params]
+    for p in params:
+        p.requires_grad = False
+    try:
+        chunks = [
+            model.forward(x[i:i + batch_size], e0, train=False).data
+            for i in range(0, x.shape[0], batch_size)
+        ]
+    finally:
+        for p, flag in zip(params, flags):
+            p.requires_grad = flag
     return np.concatenate(chunks, axis=0)
 
 

@@ -42,6 +42,23 @@ class TestCooccurrence:
             npt.assert_array_equal(m, m.T)
             assert np.all(np.diag(m) == 0)
 
+    def test_matches_brute_force_across_block_boundaries(self):
+        # two full GEMM blocks and a short third, with empty label sets and
+        # a wider output than the vocabulary
+        rng = np.random.default_rng(1)
+        n_samples = 2 * graph._COOC_BLOCK_ROWS + 3
+        samples = oracles.random_annotation_samples(rng, 6, n_samples)
+        assert any(not labels for _, labels in samples)
+        m, counts = graph.cooccurrence_counts(AnnotationSet(6, samples), n=9)
+        m_ref, counts_ref = oracles.cooccurrence_oracle(samples, 9)
+        assert m.dtype == np.int64 and counts.dtype == np.int64
+        npt.assert_array_equal(m, m_ref)
+        npt.assert_array_equal(counts, counts_ref)
+
+    def test_n_below_vocabulary_rejected(self):
+        with pytest.raises(ValueError, match="smaller"):
+            graph.cooccurrence_counts(ann_from_sets([{0, 2}], 3), n=2)
+
 
 class TestStatisticalAdjacency:
     def test_hand_case(self):

@@ -10,6 +10,15 @@ from kssnet import metrics
 import oracles
 
 
+def top_k_reference(scores, k):
+    """First k labels of each row in stable descending order, one row at a time."""
+    pred = np.zeros(scores.shape, dtype=np.int64)
+    for i, row in enumerate(scores.tolist()):
+        for j in sorted(range(len(row)), key=lambda c: -row[c])[:k]:
+            pred[i, j] = 1
+    return pred
+
+
 class TestAveragePrecision:
     def test_perfect_ranking(self):
         assert metrics.average_precision([0.9, 0.8, 0.1], [1, 1, 0]) == 1.0
@@ -55,6 +64,30 @@ class TestAveragePrecision:
             mine = metrics.average_precision(scores, targets)
             ref = oracles.ap_oracle([float(s) for s in scores], [int(t) for t in targets])
             assert mine == ref
+
+    @pytest.mark.parametrize("case", ["rounded", "all_equal", "one_positive", "all_positive"])
+    def test_matches_oracle_bitwise_on_ties(self, case):
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            n = int(rng.integers(1, 300))
+            scores = np.round(rng.normal(size=n), 1)
+            targets = (rng.random(n) < 0.3).astype(int)
+            if case == "all_equal":
+                scores = np.full(n, 0.25)
+            elif case == "one_positive":
+                targets = np.zeros(n, dtype=int)
+            elif case == "all_positive":
+                targets = np.ones(n, dtype=int)
+            if targets.sum() == 0:
+                targets[int(rng.integers(0, n))] = 1
+            mine = metrics.average_precision(scores, targets)
+            assert mine == oracles.ap_oracle(scores.tolist(), targets.tolist())
+
+    def test_signed_zeros_tie(self):
+        scores = np.array([0.0, -0.0, 0.0, -0.0, 1.0])
+        for targets in ([0, 1, 0, 1, 0], [1, 0, 0, 0, 0], [0, 0, 0, 1, 1]):
+            mine = metrics.average_precision(scores, targets)
+            assert mine == oracles.ap_oracle(scores.tolist(), targets)
 
 
 class TestMapScore:
@@ -118,6 +151,27 @@ class TestDecide:
         with pytest.raises(ValueError, match="decision"):
             metrics.decide(np.zeros((1, 1)), ("argmax", 1))
 
+    @pytest.mark.parametrize("rule", [("sigmoid", 0.5), ("score", 0.0), ("top_k", 1)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, rule, bad):
+        with pytest.raises(ValueError, match="finite"):
+            metrics.decide(np.array([[0.5, bad], [0.1, 0.2]]), rule)
+
+    @pytest.mark.parametrize("k", [0, 1, 5, 6, 8])  # 0, 1, C-1, C, C+2 for C = 6
+    def test_top_k_matches_stable_sort_on_ties(self, k):
+        rng = np.random.default_rng(8)
+        scores = rng.choice([-1.0, -0.0, 0.0, 0.5, 2.0], size=(40, 6))
+        npt.assert_array_equal(metrics.decide(scores, ("top_k", k)), top_k_reference(scores, k))
+
+    def test_top_k_across_block_boundary(self):
+        rng = np.random.default_rng(9)
+        rows = metrics._TOP_K_BLOCK_ROWS + 7
+        scores = np.round(rng.normal(size=(rows, 5)), 1)
+        for k in (1, 3):
+            pred = metrics.decide(scores, ("top_k", k))
+            npt.assert_array_equal(pred, top_k_reference(scores, k))
+            assert pred.dtype == np.int64
+
 
 class TestPrfSuite:
     def test_perfect_predictions(self):
@@ -178,6 +232,12 @@ class TestPrfSuite:
                         oracles.map_oracle(scores, targets)
                     checked += 1
         assert checked > 5000
+
+    def test_non_finite_scores_rejected(self):
+        targets = np.array([[1, 0], [0, 1]])
+        for decision in (("sigmoid", 0.5), ("top_k", 1)):
+            with pytest.raises(ValueError, match="finite"):
+                metrics.prf_suite(np.array([[np.nan, 0.0], [0.0, 1.0]]), targets, decision)
 
     def test_top_k_matches_oracle(self):
         rng = np.random.default_rng(6)

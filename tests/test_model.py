@@ -1,3 +1,5 @@
+from unittest import mock
+
 import mpmath
 import numpy as np
 import numpy.testing as npt
@@ -69,6 +71,42 @@ class TestForward:
         m = tiny_model()
         with pytest.raises(ValueError, match="expected"):
             m.forward(np.zeros((2, 1, 8, 8)), np.zeros((8, 4)))
+
+    def test_predict_builds_no_graph_and_matches_forward(self):
+        m = tiny_model(lc_bias=False)
+        rng = np.random.default_rng(5)
+        x, e0 = rng.normal(size=(5, 3, 8, 8)), rng.normal(size=(8, 4))
+        with_graph = [m.forward(x[i:i + 2], e0) for i in range(0, 5, 2)]
+        assert all(out._parents for out in with_graph)  # a plain forward records the graph
+        outputs = []
+        forward = m.forward
+
+        def recording_forward(*args, **kwargs):
+            outputs.append(forward(*args, **kwargs))
+            return outputs[-1]
+
+        with mock.patch.object(m, "forward", recording_forward):
+            logits = km.predict(m, x, e0, batch_size=2)
+        assert len(outputs) == 3
+        assert all(out._parents == () and out._backward is None for out in outputs)
+        npt.assert_array_equal(logits, np.concatenate([out.data for out in with_graph]))
+        assert {name: p.requires_grad for name, p in m.named_parameters()} == \
+            {name: not name.endswith("g.bias") for name, _ in m.named_parameters()}
+
+    def test_predict_restores_requires_grad_after_error(self):
+        m = tiny_model()
+        flags = {name: p.requires_grad for name, p in m.named_parameters()}
+        seen = []
+
+        def failing_forward(*args, **kwargs):
+            seen.append([p.requires_grad for _, p in m.named_parameters()])
+            raise RuntimeError("boom")
+
+        with mock.patch.object(m, "forward", failing_forward):
+            with pytest.raises(RuntimeError, match="boom"):
+                km.predict(m, np.zeros((2, 3, 8, 8)), np.zeros((8, 4)))
+        assert seen == [[False] * len(flags)]
+        assert {name: p.requires_grad for name, p in m.named_parameters()} == flags
 
     def test_label_permutation_commutes(self):
         rng = np.random.default_rng(4)
