@@ -15,7 +15,6 @@ hundred, so sparsity machinery would buy nothing.  All functions are pure.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,27 +85,23 @@ def cooccurrence_counts(ann: AnnotationSet, n: int | None = None):
     Both come from a blocked exact GEMM: ``Y.T @ Y`` for the 0/1
     sample-by-label indicator ``Y`` holds the pair counts off its diagonal
     and the label counts on it.  It is summed in float64 over blocks of at
-    most ``_COOC_BLOCK_ROWS`` samples, each flattened to index arrays and
-    scattered into one reused buffer, so the product runs in BLAS and
-    neither ``Y`` nor the whole index list is ever in memory.  Every partial
-    sum is an integer far below 2**53, so the float64 result is exact.
+    most ``_COOC_BLOCK_ROWS`` samples, each scattered straight from the
+    annotation set's CSR arrays into one reused buffer, so the product runs
+    in BLAS and ``Y`` is never in memory whole.  Every partial sum is an
+    integer far below 2**53, so the float64 result is exact.
     """
     if n is None:
         n = ann.n_labels
     elif n < ann.n_labels:
         raise ValueError(f"n={n} smaller than annotation vocabulary {ann.n_labels}")
-    samples = ann.samples
     m = np.zeros((n, n))
-    block = np.empty((min(_COOC_BLOCK_ROWS, len(samples)), n))
-    for lo in range(0, len(samples), _COOC_BLOCK_ROWS):
-        chunk = samples[lo:lo + _COOC_BLOCK_ROWS]
-        lengths = np.fromiter((len(labels) for _, labels in chunk), dtype=np.intp,
-                              count=len(chunk))
-        cols = np.fromiter(itertools.chain.from_iterable(labels for _, labels in chunk),
-                           dtype=np.intp, count=int(lengths.sum()))
-        y = block[:len(chunk)]
+    block = np.empty((min(_COOC_BLOCK_ROWS, len(ann)), n))
+    for lo in range(0, len(ann), _COOC_BLOCK_ROWS):
+        bounds = ann.indptr[lo:lo + _COOC_BLOCK_ROWS + 1]
+        y = block[:bounds.size - 1]
         y.fill(0.0)
-        y[np.repeat(np.arange(len(chunk)), lengths), cols] = 1.0
+        rows = np.repeat(np.arange(y.shape[0]), np.diff(bounds))
+        y[rows, ann.indices[bounds[0]:bounds[-1]]] = 1.0
         m += y.T @ y
     m = m.astype(np.int64)
     counts = np.diag(m).copy()

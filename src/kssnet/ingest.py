@@ -3,6 +3,12 @@
 All structures are immutable after construction and safe to share across
 threads.  Loading itself is single-threaded.
 
+An :class:`AnnotationSet` is stored as arrays, not as one Python object per
+sample: a tuple of sample ids plus CSR ``indptr``/``indices`` (``intp``,
+read-only), each row's labels sorted and without repeats.  The loader fills
+them from one split of the whole file, so loading a COCO-scale file leaves no
+per-sample containers for the cyclic garbage collector to scan.
+
 File formats
 ------------
 vocabulary       one label per line, UTF-8
@@ -14,6 +20,7 @@ embedding table  text, ``token v1 v2 ... vF`` per line (GloVe-style)
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -71,9 +78,16 @@ class LabelVocabulary:
         raise KeyError(token)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class AnnotationSet:
-    """Per-sample label index sets drawn from a fixed vocabulary.
+    """Per-sample label index sets drawn from a fixed vocabulary, stored as CSR.
+
+    Sample ``i`` is ``sample_ids[i]`` and carries the labels
+    ``indices[indptr[i]:indptr[i + 1]]``, sorted and without repeats.  Both
+    arrays are read-only ``intp``, and they are the only stored form:
+    :attr:`samples` rebuilds the ``((sample_id, frozenset), ...)`` view on
+    each access.  ``AnnotationSet(n_labels, samples)`` builds the arrays from
+    that view; :meth:`from_rows` builds them from flat label arrays.
 
     Empty label sets are legal; they are surfaced through
     :attr:`empty_sample_ids` rather than rejected, since they legitimately
@@ -81,34 +95,100 @@ class AnnotationSet:
     """
 
     n_labels: int
-    samples: tuple[tuple[str, frozenset[int]], ...]
+    sample_ids: tuple[str, ...]
+    indptr: np.ndarray
+    indices: np.ndarray
 
-    def __post_init__(self):
-        if self.n_labels < 1:
+    def __init__(self, n_labels: int, samples=()):
+        samples = tuple(samples)
+        lengths = np.fromiter((len(labels) for _, labels in samples), np.intp, len(samples))
+        labels = np.fromiter(itertools.chain.from_iterable(labels for _, labels in samples),
+                             np.intp, int(lengths.sum()))
+        self._store(n_labels, tuple(sid for sid, _ in samples), lengths, labels)
+
+    @classmethod
+    def from_rows(cls, n_labels: int, sample_ids, lengths, labels) -> AnnotationSet:
+        """Build from ``labels`` listed sample by sample, ``lengths[i]`` for sample i.
+
+        Within a sample the labels may come in any order and repeat.
+        """
+        ann = cls.__new__(cls)
+        ann._store(n_labels, tuple(sample_ids), lengths, labels)
+        return ann
+
+    def _store(self, n_labels, sample_ids, lengths, labels) -> None:
+        if n_labels < 1:
             raise FormatError("n_labels must be >= 1")
-        seen: set[str] = set()
-        for sample_id, labels in self.samples:
-            if sample_id in seen:
-                raise FormatError(f"duplicate sample_id {sample_id!r}")
-            seen.add(sample_id)
-            for idx in labels:
-                if not (0 <= idx < self.n_labels):
-                    raise FormatError(
-                        f"sample {sample_id!r}: label index {idx} outside [0, {self.n_labels})"
-                    )
+        lengths = np.asarray(lengths, dtype=np.intp)
+        labels = np.asarray(labels, dtype=np.intp)
+        if lengths.shape != (len(sample_ids),) or lengths.sum() != labels.size:
+            raise ValueError(f"{len(sample_ids)} samples, {lengths.shape} lengths summing to "
+                             f"{lengths.sum()}, {labels.size} labels")
+        rows = np.repeat(np.arange(len(sample_ids)), lengths)
+        if len(set(sample_ids)) != len(sample_ids) or (
+                labels.size and (labels.min() < 0 or labels.max() >= n_labels)):
+            _raise_first_invalid(n_labels, sample_ids, rows, labels)
+        # one sort of the (row, label) keys orders each row and brings repeats together
+        keys = rows * n_labels + labels
+        keys.sort()
+        keep = np.ones(keys.size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+        rows, indices = np.divmod(keys[keep], n_labels)
+        indptr = np.zeros(len(sample_ids) + 1, dtype=np.intp)
+        np.cumsum(np.bincount(rows, minlength=len(sample_ids)), out=indptr[1:])
+        indptr.flags.writeable = False
+        indices.flags.writeable = False
+        object.__setattr__(self, "n_labels", n_labels)
+        object.__setattr__(self, "sample_ids", sample_ids)
+        object.__setattr__(self, "indptr", indptr)
+        object.__setattr__(self, "indices", indices)
+
+    def __eq__(self, other):
+        if not isinstance(other, AnnotationSet):
+            return NotImplemented
+        return (self.n_labels == other.n_labels and self.sample_ids == other.sample_ids
+                and np.array_equal(self.indptr, other.indptr)
+                and np.array_equal(self.indices, other.indices))
+
+    def __hash__(self):
+        return hash((self.n_labels, self.sample_ids, self.indptr.tobytes(),
+                     self.indices.tobytes()))
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.sample_ids)
+
+    @property
+    def samples(self) -> tuple[tuple[str, frozenset[int]], ...]:
+        bounds = self.indptr.tolist()
+        labels = self.indices.tolist()
+        return tuple((sid, frozenset(labels[lo:hi]))
+                     for sid, lo, hi in zip(self.sample_ids, bounds, bounds[1:]))
 
     @property
     def empty_sample_ids(self) -> tuple[str, ...]:
-        return tuple(sid for sid, labels in self.samples if not labels)
+        return tuple(self.sample_ids[i] for i in np.flatnonzero(np.diff(self.indptr) == 0))
 
     @property
     def mean_labels_per_sample(self) -> float:
-        if not self.samples:
-            return 0.0
-        return sum(len(labels) for _, labels in self.samples) / len(self.samples)
+        return self.indices.size / len(self) if len(self) else 0.0
+
+
+def _raise_first_invalid(n_labels, sample_ids, rows, labels):
+    """Raise for the first sample with a repeated id or an out-of-range label."""
+    seen: set[str] = set()
+    dup = len(sample_ids)
+    for i, sample_id in enumerate(sample_ids):
+        if sample_id in seen:
+            dup = i
+            break
+        seen.add(sample_id)
+    bad = np.flatnonzero((labels < 0) | (labels >= n_labels))
+    # a sample's id is checked before its labels
+    if bad.size and rows[bad[0]] < dup:
+        sample_id = sample_ids[rows[bad[0]]]
+        raise FormatError(f"sample {sample_id!r}: label index {labels[bad[0]]} outside "
+                          f"[0, {n_labels})")
+    raise FormatError(f"duplicate sample_id {sample_ids[dup]!r}")
 
 
 @dataclass(frozen=True)
@@ -170,35 +250,56 @@ def save_vocabulary(vocab: LabelVocabulary, path) -> None:
     Path(path).write_text("".join(f"{n}\n" for n in vocab.names), encoding="utf-8")
 
 
+class _LabelCodes(dict):
+    """Label token -> vocabulary index, or -1 if unknown; resolves each token once."""
+
+    def __init__(self, vocab: LabelVocabulary):
+        super().__init__()
+        self.vocab = vocab
+
+    def __missing__(self, token: str) -> int:
+        try:
+            code = self.vocab.resolve(token)
+        except KeyError:
+            code = -1
+        self[token] = code
+        return code
+
+
 def load_annotations(path, vocab: LabelVocabulary) -> AnnotationSet:
     """Read ``sample_id label...`` lines, resolving names to indices.
 
     Unknown label names abort with an error listing every offender.
+
+    The text is split into tokens once.  Every line boundary is whitespace to
+    ``str.split``, so the per-line token counts place each sample id and its
+    labels in that one list; no container is built per line or per sample.
     """
-    samples = []
-    unknown: list[str] = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        tokens = raw.split()
-        if not tokens:
-            continue
-        sample_id, label_tokens = tokens[0], tokens[1:]
-        labels = set()
-        for tok in label_tokens:
-            try:
-                labels.add(vocab.resolve(tok))
-            except KeyError:
-                unknown.append(f"{path}:{lineno}: {tok!r}")
-        samples.append((sample_id, frozenset(labels)))
-    if unknown:
+    text = Path(path).read_text(encoding="utf-8")
+    lines = text.splitlines()
+    tokens = text.split()
+    per_line = np.fromiter(map(len, map(str.split, lines)), np.intp, len(lines))
+    lengths = per_line[per_line > 0]
+    is_id = np.zeros(len(tokens), dtype=bool)
+    is_id[np.cumsum(lengths) - lengths] = True
+    codes = _LabelCodes(vocab)
+    labels = np.fromiter(map(codes.__getitem__, itertools.compress(tokens, (~is_id).tolist())),
+                         np.intp, len(tokens) - lengths.size)
+    if labels.size and labels.min() < 0:
+        unknown = [f"{path}:{lineno}: {tok!r}" for lineno, raw in enumerate(lines, 1)
+                   for tok in raw.split()[1:] if codes[tok] < 0]
         raise FormatError("unknown label name(s): " + ", ".join(unknown))
-    return AnnotationSet(len(vocab), tuple(samples))
+    sample_ids = tuple(itertools.compress(tokens, is_id.tolist()))
+    return AnnotationSet.from_rows(len(vocab), sample_ids, lengths - 1, labels)
 
 
 def save_annotations(ann: AnnotationSet, vocab: LabelVocabulary, path) -> None:
+    tokens = [name.replace(" ", "_") for name in vocab.names]
+    bounds = ann.indptr.tolist()
+    labels = ann.indices.tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        for sample_id, labels in ann.samples:
-            names = [vocab.names[i].replace(" ", "_") for i in sorted(labels)]
-            fh.write(" ".join([sample_id, *names]) + "\n")
+        for sample_id, lo, hi in zip(ann.sample_ids, bounds, bounds[1:]):
+            fh.write(" ".join([sample_id, *(tokens[i] for i in labels[lo:hi])]) + "\n")
 
 
 def load_knowledge_edges(path, vocab: LabelVocabulary) -> KnowledgeEdgeList:

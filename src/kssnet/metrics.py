@@ -25,8 +25,8 @@ import numpy as np
 
 from . import autodiff as ad
 
-# Rows per block of the top-k rule, to keep its temporaries small.
-_TOP_K_BLOCK_ROWS = 4096
+# Rows per block of ``decide``, to keep its temporaries small.
+_DECIDE_BLOCK_ROWS = 4096
 # Columns per contiguous block copied by ``per_class_ap``: 8 float64 are one
 # 64-byte cache line of each row.
 _AP_BLOCK_COLS = 8
@@ -49,16 +49,32 @@ def average_precision(scores: np.ndarray, targets: np.ndarray) -> float:
     sum independent of the order of the terms: the result is bitwise that of
     the walk.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    targets = np.asarray(targets)
-    if scores.shape != targets.shape or scores.ndim != 1:
-        raise ValueError(f"expected matching 1-D arrays, got {scores.shape} and {targets.shape}")
+    scores, targets = _checked(scores, targets, 1)
     if not np.all(np.isfinite(scores)):
         raise ValueError("scores must be finite")
-    n_pos = int(np.sum(targets == 1))
+    return _average_precision(scores, targets)
+
+
+def _checked(scores, targets, ndim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Scores as float64 and targets as given, once their shapes and targets are valid."""
+    scores = np.asarray(scores, dtype=np.float64)
+    targets = np.asarray(targets)
+    if scores.shape != targets.shape or scores.ndim != ndim:
+        raise ValueError(f"expected matching {ndim}-D arrays, got {scores.shape} and "
+                         f"{targets.shape}")
+    binary = targets == 0
+    binary |= targets == 1
+    if not binary.all():
+        raise ValueError("targets must be 0 or 1")
+    return scores, targets
+
+
+def _average_precision(scores: np.ndarray, targets: np.ndarray) -> float:
+    """``average_precision`` of inputs already checked."""
+    hit_idx = np.flatnonzero(targets == 1)
+    n_pos = hit_idx.size
     if n_pos == 0:
         raise ValueError("average precision is undefined without positive targets")
-    hit_idx = np.flatnonzero(np.asarray(targets, dtype=bool))
     # positives in ascending score order (searchsorted runs fastest on sorted
     # queries), equal scores by descending index: the reverse of their stable
     # descending order, in which the k-th positive has hit count k
@@ -88,11 +104,13 @@ def _equal_before(scores: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 def per_class_ap(scores: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Per-class AP column by column; classes without positives get NaN."""
-    scores = np.asarray(scores, dtype=np.float64)
-    targets = np.asarray(targets)
-    if scores.shape != targets.shape or scores.ndim != 2:
-        raise ValueError(f"expected matching 2-D arrays, got {scores.shape} and {targets.shape}")
+    """Per-class AP column by column; classes without positives get NaN.
+
+    Shapes, finite scores and 0/1 targets are checked once for the matrix.
+    """
+    scores, targets = _checked(scores, targets, 2)
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("scores must be finite")
     aps = np.full(scores.shape[1], np.nan)
     for lo in range(0, scores.shape[1], _AP_BLOCK_COLS):
         # one gather of a few columns into rows, not a strided pass per column
@@ -100,7 +118,7 @@ def per_class_ap(scores: np.ndarray, targets: np.ndarray) -> np.ndarray:
         target_rows = np.ascontiguousarray(targets[:, lo:lo + _AP_BLOCK_COLS].T)
         for j, (s, t) in enumerate(zip(score_rows, target_rows)):
             if np.any(t == 1):
-                aps[lo + j] = average_precision(s, t)
+                aps[lo + j] = _average_precision(s, t)
     return aps
 
 
@@ -123,6 +141,8 @@ def decide(scores: np.ndarray, decision=("sigmoid", 0.5)) -> np.ndarray:
     predicts score >= t, ``("top_k", k)`` predicts the k highest-scoring
     labels per sample (ties by original order).  Scores must be finite.
 
+    Every rule runs over blocks of ``_DECIDE_BLOCK_ROWS`` rows written into
+    the int64 result, so no other array is the size of the score matrix.
     ``top_k`` finds each row's k-th largest score with ``np.partition`` and
     predicts every label above it; among the labels equal to it, the first
     ``k - #above`` by index.  That is the first k of a stable descending
@@ -133,10 +153,12 @@ def decide(scores: np.ndarray, decision=("sigmoid", 0.5)) -> np.ndarray:
         raise ValueError("scores must be finite")
     kind, arg = decision
     if kind == "sigmoid":
-        return (ad._sigmoid(scores) >= arg).astype(np.int64)
-    if kind == "score":
-        return (scores >= arg).astype(np.int64)
-    if kind == "top_k":
+        def rule(block):
+            return ad._sigmoid(block) >= arg
+    elif kind == "score":
+        def rule(block):
+            return block >= arg
+    elif kind == "top_k":
         k = int(arg)
         if k < 0:
             raise ValueError(f"top_k must be >= 0, got {k}")
@@ -145,16 +167,19 @@ def decide(scores: np.ndarray, decision=("sigmoid", 0.5)) -> np.ndarray:
             return np.zeros(scores.shape, dtype=np.int64)
         if k >= n_labels:
             return np.ones(scores.shape, dtype=np.int64)
-        pred = np.empty(scores.shape, dtype=np.int64)
-        for lo in range(0, scores.shape[0], _TOP_K_BLOCK_ROWS):
-            block = scores[lo:lo + _TOP_K_BLOCK_ROWS]
+
+        def rule(block):
             kth = np.partition(block, n_labels - k, axis=1)[:, n_labels - k, None]
             above = block > kth
             equal = block == kth
             first_equal = np.cumsum(equal, axis=1) <= k - above.sum(axis=1, keepdims=True)
-            pred[lo:lo + _TOP_K_BLOCK_ROWS] = above | (equal & first_equal)
-        return pred
-    raise ValueError(f"unknown decision rule {kind!r}")
+            return above | (equal & first_equal)
+    else:
+        raise ValueError(f"unknown decision rule {kind!r}")
+    pred = np.empty(scores.shape, dtype=np.int64)
+    for lo in range(0, scores.shape[0], _DECIDE_BLOCK_ROWS):
+        pred[lo:lo + _DECIDE_BLOCK_ROWS] = rule(scores[lo:lo + _DECIDE_BLOCK_ROWS])
+    return pred
 
 
 @dataclass(frozen=True)
@@ -188,12 +213,10 @@ def prf_suite(scores: np.ndarray, targets: np.ndarray, decision=("sigmoid", 0.5)
 
     Per-class precision/recall are averaged over classes that have at least
     one positive target; pooled statistics use TP/FP/FN summed over all
-    classes.  Empty denominators contribute 0 and are flagged.
+    classes.  Empty denominators contribute 0 and are flagged.  Targets
+    must be 0 or 1.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    targets = np.asarray(targets)
-    if scores.shape != targets.shape or scores.ndim != 2:
-        raise ValueError(f"expected matching 2-D arrays, got {scores.shape} and {targets.shape}")
+    scores, targets = _checked(scores, targets, 2)
     pred = decide(scores, decision)
     pos = targets == 1
     tp = np.sum(pred.astype(bool) & pos, axis=0).astype(np.float64)

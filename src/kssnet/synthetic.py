@@ -149,11 +149,9 @@ def render_images(
 
 
 def make_annotations(y: np.ndarray, n_labels: int, prefix: str = "img") -> AnnotationSet:
-    samples = tuple(
-        (f"{prefix}{i:05d}", frozenset(int(j) for j in np.nonzero(row)[0]))
-        for i, row in enumerate(y)
-    )
-    return AnnotationSet(n_labels, samples)
+    sample_ids = tuple(f"{prefix}{i:05d}" for i in range(len(y)))
+    return AnnotationSet.from_rows(n_labels, sample_ids, np.count_nonzero(y, axis=1),
+                                   np.nonzero(y)[1])
 
 
 def make_dataset(

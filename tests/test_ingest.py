@@ -1,3 +1,6 @@
+import dataclasses
+import gc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -96,6 +99,73 @@ class TestAnnotations:
         path = tmp_path / "a.txt"
         ingest.save_annotations(ann, vocab, path)
         assert ingest.load_annotations(path, vocab) == ann
+
+    def test_csr_rows_are_sorted_without_repeats(self, tmp_path, vocab):
+        path = write(tmp_path, "a.txt", "img1 cat dog cat\nimg2\n\nimg3 dog\n")
+        ann = ingest.load_annotations(path, vocab)
+        assert ann.sample_ids == ("img1", "img2", "img3")
+        npt.assert_array_equal(ann.indptr, [0, 2, 2, 3])
+        npt.assert_array_equal(ann.indices, [0, 1, 0])
+        assert ann.indptr.dtype == np.intp and ann.indices.dtype == np.intp
+        assert ann.samples == (("img1", frozenset({0, 1})), ("img2", frozenset()),
+                               ("img3", frozenset({0})))
+
+    def test_from_rows_equals_sample_constructor(self):
+        samples = (("a", frozenset({2, 0})), ("b", frozenset()), ("c", frozenset({1})))
+        ann = ingest.AnnotationSet(3, samples)
+        # labels in any order, repeats allowed
+        rows = ingest.AnnotationSet.from_rows(3, ["a", "b", "c"], [4, 0, 2], [2, 0, 2, 2, 1, 1])
+        assert rows == ann and hash(rows) == hash(ann)
+        assert rows.samples == samples
+        assert rows != ingest.AnnotationSet(4, samples)
+        assert rows != ingest.AnnotationSet(3, samples[:2] + (("c", frozenset({2})),))
+
+    def test_immutable(self):
+        ann = ingest.AnnotationSet(2, (("a", frozenset({1})),))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ann.n_labels = 3
+        for array in (ann.indptr, ann.indices):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    def test_invalid_sets_rejected_in_sample_order(self):
+        with pytest.raises(ingest.FormatError, match="n_labels must be >= 1"):
+            ingest.AnnotationSet(0, ())
+        with pytest.raises(ingest.FormatError, match=r"duplicate sample_id 'a'"):
+            ingest.AnnotationSet(2, (("a", frozenset()), ("b", frozenset()), ("a", {1})))
+        for bad in (2, -1):
+            for later_duplicate in ((), (("a", {1}),)):
+                with pytest.raises(ingest.FormatError,
+                                   match=rf"sample 'b': label index {bad} outside \[0, 2\)"):
+                    ingest.AnnotationSet(2, (("a", {0}), ("b", {1, bad})) + later_duplicate)
+        with pytest.raises(ingest.FormatError, match="duplicate sample_id 'a'"):
+            ingest.AnnotationSet(2, (("a", {0}), ("a", {0}), ("b", {5})))
+        with pytest.raises(ValueError, match="lengths"):
+            ingest.AnnotationSet.from_rows(2, ["a"], [2], [0])
+
+    def test_large_load_needs_no_full_collection(self, tmp_path):
+        # one container kept alive per sample would make a 50k-line load run
+        # the cyclic collector over the whole heap
+        vocab = ingest.LabelVocabulary(tuple(f"label {i}" for i in range(80)))
+        y = np.random.default_rng(0).random((50_000, 80)) < 0.04
+        ann = ingest.AnnotationSet.from_rows(80, [f"img{i:06d}" for i in range(len(y))],
+                                             y.sum(axis=1), np.nonzero(y)[1])
+        path = tmp_path / "a.txt"
+        ingest.save_annotations(ann, vocab, path)
+        generations = []
+
+        def record(phase, info):
+            if phase == "start":
+                generations.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(record)
+        try:
+            loaded = ingest.load_annotations(path, vocab)
+        finally:
+            gc.callbacks.remove(record)
+        assert 2 not in generations
+        assert loaded == ann
 
 
 class TestKnowledgeEdges:

@@ -2,17 +2,20 @@
 
 Shapes stay small and scores come from a handful of values, so ties are the
 common case.  The block sizes of the vectorised code are shrunk to a few rows
-or columns, so that small inputs still cross block boundaries.
+or columns, so that small inputs still cross block boundaries.  The
+annotation loader is checked against a line-by-line reference, and fuzzed.
 """
 
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
 from hypothesis import given, settings, strategies as st
 
-from kssnet import graph, metrics
-from kssnet.ingest import AnnotationSet
+from kssnet import graph, ingest, metrics
+from kssnet.ingest import AnnotationSet, FormatError
 
 import oracles
 from test_metrics import top_k_reference
@@ -80,6 +83,111 @@ def test_per_class_ap_equals_oracle_bitwise(scores, block_cols):
 @SETTINGS
 @given(score_matrices(), st.integers(0, 9), st.integers(1, 4))
 def test_top_k_equals_stable_sort(scores, k, block_rows):
-    with mock.patch.object(metrics, "_TOP_K_BLOCK_ROWS", block_rows):
+    with mock.patch.object(metrics, "_DECIDE_BLOCK_ROWS", block_rows):
         pred = metrics.decide(scores, ("top_k", k))
     npt.assert_array_equal(pred, top_k_reference(scores, k))
+
+
+# --- annotation loader ----------------------------------------------------
+
+# "sports_ball" is a name of its own, so the token resolves verbatim; "hot_dog"
+# and "a_b_c" resolve through their spaced names; "x_y_z" matches neither
+# "x_y z" nor any other name.
+LOADER_VOCAB = ingest.LabelVocabulary(
+    ("dog", "cat", "sports ball", "sports_ball", "hot dog", "a b c", "x_y z"))
+KNOWN_TOKENS = ["dog", "cat", "sports_ball", "hot_dog", "a_b_c"]
+UNKNOWN_TOKENS = ["horse", "x_y_z", "sports-ball", "_", "Dog"]
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+GAPS = [" ", "\t", "  ", " \t ", "\x1f", "\u3000"]
+
+
+def reference_load_annotations(path, vocab):
+    """The loader written line by line, one set per sample; returns the samples."""
+    samples, unknown, seen = [], [], set()
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        tokens = raw.split()
+        if not tokens:
+            continue
+        labels = set()
+        for tok in tokens[1:]:
+            try:
+                labels.add(vocab.resolve(tok))
+            except KeyError:
+                unknown.append(f"{path}:{lineno}: {tok!r}")
+        samples.append((tokens[0], frozenset(labels)))
+    if unknown:
+        raise FormatError("unknown label name(s): " + ", ".join(unknown))
+    for sample_id, _ in samples:
+        if sample_id in seen:
+            raise FormatError(f"duplicate sample_id {sample_id!r}")
+        seen.add(sample_id)
+    return tuple(samples)
+
+
+@st.composite
+def annotation_texts(draw):
+    tokens = KNOWN_TOKENS + UNKNOWN_TOKENS * (draw(st.integers(0, 2)) == 0)
+    parts = []
+    for i in range(draw(st.integers(0, 10))):
+        if draw(st.integers(0, 5)) == 0:  # a blank or whitespace-only line
+            parts.append(draw(st.sampled_from(["", *GAPS])))
+        else:
+            sample_id = draw(st.sampled_from([f"img{i}"] * 6 + ["img0", "dog"]))
+            line = [sample_id, *draw(st.lists(st.sampled_from(tokens), max_size=6))]
+            gaps = draw(st.lists(st.sampled_from(GAPS), min_size=len(line) + 1,
+                                 max_size=len(line) + 1))
+            parts.append(gaps[0] * draw(st.booleans())
+                         + "".join(t + g for t, g in zip(line, gaps[1:])))
+        parts.append(draw(st.sampled_from(LINE_BREAKS)))
+    if parts and draw(st.booleans()):
+        parts.pop()  # no break after the last line
+    return "".join(parts)
+
+
+def _load_both(text: bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "annotations.txt"
+        path.write_bytes(text)
+        outcomes = []
+        for load in (ingest.load_annotations, reference_load_annotations):
+            try:
+                outcomes.append(load(path, LOADER_VOCAB))
+            except FormatError as exc:
+                outcomes.append(exc)
+        return outcomes
+
+
+@SETTINGS
+@given(annotation_texts())
+def test_load_annotations_equals_line_by_line_reference(text):
+    loaded, reference = _load_both(text.encode("utf-8"))
+    if isinstance(reference, FormatError):
+        assert isinstance(loaded, FormatError)
+        assert str(loaded) == str(reference)
+    else:
+        assert isinstance(loaded, AnnotationSet)
+        assert loaded.n_labels == len(LOADER_VOCAB)
+        assert loaded.samples == reference
+
+
+VALID_FILE = ("img1 dog cat\nimg2 sports_ball\n\nimg3\nimg4 hot_dog a_b_c dog\n"
+              "img5\tcat\r\nimg6 sports_ball sports_ball\n").encode("utf-8")
+
+
+@SETTINGS
+@given(st.integers(0, len(VALID_FILE)),
+       st.lists(st.tuples(st.integers(0, len(VALID_FILE) - 1), st.integers(1, 255)),
+                max_size=4))
+def test_damaged_annotation_file_fails_only_as_validation_error(cut, flips):
+    data = bytearray(VALID_FILE[:cut])
+    for pos, mask in flips:
+        if pos < len(data):
+            data[pos] ^= mask
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "annotations.txt"
+        path.write_bytes(bytes(data))
+        try:
+            ann = ingest.load_annotations(path, LOADER_VOCAB)
+        except ValueError:  # FormatError and UnicodeDecodeError are ValueErrors
+            return
+    assert isinstance(ann, AnnotationSet) and ann.n_labels == len(LOADER_VOCAB)

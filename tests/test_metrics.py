@@ -5,7 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from kssnet import metrics
+from kssnet import autodiff, metrics
 
 import oracles
 
@@ -89,6 +89,12 @@ class TestAveragePrecision:
             mine = metrics.average_precision(scores, targets)
             assert mine == oracles.ap_oracle(scores.tolist(), targets)
 
+    @pytest.mark.parametrize("bad", [2, -1, 0.5])
+    def test_non_binary_targets_rejected(self, bad):
+        # a 2 would count as a hit but not as a positive: AP 2.0
+        with pytest.raises(ValueError, match="targets must be 0 or 1"):
+            metrics.average_precision([0.9, 0.8, 0.7], [1, bad, 0])
+
 
 class TestMapScore:
     def test_perfect(self):
@@ -131,6 +137,23 @@ class TestMapScore:
         assert metrics.map_score(scores[:, perm], targets[:, perm]) == \
             metrics.map_score(scores, targets)
 
+    @pytest.mark.parametrize("bad", [2, -1, 0.5])
+    def test_non_binary_targets_rejected(self, bad):
+        targets = np.array([[1, 0], [0, 1], [1, 1]], dtype=float)
+        targets[2, 1] = bad
+        with pytest.raises(ValueError, match="targets must be 0 or 1"):
+            metrics.map_score(np.zeros((3, 2)), targets)
+
+    def test_inputs_checked_once_per_matrix(self, monkeypatch):
+        calls = []
+        checked = metrics._checked
+        monkeypatch.setattr(metrics, "_checked", lambda *a: calls.append(a) or checked(*a))
+        rng = np.random.default_rng(10)
+        targets = (rng.random((30, 20)) < 0.5).astype(int)
+        targets[0] = 1
+        metrics.map_score(rng.normal(size=(30, 20)), targets)
+        assert len(calls) == 1
+
 
 class TestDecide:
     def test_sigmoid_rule(self):
@@ -163,9 +186,23 @@ class TestDecide:
         scores = rng.choice([-1.0, -0.0, 0.0, 0.5, 2.0], size=(40, 6))
         npt.assert_array_equal(metrics.decide(scores, ("top_k", k)), top_k_reference(scores, k))
 
+    @pytest.mark.parametrize("rule", ["sigmoid", "score"])
+    def test_threshold_rules_across_block_boundary(self, rule):
+        # blocked rules must equal the whole-matrix expression bitwise
+        rng = np.random.default_rng(11)
+        rows = 2 * metrics._DECIDE_BLOCK_ROWS + 3
+        scores = np.concatenate([rng.normal(scale=4.0, size=rows * 5 - 6),
+                                 [0.0, -0.0, 1000.0, -1000.0, 1e-300, -1e-300]])
+        scores = rng.permutation(scores).reshape(rows, 5)
+        for t in (0.0, 0.5, 0.7310585786300049, 1.0):
+            whole = autodiff._sigmoid(scores) if rule == "sigmoid" else scores
+            pred = metrics.decide(scores, (rule, t))
+            assert pred.dtype == np.int64
+            npt.assert_array_equal(pred, (whole >= t).astype(np.int64))
+
     def test_top_k_across_block_boundary(self):
         rng = np.random.default_rng(9)
-        rows = metrics._TOP_K_BLOCK_ROWS + 7
+        rows = metrics._DECIDE_BLOCK_ROWS + 7
         scores = np.round(rng.normal(size=(rows, 5)), 1)
         for k in (1, 3):
             pred = metrics.decide(scores, ("top_k", k))
@@ -247,6 +284,14 @@ class TestPrfSuite:
         r = metrics.prf_suite(scores, targets, ("top_k", 3))
         pred = metrics.decide(scores, ("top_k", 3))
         assert r.as_tuple() == oracles.prf_oracle(pred, targets)
+
+    @pytest.mark.parametrize("bad", [2, -1, 0.5])
+    def test_non_binary_targets_rejected(self, bad):
+        targets = np.array([[1, 0], [0, 1]], dtype=float)
+        targets[0, 1] = bad
+        for decision in (("sigmoid", 0.5), ("top_k", 1)):
+            with pytest.raises(ValueError, match="targets must be 0 or 1"):
+                metrics.prf_suite(np.zeros((2, 2)), targets, decision)
 
 
 class TestFormatting:
