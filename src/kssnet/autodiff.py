@@ -8,10 +8,14 @@ cross-entropy head.
 
 Arrays stay in whatever float dtype they arrive in (float64 for gradient
 checks, float32 allowed for training), gradients included; all ops are
-deterministic.  The convolution is im2col followed by one GEMM; its
-backward is one GEMM for the weight gradient and GEMM followed by col2im for
-the input gradient, rebuilding the column matrix from the padded input it
-retains (see :func:`conv2d`).
+deterministic.  Feature maps are channels-last, (B, H, W, C), the one
+layout of the convolution and the pooling: a copy of a window tap or a
+pooled slice then moves runs of C (or W*C) floats rather than rows W floats
+long, so its cost follows the bytes, not the row count.  Kernels stay
+(O, C, k, k).  The convolution is im2col followed by GEMM in sample blocks;
+its backward is one GEMM for the weight gradient and a GEMM followed by
+col2im for the input gradient, rebuilding the column matrix from the padded
+input it retains (see :func:`conv2d`).
 """
 
 from __future__ import annotations
@@ -287,33 +291,49 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     return mul_scalar(tsum(a, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
-def _im2col(xp: np.ndarray, k: int) -> np.ndarray:
-    """Columns (C*k*k, B*oh*ow) of the k x k windows of a padded (B, C, Hp, Wp) input."""
-    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
-    bs, c, oh, ow = win.shape[:4]
-    return win.transpose(1, 4, 5, 0, 2, 3).reshape(c * k * k, bs * oh * ow)
+# Rows (samples x output positions) per im2col block of the conv forward.
+_CONV_BLOCK_ROWS = 1024
+
+
+def _windows(xp: np.ndarray, k: int) -> np.ndarray:
+    """The k x k windows of a padded (B, Hp, Wp, C) input, as a (B, oh, ow, k, k, C) view.
+
+    Reshaped to (B*oh*ow, k*k*C) it is the im2col matrix: a row lists its
+    window tap by tap, (u, v) row-major, so every copied run is C floats long.
+    """
+    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
+    return win.transpose(0, 1, 2, 4, 5, 3)
 
 
 def conv2d(x, w, b=None, padding: int = 1) -> Tensor:
-    """Stride-1 2D convolution of (B, C, H, W) with (O, C, k, k) kernels.
+    """Stride-1 2D convolution of channels-last (B, H, W, C) with (O, C, k, k) kernels.
 
-    Forward is im2col then one GEMM: the padded input's k x k windows become
-    a (C*k*k, B*oh*ow) column matrix, ``w`` reshaped to (O, C*k*k) multiplies
-    it, the bias is added to the product, and the sum is returned as a
-    C-contiguous (B, O, oh, ow) array, all in one graph node.  It retains the padded input, not the columns; backward rebuilds
-    the columns and computes the weight gradient as one GEMM against them,
-    and the input gradient as ``w.T @ g`` followed by col2im: k*k shifted
-    slice-adds into a zeroed padded buffer, then a crop.  Gradients nobody
-    needs (the input of the first layer) are not computed.
+    Returns a C-contiguous (B, oh, ow, O) array in the input dtype.  Forward
+    is im2col then GEMM, over blocks of whole samples holding at most
+    ``_CONV_BLOCK_ROWS`` output positions (at least one sample): each
+    block's (rows, k*k*C) window matrix times ``w`` as (k*k*C, O) is
+    written, bias added, straight into its slice of the preallocated
+    output, so no transpose follows.  The blocks are there for memory:
+    unblocked, tall GEMMs such as the (65536 x 27) @ (27 x 16) stage 0 of a
+    256-image ``predict`` chunk make two-thread OpenBLAS touch about 18 MB
+    more work buffer (+19% peak RSS on the toy trainer); in 1024-row blocks
+    it is about 1 MB, and the blocked forward is no slower.
+
+    It retains the padded input, not the columns.  Backward rebuilds them
+    for the weight gradient (one GEMM), and computes the input gradient as
+    one batched GEMM into k*k tap-major (B*oh*ow, C) slabs that are added
+    into a zeroed padded buffer (col2im: contiguous runs ow*C long), then
+    cropped.  Backward is not blocked: it runs on training minibatches only.
+    Gradients nobody needs (the input of the first layer) are not computed.
     """
     x, w = as_tensor(x), as_tensor(w)
     o, c, kh, kw = w.shape
     if kh != kw:
         raise ValueError("only square kernels are supported")
-    if x.shape[1] != c:
-        raise ValueError(f"channel mismatch: input {x.shape[1]}, kernel {c}")
+    if x.shape[3] != c:
+        raise ValueError(f"channel mismatch: input {x.shape[3]}, kernel {c}")
     k = kh
-    bs, _, h, wd = x.shape
+    bs, h, wd, _ = x.shape
     oh, ow = h + 2 * padding - k + 1, wd + 2 * padding - k + 1
     if padding < 0 or oh < 1 or ow < 1:
         raise ValueError(f"kernel {k} with padding {padding} does not fit a {h}x{wd} input")
@@ -323,52 +343,56 @@ def conv2d(x, w, b=None, padding: int = 1) -> Tensor:
         if b.shape != (o,):
             raise ValueError(f"bias shape {b.shape} != ({o},)")
         parents = (x, w, b)
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    wmat = w.data.reshape(o, c * k * k)
-    out = wmat @ _im2col(xp, k)
-    if b is not None:
-        out += b.data[:, None]
-    out = np.ascontiguousarray(out.reshape(o, bs, oh, ow).transpose(1, 0, 2, 3))
+    xp = np.pad(x.data, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+    wmat = w.data.transpose(2, 3, 1, 0).reshape(k * k * c, o)
+    win = _windows(xp, k)
+    out = np.empty((bs, oh, ow, o), dtype=np.result_type(xp, wmat))
+    step = max(1, _CONV_BLOCK_ROWS // (oh * ow))
+    for lo in range(0, bs, step):
+        block = out[lo:lo + step].reshape(-1, o)
+        np.matmul(win[lo:lo + step].reshape(-1, k * k * c), wmat, out=block)
+        if b is not None:
+            block += b.data
 
     def backward(g):
-        gmat = g.transpose(1, 0, 2, 3).reshape(o, bs * oh * ow)
-        gw = (gmat @ _im2col(xp, k).T).reshape(w.shape) if w.requires_grad else None
-        gx = None
+        gmat = g.reshape(-1, o)
+        gw = gx = None
+        if w.requires_grad:
+            gw = (win.reshape(-1, k * k * c).T @ gmat).reshape(k, k, c, o).transpose(3, 2, 0, 1)
         if x.requires_grad:
-            gcols = (wmat.T @ gmat).reshape(c, k, k, bs, oh, ow)
-            gxp = np.zeros((c, bs) + xp.shape[2:], dtype=gcols.dtype)
+            taps = np.matmul(gmat, wmat.reshape(k * k, c, o).transpose(0, 2, 1))
+            gxp = np.zeros(xp.shape, dtype=taps.dtype)
             for u in range(k):
                 for v in range(k):
-                    gxp[:, :, u:u + oh, v:v + ow] += gcols[:, u, v]
-            gxp = gxp[:, :, padding:padding + h, padding:padding + wd]
-            gx = np.ascontiguousarray(gxp.transpose(1, 0, 2, 3))
+                    gxp[:, u:u + oh, v:v + ow] += taps[u * k + v].reshape(bs, oh, ow, c)
+            gx = gxp[:, padding:padding + h, padding:padding + wd]
         if b is None:
             return gx, gw
-        return gx, gw, gmat.sum(axis=1)
+        return gx, gw, gmat.sum(axis=0)
 
     return _node(out, parents, backward)
 
 
 def avg_pool2d(x, k: int = 2) -> Tensor:
-    """Non-overlapping k x k average pooling; spatial dims must divide by k.
+    """Non-overlapping k x k average pooling of channels-last (B, H, W, C).
 
-    Forward sums the k*k strided slices ``x[:, :, u::k, v::k]`` into one
-    buffer and divides it by k*k; backward repeats ``g / k**2`` k times
-    along both spatial axes.
+    H and W must divide by k.  Forward sums the k*k strided slices
+    ``x[:, u::k, v::k]`` (contiguous runs of C) into one buffer and divides
+    it by k*k; backward repeats ``g / k**2`` k times along both spatial axes.
     """
     x = as_tensor(x)
-    h, w = x.shape[2:]
+    h, w = x.shape[1:3]
     if h % k or w % k:
         raise ValueError(f"spatial dims {(h, w)} not divisible by pool size {k}")
-    out = x.data[:, :, ::k, ::k].copy()
+    out = x.data[:, ::k, ::k].copy()
     for u in range(k):
         for v in range(k):
             if u or v:
-                out += x.data[:, :, u::k, v::k]
+                out += x.data[:, u::k, v::k]
     out /= k * k
 
     def backward(g):
-        return (np.repeat(np.repeat(g / (k * k), k, axis=3), k, axis=2),)
+        return (np.repeat(np.repeat(g / (k * k), k, axis=2), k, axis=1),)
 
     return _node(out, (x,), backward)
 

@@ -105,7 +105,7 @@ def gcn_layer_check(seed: int = 0, n: int = 4, c_in: int = 3, c_out: int = 2):
 def _lc_check(seed: int, spatial: tuple[int, ...], c: int = 3, n_labels: int = 4):
     rng = np.random.default_rng(seed)
     size = int(np.prod(spatial))
-    shapes = [(c, *spatial), (n_labels, c), (c, n_labels), (c,)]
+    shapes = [(*spatial, c), (n_labels, c), (c, n_labels), (c,)]
     x0 = rng.normal(0.0, 1.0, size=shapes[0])
     e0 = rng.normal(0.0, 1.0, size=shapes[1])
     w0 = rng.normal(0.0, 1.0, size=shapes[2])
@@ -113,7 +113,7 @@ def _lc_check(seed: int, spatial: tuple[int, ...], c: int = 3, n_labels: int = 4
 
     def fn(params):
         x_arr, e_arr, w_arr, b_arr = _unpack(params, shapes)
-        x = ad.Tensor(x_arr.reshape(c, size), requires_grad=True)
+        x = ad.Tensor(x_arr.reshape(size, c), requires_grad=True)
         e = ad.Tensor(e_arr, requires_grad=True)
         w = ad.Tensor(w_arr, requires_grad=True)
         b = ad.Tensor(b_arr, requires_grad=True)
@@ -137,26 +137,9 @@ def lc_3d_check(seed: int = 0):
 
 def _kink_margin(model: KssModel, x: np.ndarray, e0: np.ndarray) -> float:
     """Smallest |pre-activation| feeding a LeakyReLU anywhere in the model."""
-    margin = np.inf
-    e = ad.Tensor(np.asarray(e0, dtype=np.float64))
-    for layer in range(model.gcn_depth):
-        pre = ad.matmul(ad.matmul(model.adjacency, e), model.param(f"gcn.layer{layer}.W"))
-        margin = min(margin, float(np.min(np.abs(pre.data))))
-        e = ad.activate(pre, model.gcn_activation, model.slope)
-    h = ad.Tensor(np.asarray(x, dtype=np.float64))
-    embeds = model.embeddings(e0)
-    for s in range(len(model.stage_channels)):
-        pre = ad.conv2d(
-            h,
-            model.param(f"backbone.stage{s}.conv.weight"),
-            model.param(f"backbone.stage{s}.conv.bias"),
-            padding=1,
-        )
-        margin = min(margin, float(np.min(np.abs(pre.data))))
-        h = ad.avg_pool2d(ad.leaky_relu(pre, model.slope), 2)
-        if s in model.lc_stages:
-            h = model._inject(h, embeds[s - model.stage_offset], s)
-    return margin
+    pres = []
+    model.forward(x, e0, on_preactivation=pres.append)
+    return min(float(np.min(np.abs(pre))) for pre in pres)
 
 
 def full_model_check(seed: int = 0, n_labels: int = 4, image: int = 8, batch: int = 2):

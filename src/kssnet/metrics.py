@@ -135,14 +135,14 @@ def map_score(scores: np.ndarray, targets: np.ndarray) -> float:
 
 
 def decide(scores: np.ndarray, decision=("sigmoid", 0.5)) -> np.ndarray:
-    """Turn a score matrix into binary predictions.
+    """Turn a score matrix into a bool prediction matrix.
 
     Rules: ``("sigmoid", t)`` predicts sigmoid(score) >= t, ``("score", t)``
     predicts score >= t, ``("top_k", k)`` predicts the k highest-scoring
     labels per sample (ties by original order).  Scores must be finite.
 
     Every rule runs over blocks of ``_DECIDE_BLOCK_ROWS`` rows written into
-    the int64 result, so no other array is the size of the score matrix.
+    the bool result, so no other array is the size of the score matrix.
     ``top_k`` finds each row's k-th largest score with ``np.partition`` and
     predicts every label above it; among the labels equal to it, the first
     ``k - #above`` by index.  That is the first k of a stable descending
@@ -164,9 +164,9 @@ def decide(scores: np.ndarray, decision=("sigmoid", 0.5)) -> np.ndarray:
             raise ValueError(f"top_k must be >= 0, got {k}")
         n_labels = scores.shape[1]
         if k == 0:
-            return np.zeros(scores.shape, dtype=np.int64)
+            return np.zeros(scores.shape, dtype=bool)
         if k >= n_labels:
-            return np.ones(scores.shape, dtype=np.int64)
+            return np.ones(scores.shape, dtype=bool)
 
         def rule(block):
             kth = np.partition(block, n_labels - k, axis=1)[:, n_labels - k, None]
@@ -176,7 +176,7 @@ def decide(scores: np.ndarray, decision=("sigmoid", 0.5)) -> np.ndarray:
             return above | (equal & first_equal)
     else:
         raise ValueError(f"unknown decision rule {kind!r}")
-    pred = np.empty(scores.shape, dtype=np.int64)
+    pred = np.empty(scores.shape, dtype=bool)
     for lo in range(0, scores.shape[0], _DECIDE_BLOCK_ROWS):
         pred[lo:lo + _DECIDE_BLOCK_ROWS] = rule(scores[lo:lo + _DECIDE_BLOCK_ROWS])
     return pred
@@ -219,7 +219,7 @@ def prf_suite(scores: np.ndarray, targets: np.ndarray, decision=("sigmoid", 0.5)
     scores, targets = _checked(scores, targets, 2)
     pred = decide(scores, decision)
     pos = targets == 1
-    tp = np.sum(pred.astype(bool) & pos, axis=0).astype(np.float64)
+    tp = np.sum(pred & pos, axis=0).astype(np.float64)
     n_pred = pred.sum(axis=0).astype(np.float64)
     n_pos = pos.sum(axis=0).astype(np.float64)
 

@@ -162,12 +162,18 @@ class KssModel:
 
     # --- forward ---------------------------------------------------------
 
-    def embeddings(self, e0: np.ndarray) -> list[ad.Tensor]:
-        """Run the GCN pathway; returns every layer's embedding tensor."""
+    def embeddings(self, e0: np.ndarray, on_preactivation=None) -> list[ad.Tensor]:
+        """Run the GCN pathway; returns every layer's embedding tensor.
+
+        ``on_preactivation``, if given, is called with each layer's
+        activation input as a plain (N, C) array.
+        """
         e = ad.Tensor(np.asarray(e0, dtype=self.adjacency.data.dtype))
         outs = []
         for layer in range(self.gcn_depth):
             h = ad.matmul(ad.matmul(self.adjacency, e), self._params[f"gcn.layer{layer}.W"])
+            if on_preactivation is not None:
+                on_preactivation(h.data)
             e = ad.activate(h, self.gcn_activation, self.slope)
             outs.append(e)
         return outs
@@ -178,15 +184,26 @@ class KssModel:
         e0: np.ndarray,
         train: bool = False,
         rng: np.random.Generator | None = None,
+        on_preactivation=None,
     ) -> ad.Tensor:
-        """Batched logits (B, N) for image batch ``x`` of shape (B, C_in, H, W)."""
+        """Batched logits (B, N) for image batch ``x`` of shape (B, C_in, H, W).
+
+        Images keep the (B, C_in, H, W) layout of :mod:`synthetic` and the
+        CLI; the forward transposes them once to the channels-last
+        (B, H, W, C_in) layout the backbone computes in.  Conv weights stay
+        (O, C, 3, 3), so checkpoints do not depend on the layout.
+
+        ``on_preactivation``, if given, is called with the input of every
+        activation as a plain array, in forward order: each GCN layer's
+        (N, C), then each backbone stage's (B, H, W, C) LeakyReLU input.
+        """
         x = np.asarray(x)
         if x.ndim != 4 or x.shape[1] != self.in_channels:
             raise ValueError(f"expected (B, {self.in_channels}, H, W) input, got {x.shape}")
         np_dtype = self.adjacency.data.dtype
-        embeds = self.embeddings(e0)
+        embeds = self.embeddings(e0, on_preactivation)
 
-        h = ad.Tensor(x.astype(np_dtype, copy=False))
+        h = ad.Tensor(np.ascontiguousarray(x.transpose(0, 2, 3, 1), dtype=np_dtype))
         for s in range(len(self.stage_channels)):
             h = ad.conv2d(
                 h,
@@ -194,12 +211,14 @@ class KssModel:
                 self._params[f"backbone.stage{s}.conv.bias"],
                 padding=1,
             )
+            if on_preactivation is not None:
+                on_preactivation(h.data)
             h = ad.leaky_relu(h, self.slope)
             h = ad.avg_pool2d(h, 2)
             if s in self.lc_stages:
                 h = self._inject(h, embeds[s - self.stage_offset], s)
 
-        pooled = ad.tmean(h, axis=(2, 3))  # (B, C)
+        pooled = ad.tmean(h, axis=(1, 2))  # (B, C)
         if train and self.dropout_rate > 0.0:
             if rng is None:
                 raise ValueError("training-mode forward needs a random generator for dropout")
@@ -208,16 +227,15 @@ class KssModel:
         return ad.matmul(pooled, ad.swap_last(embeds[-1]))
 
     def _inject(self, h: ad.Tensor, e: ad.Tensor, stage: int) -> ad.Tensor:
-        b, c, hh, ww = h.shape
-        flat = ad.reshape(h, (b, c, hh * ww))
+        b, hh, ww, c = h.shape
         out = lateral.lc_core(
-            flat,
+            ad.reshape(h, (b, hh * ww, c)),
             e,
             self._params[f"lc.{stage}.g.weight"],
             self._params[f"lc.{stage}.g.bias"],
             self.lc_activation,
         )
-        return ad.reshape(out, (b, c, hh, ww))
+        return ad.reshape(out, h.shape)
 
     # --- persistence -----------------------------------------------------
 

@@ -36,6 +36,11 @@ def conv_inputs(rng, shape):
     return rng.normal(size=(bs, c, h, w)), rng.normal(size=(o, c, k, k)), rng.normal(size=o)
 
 
+def channels_last(a):
+    """(B, C, H, W) -> the (B, H, W, C) layout of ``conv2d`` and ``avg_pool2d``."""
+    return np.ascontiguousarray(np.moveaxis(a, 1, -1))
+
+
 def conv_loops(x, w, b, padding):
     """Stride-1 convolution by its definition, one output element at a time."""
     bs, _, h, wd = x.shape
@@ -79,27 +84,42 @@ class TestForward:
 
     def test_avg_pool(self):
         x = np.arange(16.0).reshape(1, 1, 4, 4)
-        out = ad.avg_pool2d(ad.Tensor(x), 2).data
-        npt.assert_array_equal(out, [[[[2.5, 4.5], [10.5, 12.5]]]])
+        out = ad.avg_pool2d(ad.Tensor(channels_last(x)), 2).data
+        npt.assert_array_equal(out, channels_last(np.array([[[[2.5, 4.5], [10.5, 12.5]]]])))
         # k = 3 on a non-square input, against the window means
         x = np.random.default_rng(11).normal(size=(2, 3, 6, 9))
-        out = ad.avg_pool2d(ad.Tensor(x), 3).data
+        out = ad.avg_pool2d(ad.Tensor(channels_last(x)), 3).data
         expected = np.zeros((2, 3, 2, 3))
         for i, j in np.ndindex(2, 3):
             expected[:, :, i, j] = x[:, :, 3 * i:3 * i + 3, 3 * j:3 * j + 3].mean(axis=(2, 3))
-        npt.assert_allclose(out, expected, rtol=0, atol=1e-14)
+        npt.assert_allclose(out, channels_last(expected), rtol=0, atol=1e-14)
 
     def test_conv2d_matches_direct_loops(self):
         rng = np.random.default_rng(1)
         for shape in CONV_SHAPES:
             x, w, b = conv_inputs(rng, shape)
             padding = shape[-1]
-            out = ad.conv2d(ad.Tensor(x), ad.Tensor(w), ad.Tensor(b), padding=padding).data
-            npt.assert_allclose(out, conv_loops(x, w, b, padding), rtol=0, atol=1e-12,
-                                err_msg=f"(B, C, H, W, O, k, padding) = {shape}")
+            out = ad.conv2d(ad.Tensor(channels_last(x)), ad.Tensor(w), ad.Tensor(b),
+                            padding=padding).data
+            npt.assert_allclose(out, channels_last(conv_loops(x, w, b, padding)), rtol=0,
+                                atol=1e-12, err_msg=f"(B, C, H, W, O, k, padding) = {shape}")
+
+    @pytest.mark.parametrize("rows", [1, 30])
+    def test_conv2d_blocks_match_direct_loops(self, rows, monkeypatch):
+        # blocks of 1 sample, and of 1, 2, 3 or all 5 samples depending on
+        # oh * ow, so the forward crosses block boundaries and ends on a short block
+        monkeypatch.setattr(ad, "_CONV_BLOCK_ROWS", rows)
+        rng = np.random.default_rng(16)
+        for shape in CONV_SHAPES:
+            x, w, b = conv_inputs(rng, (5, *shape[1:]))
+            padding = shape[-1]
+            out = ad.conv2d(ad.Tensor(channels_last(x)), ad.Tensor(w), ad.Tensor(b),
+                            padding=padding).data
+            npt.assert_allclose(out, channels_last(conv_loops(x, w, b, padding)), rtol=0,
+                                atol=1e-12, err_msg=f"(B, C, H, W, O, k, padding) = {shape}")
 
     def test_conv2d_rejects_what_it_cannot_compute(self):
-        x, w = ad.Tensor(np.ones((1, 2, 3, 3))), ad.Tensor(np.ones((4, 2, 3, 3)))
+        x, w = ad.Tensor(channels_last(np.ones((1, 2, 3, 3)))), ad.Tensor(np.ones((4, 2, 3, 3)))
         with pytest.raises(ValueError, match="bias shape"):
             ad.conv2d(x, w, ad.Tensor(np.ones(1)))
         with pytest.raises(ValueError, match="does not fit"):
@@ -113,8 +133,9 @@ class TestForward:
     def test_conv2d_output_is_contiguous_in_input_dtype(self, dtype):
         rng = np.random.default_rng(10)
         for shape in CONV_SHAPES:
+            x, w, b = conv_inputs(rng, shape)
             x, w, b = (ad.Tensor(a.astype(dtype), requires_grad=True)
-                       for a in conv_inputs(rng, shape))
+                       for a in (channels_last(x), w, b))
             out = ad.conv2d(x, w, b, padding=shape[-1])
             assert out.data.dtype == dtype and out.data.flags.c_contiguous
             out.backward(np.ones(out.shape, dtype=dtype))
@@ -192,7 +213,7 @@ class TestGradients:
 
     def test_conv_and_pool_gradients(self):
         rng = np.random.default_rng(6)
-        x_const = rng.normal(size=(2, 2, 4, 4))
+        x_const = channels_last(rng.normal(size=(2, 2, 4, 4)))
 
         def fn(params):
             w = ad.Tensor(params[:36].reshape(2, 2, 3, 3), requires_grad=True)
@@ -209,7 +230,7 @@ class TestGradients:
         w_const = ad.Tensor(rng.normal(size=(3, 2, 3, 3)))
 
         def fn(params):
-            x = ad.Tensor(params.reshape(1, 2, 4, 4), requires_grad=True)
+            x = ad.Tensor(params.reshape(1, 4, 4, 2), requires_grad=True)
             out = ad.conv2d(x, w_const, None, padding=1)
             loss = ad.tsum(ad.mul(out, out))
             loss.backward()
@@ -221,6 +242,7 @@ class TestGradients:
     def test_conv_gradients_on_unused_shapes(self, shape):
         rng = np.random.default_rng(13)
         x0, w0, b0 = conv_inputs(rng, shape)
+        x0 = channels_last(x0)
         padding = shape[-1]
 
         def input_fn(params):
@@ -243,7 +265,7 @@ class TestGradients:
     def test_avg_pool_k3_gradient(self):
         rng = np.random.default_rng(14)
         fn = scalar_handle(lambda t: ad.tsum(ad.mul(ad.avg_pool2d(t, 3), ad.avg_pool2d(t, 3))))
-        assert grad_check(fn((1, 2, 3, 6)), rng.normal(size=36)) < 1e-8
+        assert grad_check(fn((1, 3, 6, 2)), rng.normal(size=36)) < 1e-8
 
     def test_bce_gradient(self):
         rng = np.random.default_rng(8)
@@ -285,7 +307,7 @@ class TestGradients:
 class TestDeterminism:
     def test_forward_bit_identical(self):
         rng = np.random.default_rng(9)
-        x = rng.normal(size=(2, 3, 8, 8))
+        x = channels_last(rng.normal(size=(2, 3, 8, 8)))
         w = rng.normal(size=(4, 3, 3, 3))
 
         def run():
@@ -296,8 +318,9 @@ class TestDeterminism:
 
     def test_float32_backbone_gradients_stay_float32(self):
         rng = np.random.default_rng(15)
+        x, w, b = conv_inputs(rng, (2, 3, 8, 8, 4, 3, 1))
         x, w, b = (ad.Tensor(a.astype(np.float32), requires_grad=True)
-                   for a in conv_inputs(rng, (2, 3, 8, 8, 4, 3, 1)))
+                   for a in (channels_last(x), w, b))
         out = ad.avg_pool2d(ad.leaky_relu(ad.conv2d(x, w, b, padding=1), 0.2), 2)
         ad.tsum(ad.mul(out, out)).backward()
         for t in (x, w, b):

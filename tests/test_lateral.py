@@ -10,19 +10,19 @@ import oracles
 
 
 def lc(x, e, w, b, activation="tanh"):
-    """Lateral connection on one (C, ...) feature map through ``lc_core``."""
-    xf = ad.Tensor(x.reshape(x.shape[0], -1))
+    """Lateral connection on one (C, ...) feature map through ``lc_core`` on its (S, C) positions."""
+    xf = ad.Tensor(x.reshape(x.shape[0], -1).T)
     out = lateral.lc_core(xf, ad.Tensor(e), ad.Tensor(w), ad.Tensor(b), activation)
-    return out.data.reshape(x.shape)
+    return out.data.T.reshape(x.shape)
 
 
 def lc_grads(x, e, w, b, upstream, activation="tanh"):
     """Reverse-mode gradients ``(grad_x, grad_e, grad_w, grad_b)`` for an upstream gradient."""
-    xt = ad.Tensor(x.reshape(x.shape[0], -1), requires_grad=True)
+    xt = ad.Tensor(x.reshape(x.shape[0], -1).T, requires_grad=True)
     et, wt, bt = (ad.Tensor(a, requires_grad=True) for a in (e, w, b))
     out = lateral.lc_core(xt, et, wt, bt, activation)
-    out.backward(upstream.reshape(x.shape[0], -1))
-    return xt.grad.reshape(x.shape), et.grad, wt.grad, bt.grad
+    out.backward(upstream.reshape(x.shape[0], -1).T)
+    return xt.grad.T.reshape(x.shape), et.grad, wt.grad, bt.grad
 
 
 def random_weight(c, n, rng):
@@ -152,11 +152,11 @@ class TestBackward:
         assert grad_check(fn, params) <= 1e-5
 
     def test_upstream_shape_checked(self):
-        xf = ad.Tensor(np.zeros((2, 4)), requires_grad=True)
+        xf = ad.Tensor(np.zeros((4, 2)), requires_grad=True)
         out = lateral.lc_core(xf, ad.Tensor(np.zeros((3, 2))), ad.Tensor(np.zeros((2, 3))),
                               ad.Tensor(np.zeros(2)), "tanh")
         with pytest.raises(ValueError, match="gradient shape"):
-            out.backward(np.zeros((2, 6)))
+            out.backward(np.zeros((6, 2)))
 
     def test_backward_against_hand_formulas(self):
         # y[:, p] = (W s + I) x[:, p] + b with s = tanh(E), so the four

@@ -197,7 +197,7 @@ class TestDecide:
         for t in (0.0, 0.5, 0.7310585786300049, 1.0):
             whole = autodiff._sigmoid(scores) if rule == "sigmoid" else scores
             pred = metrics.decide(scores, (rule, t))
-            assert pred.dtype == np.int64
+            assert pred.dtype == bool
             npt.assert_array_equal(pred, (whole >= t).astype(np.int64))
 
     def test_top_k_across_block_boundary(self):
@@ -207,7 +207,7 @@ class TestDecide:
         for k in (1, 3):
             pred = metrics.decide(scores, ("top_k", k))
             npt.assert_array_equal(pred, top_k_reference(scores, k))
-            assert pred.dtype == np.int64
+            assert pred.dtype == bool
 
 
 class TestPrfSuite:

@@ -11,6 +11,7 @@ from kssnet.checks import full_model_check, grad_check
 from kssnet.synthetic import LabeledImages, make_dataset
 
 import oracles
+from test_autodiff import channels_last, conv_loops
 
 
 def tiny_adjacency(n, seed=0):
@@ -161,6 +162,57 @@ class TestForward:
     def test_full_model_gradient_check(self):
         fn, params = full_model_check(seed=0)
         assert grad_check(fn, params) <= 1e-4
+
+    def test_forward_matches_reference_on_the_weight_layout(self):
+        # the model is a fixed function of its (O, C, 3, 3) conv weights and
+        # (C, N) lateral weights, whatever layout the backbone computes in
+        n, slope = 5, 0.2
+        m = tiny_model(n_labels=n, stage_channels=(4, 6, 8), gcn_depth=3, slope=slope, seed=3)
+        rng = np.random.default_rng(17)
+        for _, p in m.named_parameters():
+            p.data = rng.normal(0.0, 0.5, size=p.data.shape)
+        assert m.lc_stages == (0, 1)
+        x, e0 = rng.normal(size=(2, 3, 8, 8)), rng.normal(size=(n, 4))
+        seen, expected = [], []
+        logits = m.forward(x, e0, on_preactivation=seen.append).data
+        npt.assert_allclose(logits, reference_forward(m, x, e0, slope, expected.append),
+                            rtol=0, atol=1e-12)
+        # every GCN and backbone activation input, in forward order, the
+        # backbone's channels-last
+        assert len(seen) == len(expected) == 3 + 3
+        for got, want in zip(seen, expected):
+            want = channels_last(want) if want.ndim == 4 else want
+            npt.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def reference_forward(m, x, e0, slope, on_preactivation):
+    """Logits of a float64 ``KssModel`` on (B, C, H, W) images, position by position."""
+    def leaky(a):
+        on_preactivation(a)
+        return np.where(a >= 0, a, slope * a)
+
+    embeds, e = [], e0
+    for layer in range(m.gcn_depth):
+        e = leaky(m.adjacency.data @ e @ m.param(f"gcn.layer{layer}.W").data)
+        embeds.append(e)
+    h = x
+    for s in range(len(m.stage_channels)):
+        h = leaky(conv_loops(h, m.param(f"backbone.stage{s}.conv.weight").data,
+                             m.param(f"backbone.stage{s}.conv.bias").data, 1))
+        bs, c, hh, ww = h.shape
+        pooled = np.empty((bs, c, hh // 2, ww // 2))
+        for i, j in np.ndindex(hh // 2, ww // 2):
+            pooled[:, :, i, j] = h[:, :, 2 * i:2 * i + 2, 2 * j:2 * j + 2].mean(axis=(2, 3))
+        h = pooled
+        if s in m.lc_stages:
+            sig = np.tanh(embeds[s - m.stage_offset])  # (N, C)
+            w, b = m.param(f"lc.{s}.g.weight").data, m.param(f"lc.{s}.g.bias").data
+            out = np.empty_like(h)
+            for bi, i, j in np.ndindex(bs, hh // 2, ww // 2):
+                v = h[bi, :, i, j]
+                out[bi, :, i, j] = w @ (sig @ v) + b + v
+            h = out
+    return h.mean(axis=(2, 3)) @ embeds[-1].T
 
 
 def bce_loss(logits, targets):

@@ -1,0 +1,104 @@
+"""Run the benchmark on two checkouts in alternating pairs and write a BENCH file.
+
+    python3 tools/bench_pairs.py --parent DIR --change DIR --workload toy-train \
+        --seeds 901-910 --seconds 40 --out BENCH_toy-train.json
+
+Each seed is one pair: ``bench/run.py --trace 0`` runs in both checkouts,
+the change first on odd seeds and the parent first on even ones.  The JSON
+written holds every run's end-to-end metrics, and per metric each side's
+median and quartiles, the pairs the change won (ties count for neither) and
+whether the gap between the medians exceeds the parent's interquartile
+range.  Both checkouts must hold the same ``bench/`` and ``BENCHMARK.json``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def _seeds(text: str) -> list[int]:
+    lo, _, hi = text.partition("-")
+    return list(range(int(lo), int(hi or lo) + 1))
+
+
+def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced run; its environment line and its metric values."""
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, check=True)
+    env_line, result_line = proc.stdout.strip().splitlines()[-2:]
+    result = json.loads(result_line)
+    return {"env": json.loads(env_line)["env"], "correct": result["correct"],
+            "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
+
+
+def summarise(pairs: list[dict], better: dict[str, str]) -> dict:
+    out = {}
+    for name, direction in better.items():
+        parent = [p["parent"]["metrics"][name] for p in pairs]
+        change = [p["change"]["metrics"][name] for p in pairs]
+        sign = 1 if direction == "higher" else -1
+        q_parent = statistics.quantiles(parent, n=4, method="inclusive")
+        q_change = statistics.quantiles(change, n=4, method="inclusive")
+        med_p, med_c = statistics.median(parent), statistics.median(change)
+        out[name] = {
+            "better": direction,
+            "parent": {"median": med_p, "quartiles": [q_parent[0], q_parent[2]]},
+            "change": {"median": med_c, "quartiles": [q_change[0], q_change[2]]},
+            "relative_change": (med_c - med_p) / med_p if med_p else None,
+            "pairs_won": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
+            "pairs_lost": sum(sign * (c - p) < 0 for p, c in zip(parent, change)),
+            "gap_exceeds_parent_iqr": sign * (med_c - med_p) > q_parent[2] - q_parent[0],
+        }
+    return out
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--parent", type=Path, required=True)
+    p.add_argument("--change", type=Path, required=True)
+    p.add_argument("--workload", required=True)
+    p.add_argument("--seeds", type=_seeds, required=True, help="one seed or a range LO-HI")
+    p.add_argument("--seconds", type=float, default=40.0)
+    p.add_argument("--out", type=Path, required=True)
+    args = p.parse_args(argv)
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+
+    pairs = []
+    for seed in args.seeds:
+        order = ("change", "parent") if seed % 2 else ("parent", "change")
+        pair = {"seed": seed, "first": order[0]}
+        for side in order:
+            pair[side] = run(getattr(args, side), args.workload, seed, args.seconds)
+        pairs.append(pair)
+        print(json.dumps({"seed": seed, **{s: pair[s]["metrics"] for s in order}}), flush=True)
+
+    first = pairs[0]
+    report = {
+        "workload": args.workload,
+        "command": f"python3 bench/run.py --workload {args.workload} --seed SEED "
+                   f"--seconds {args.seconds:g} --trace 0",
+        "seeds": args.seeds,
+        "parent_sha": first["parent"]["env"]["git_sha"],
+        "change_sha": first["change"]["env"]["git_sha"],
+        "host": {key: first["change"]["env"][key]
+                 for key in ("nproc", "python", "numpy", "blas", "blas_threads")},
+        "summary": summarise(pairs, better),
+        "pairs": [{"seed": q["seed"], "first": q["first"],
+                   "parent": q["parent"]["metrics"], "change": q["change"]["metrics"],
+                   "correct": [q["parent"]["correct"], q["change"]["correct"]]}
+                  for q in pairs],
+    }
+    args.out.write_text(json.dumps(report, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
