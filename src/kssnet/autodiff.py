@@ -201,19 +201,22 @@ def leaky_relu(a, slope: float = 0.2) -> Tensor:
     Bit for bit ``np.where(x >= 0, x, slope * x)``, signed zeros,
     infinities and NaNs included.  A positive slope keeps the sign, so the
     result is the larger (for ``slope > 1`` the smaller) of ``x`` and
-    ``slope * x``, computed branch-free; a zero or negative slope takes
-    ``np.where``.  Backward multiplies ``g`` by ``slope`` or 1 looked up in
-    a table of ``g``'s dtype, so float32 gradients stay float32.
+    ``slope * x``, computed branch-free into one array; a zero or negative
+    slope takes ``np.where``.  Backward builds the ``x >= 0`` mask from the
+    retained input, so a forward that is never differentiated builds none,
+    and multiplies ``g`` by ``slope`` or 1 looked up in a table of ``g``'s
+    dtype, so float32 gradients stay float32.
     """
     a = as_tensor(a)
-    mask = np.asarray(a.data >= 0)
-    scaled = a.data * slope
+    x = a.data
     if slope > 0:
-        out = (np.minimum if slope > 1 else np.maximum)(a.data, scaled)
+        out = np.asarray(x * slope)  # 0-d input gives a scalar
+        (np.minimum if slope > 1 else np.maximum)(x, out, out=out)
     else:  # 0 * inf is NaN and a negative slope flips the sign of zero
-        out = np.where(mask, a.data, scaled)
+        out = np.where(x >= 0, x, x * slope)
 
     def backward(g):
+        mask = np.asarray(x >= 0)
         return (g * np.take(np.array([slope, 1], dtype=g.dtype), mask.view(np.uint8)),)
 
     return _node(out, (a,), backward)

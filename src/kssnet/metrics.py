@@ -10,9 +10,19 @@ alone.  Every precision term is thus the same ratio of two integers as in
 the walk, and ``math.fsum`` sums the terms exactly, so the AP is bitwise
 that of the walk.
 
+``per_class_ap`` copies the score matrix into rows 8 columns at a time, so
+each class's scores are one contiguous array.  It fills that copy in tiles
+of ``_AP_TILE_ROWS`` rows: a tile's source rows stay in cache while every
+column of the block is read from them, where one whole-column pass would
+fetch each cache line once per column.
+
 Per-class (CP/CR/CF1) and overall (OP/OR/OF1) statistics follow the
 convention of computing CF1/OF1 from the averaged precision and recall, not
-from per-class F1 scores.
+from per-class F1 scores.  Their decisions cost what the output needs: the
+sigmoid rule compares scores with the logit of its threshold and evaluates
+the sigmoid only in a narrow band around it, and the top-k rule breaks ties
+at the k-th score only in rows that have them.  Both are bitwise the plain
+rule; ``decide`` gives the argument.
 """
 
 from __future__ import annotations
@@ -30,6 +40,9 @@ _DECIDE_BLOCK_ROWS = 4096
 # Columns per contiguous block copied by ``per_class_ap``: 8 float64 are one
 # 64-byte cache line of each row.
 _AP_BLOCK_COLS = 8
+# Rows per tile of that copy: 256 rows of one cache line are 16 KiB, which
+# stay in L1 while the block's columns are read out of them.
+_AP_TILE_ROWS = 256
 
 
 def average_precision(scores: np.ndarray, targets: np.ndarray) -> float:
@@ -107,15 +120,27 @@ def per_class_ap(scores: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Per-class AP column by column; classes without positives get NaN.
 
     Shapes, finite scores and 0/1 targets are checked once for the matrix.
+    Columns are taken ``_AP_BLOCK_COLS`` at a time into one reused row-major
+    buffer, filled in tiles of ``_AP_TILE_ROWS`` rows so that each tile's
+    cache lines are read once for all the block's columns.  The buffer is
+    a block's size, not the matrix's: a transposed copy of the whole matrix
+    would add its full size to the peak memory.
     """
     scores, targets = _checked(scores, targets, 2)
     if not np.all(np.isfinite(scores)):
         raise ValueError("scores must be finite")
-    aps = np.full(scores.shape[1], np.nan)
-    for lo in range(0, scores.shape[1], _AP_BLOCK_COLS):
-        # one gather of a few columns into rows, not a strided pass per column
-        score_rows = np.ascontiguousarray(scores[:, lo:lo + _AP_BLOCK_COLS].T)
-        target_rows = np.ascontiguousarray(targets[:, lo:lo + _AP_BLOCK_COLS].T)
+    n, n_classes = scores.shape
+    aps = np.full(n_classes, np.nan)
+    score_buf = np.empty((_AP_BLOCK_COLS, n), dtype=np.float64)
+    target_buf = np.empty((_AP_BLOCK_COLS, n), dtype=targets.dtype)
+    for lo in range(0, n_classes, _AP_BLOCK_COLS):
+        cols = slice(lo, lo + _AP_BLOCK_COLS)
+        width = min(_AP_BLOCK_COLS, n_classes - lo)
+        score_rows, target_rows = score_buf[:width], target_buf[:width]
+        for r in range(0, n, _AP_TILE_ROWS):
+            rows = slice(r, r + _AP_TILE_ROWS)
+            score_rows[:, rows] = scores[rows, cols].T
+            target_rows[:, rows] = targets[rows, cols].T
         for j, (s, t) in enumerate(zip(score_rows, target_rows)):
             if np.any(t == 1):
                 aps[lo + j] = _average_precision(s, t)
@@ -143,8 +168,25 @@ def decide(scores: np.ndarray, decision=("sigmoid", 0.5)) -> np.ndarray:
 
     Every rule runs over blocks of ``_DECIDE_BLOCK_ROWS`` rows written into
     the bool result, so no other array is the size of the score matrix.
+
+    The sigmoid rule is decided on the scores, not on their sigmoid.  With
+    ``z = log(t) - log1p(-t)`` and ``delta = 1e-6 * max(1, |z|)`` it
+    predicts True at and above ``z + delta``, False below ``z - delta``, and
+    evaluates ``autodiff._sigmoid(s) >= t`` only for the scores in
+    ``[z - delta, z + delta)``.  That is bitwise the plain rule: sigmoid is
+    increasing with slope ``t (1 - t)`` at the true logit of t, so a score
+    outside the band has ``|sigmoid(s) - t| >= t (1 - t) delta``, at least
+    about 9e-13 for ``2**-20 <= t <= 1 - 2**-20``.  That is about 1000 times
+    the few-ulp absolute error of ``_sigmoid`` near t, and ``z`` itself is
+    off the true logit by a few ulp of 14 at most, far inside ``delta``; so
+    the computed sigmoid lies on the same side of t as the true one.  For t
+    outside that range, or NaN, the band is ``(-inf, inf)`` and the same
+    code evaluates every score.
+
     ``top_k`` finds each row's k-th largest score with ``np.partition`` and
-    predicts every label above it; among the labels equal to it, the first
+    predicts every label at or above it.  A row with more than k such labels
+    has ties at the k-th score; only those rows are redone, predicting the
+    labels above it and, among the labels equal to it, the first
     ``k - #above`` by index.  That is the first k of a stable descending
     sort, without sorting.
     """
@@ -153,11 +195,20 @@ def decide(scores: np.ndarray, decision=("sigmoid", 0.5)) -> np.ndarray:
         raise ValueError("scores must be finite")
     kind, arg = decision
     if kind == "sigmoid":
-        def rule(block):
-            return ad._sigmoid(block) >= arg
+        t = float(arg)
+        z_lo, z_hi = -math.inf, math.inf
+        if 2.0 ** -20 <= t <= 1.0 - 2.0 ** -20:  # False for NaN too
+            z = math.log(t) - math.log1p(-t)
+            delta = 1e-6 * max(1.0, abs(z))
+            z_lo, z_hi = z - delta, z + delta
+
+        def rule(block, out):
+            np.greater_equal(block, z_hi, out=out)
+            near = np.flatnonzero((block >= z_lo) ^ out)  # z_lo <= score < z_hi
+            np.put(out, near, ad._sigmoid(block.take(near)) >= t)
     elif kind == "score":
-        def rule(block):
-            return block >= arg
+        def rule(block, out):
+            np.greater_equal(block, arg, out=out)
     elif kind == "top_k":
         k = int(arg)
         if k < 0:
@@ -168,17 +219,21 @@ def decide(scores: np.ndarray, decision=("sigmoid", 0.5)) -> np.ndarray:
         if k >= n_labels:
             return np.ones(scores.shape, dtype=bool)
 
-        def rule(block):
+        def rule(block, out):
             kth = np.partition(block, n_labels - k, axis=1)[:, n_labels - k, None]
+            np.greater_equal(block, kth, out=out)
+            tied = np.flatnonzero(np.count_nonzero(out, axis=1) > k)
+            block, kth = block[tied], kth[tied]
             above = block > kth
             equal = block == kth
             first_equal = np.cumsum(equal, axis=1) <= k - above.sum(axis=1, keepdims=True)
-            return above | (equal & first_equal)
+            out[tied] = above | (equal & first_equal)
     else:
         raise ValueError(f"unknown decision rule {kind!r}")
     pred = np.empty(scores.shape, dtype=bool)
-    for lo in range(0, scores.shape[0], _DECIDE_BLOCK_ROWS):
-        pred[lo:lo + _DECIDE_BLOCK_ROWS] = rule(scores[lo:lo + _DECIDE_BLOCK_ROWS])
+    for r in range(0, scores.shape[0], _DECIDE_BLOCK_ROWS):
+        rows = slice(r, r + _DECIDE_BLOCK_ROWS)
+        rule(scores[rows], pred[rows])
     return pred
 
 

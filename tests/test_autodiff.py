@@ -149,10 +149,16 @@ class TestForward:
         special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e-30, -1e-30, 2.5, -2.5]
         x = np.concatenate([special, np.random.default_rng(12).normal(size=100), special])
         x = x.astype(dtype)
-        out = ad.leaky_relu(ad.Tensor(x), slope).data
+        t = ad.Tensor(x, requires_grad=True)
+        out = ad.leaky_relu(t, slope)
         ref = np.where(x >= 0, x, slope * x)
-        assert out.dtype == dtype
-        npt.assert_array_equal(out.view(np.uint8), ref.view(np.uint8))
+        assert out.data.dtype == dtype
+        npt.assert_array_equal(out.data.view(np.uint8), ref.view(np.uint8))
+        g = np.random.default_rng(13).normal(size=x.shape).astype(dtype)
+        out.backward(g)
+        ref_grad = g * np.where(x >= 0, dtype(1), dtype(slope))
+        assert t.grad.dtype == dtype
+        npt.assert_array_equal(t.grad.view(np.uint8), ref_grad.view(np.uint8))
 
     def test_bce_saturation_is_finite(self):
         logits = ad.Tensor(np.array([[1000.0, -1000.0]]))

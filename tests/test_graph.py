@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from kssnet import graph, storage
+from kssnet import graph, storage, synthetic
 from kssnet.ingest import AnnotationSet, KnowledgeEdgeList
 
 import oracles
@@ -86,6 +86,21 @@ class TestStatisticalAdjacency:
             t = float(rng.random())
             mine = graph.statistical_adjacency(m, counts, t)
             npt.assert_array_equal(mine, oracles.statistical_oracle(m, counts, t))
+
+    @pytest.mark.parametrize("n_labels", [8, 16])
+    @pytest.mark.parametrize("t", [0.4, 0.88])
+    def test_large_sample_matches_true_conditionals(self, n_labels, t):
+        # every label occurs in over 70k of 200k samples, so each empirical
+        # conditional has a standard error below 0.002: entries 0.02 or more
+        # from t must binarise as the planted ones do
+        rng = np.random.default_rng(20)
+        y = synthetic.sample_label_matrix(200_000, n_labels, rng)
+        m, counts = graph.cooccurrence_counts(synthetic.make_annotations(y, n_labels))
+        a = graph.statistical_adjacency(m, counts, t)
+        truth = synthetic.true_conditionals(n_labels)
+        clear = ~np.eye(n_labels, dtype=bool) & (np.abs(truth - t) >= 0.02)
+        assert clear.sum() >= n_labels * (n_labels - 1) // 2
+        npt.assert_array_equal(a[clear], (truth >= t)[clear])
 
 
 class TestKnowledgeAdjacency:

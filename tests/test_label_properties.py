@@ -1,11 +1,13 @@
 """Property tests: the vectorised label pipeline equals the brute-force oracles.
 
 Shapes stay small and scores come from a handful of values, so ties are the
-common case.  The block sizes of the vectorised code are shrunk to a few rows
-or columns, so that small inputs still cross block boundaries.  The
+common case; the sigmoid rule is checked on scores at the edges of its logit
+band.  The block and tile sizes of the vectorised code are shrunk to a few
+rows or columns, so that small inputs still cross their boundaries.  The
 annotation loader is checked against a line-by-line reference, and fuzzed.
 """
 
+import math
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -14,7 +16,7 @@ import numpy as np
 import numpy.testing as npt
 from hypothesis import given, settings, strategies as st
 
-from kssnet import graph, ingest, metrics
+from kssnet import autodiff, graph, ingest, metrics
 from kssnet.ingest import AnnotationSet, FormatError
 
 import oracles
@@ -68,10 +70,11 @@ def test_average_precision_equals_oracle_bitwise(case):
 
 
 @SETTINGS
-@given(score_matrices(), st.integers(1, 3))
-def test_per_class_ap_equals_oracle_bitwise(scores, block_cols):
+@given(score_matrices(), st.integers(1, 3), st.integers(1, 3))
+def test_per_class_ap_equals_oracle_bitwise(scores, block_cols, tile_rows):
     targets = (scores > 0.5).astype(int)
-    with mock.patch.object(metrics, "_AP_BLOCK_COLS", block_cols):
+    with mock.patch.object(metrics, "_AP_BLOCK_COLS", block_cols), \
+            mock.patch.object(metrics, "_AP_TILE_ROWS", tile_rows):
         aps = metrics.per_class_ap(scores, targets)
     for c in range(scores.shape[1]):
         if targets[:, c].any():
@@ -86,6 +89,41 @@ def test_top_k_equals_stable_sort(scores, k, block_rows):
     with mock.patch.object(metrics, "_DECIDE_BLOCK_ROWS", block_rows):
         pred = metrics.decide(scores, ("top_k", k))
     npt.assert_array_equal(pred, top_k_reference(scores, k))
+
+
+def _with_neighbours(values):
+    return [u for v in values for u in (np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf))]
+
+
+# The edges of the thresholds whose logit band is used, 0.5, and thresholds
+# whose sigmoid rule is decided by evaluating every score.
+SIGMOID_THRESHOLDS = st.sampled_from(
+    _with_neighbours([0.0, 0.5, 1.0, 2.0 ** -20, 1.0 - 2.0 ** -20]) + [5e-324, -0.25, 1.5, math.nan])
+
+
+@st.composite
+def sigmoid_cases(draw):
+    """A threshold t and scores at and around its logit band, plus extremes."""
+    t = draw(SIGMOID_THRESHOLDS)
+    anchors = [0.0, -0.0, 1e-300, -1e-300, 1000.0, -1000.0]
+    if 0.0 < t < 1.0:
+        z = math.log(t) - math.log1p(-t)
+        delta = 1e-6 * max(1.0, abs(z))
+        anchors += _with_neighbours([z - delta, z, z + delta])
+    rows, cols = draw(st.integers(0, 9)), draw(st.integers(1, 7))
+    values = draw(st.lists(st.one_of(st.sampled_from(anchors), st.floats(-40.0, 40.0)),
+                           min_size=rows * cols, max_size=rows * cols))
+    return t, np.array(values, dtype=np.float64).reshape(rows, cols)
+
+
+@SETTINGS
+@given(sigmoid_cases(), st.integers(1, 4))
+def test_sigmoid_decision_equals_plain_rule(case, block_rows):
+    t, scores = case
+    with mock.patch.object(metrics, "_DECIDE_BLOCK_ROWS", block_rows):
+        pred = metrics.decide(scores, ("sigmoid", t))
+    assert pred.dtype == bool
+    npt.assert_array_equal(pred, autodiff._sigmoid(scores) >= t)
 
 
 # --- annotation loader ----------------------------------------------------
