@@ -21,7 +21,9 @@ import numpy as np
 
 from .ingest import AnnotationSet, KnowledgeEdgeList
 
-# Rows of the 0/1 indicator block behind each co-occurrence GEMM.
+# Rows of the 0/1 indicator block behind each co-occurrence GEMM.  The block
+# is float32, whose integers are exact up to 2**24; a block's counts are at
+# most its row count, so this must stay below 2**24.
 _COOC_BLOCK_ROWS = 8192
 
 
@@ -86,16 +88,18 @@ def cooccurrence_counts(ann: AnnotationSet, n: int | None = None):
     sample-by-label indicator ``Y`` holds the pair counts off its diagonal
     and the label counts on it.  It is summed in float64 over blocks of at
     most ``_COOC_BLOCK_ROWS`` samples, each scattered straight from the
-    annotation set's CSR arrays into one reused buffer, so the product runs
-    in BLAS and ``Y`` is never in memory whole.  Every partial sum is an
-    integer far below 2**53, so the float64 result is exact.
+    annotation set's CSR arrays into one reused float32 buffer, so the
+    product runs in BLAS and ``Y`` is never in memory whole.  Every partial
+    sum of a block's float32 product is an integer of at most
+    ``_COOC_BLOCK_ROWS`` < 2**24, and every partial sum of the float64 total
+    one far below 2**53, so the result is exact.
     """
     if n is None:
         n = ann.n_labels
     elif n < ann.n_labels:
         raise ValueError(f"n={n} smaller than annotation vocabulary {ann.n_labels}")
     m = np.zeros((n, n))
-    block = np.empty((min(_COOC_BLOCK_ROWS, len(ann)), n))
+    block = np.empty((min(_COOC_BLOCK_ROWS, len(ann)), n), dtype=np.float32)
     for lo in range(0, len(ann), _COOC_BLOCK_ROWS):
         bounds = ann.indptr[lo:lo + _COOC_BLOCK_ROWS + 1]
         y = block[:bounds.size - 1]

@@ -7,7 +7,12 @@ An :class:`AnnotationSet` is stored as arrays, not as one Python object per
 sample: a tuple of sample ids plus CSR ``indptr``/``indices`` (``intp``,
 read-only), each row's labels sorted and without repeats.  The loader fills
 them from one split of the whole file, so loading a COCO-scale file leaves no
-per-sample containers for the cyclic garbage collector to scan.
+per-sample containers for the cyclic garbage collector to scan.  Which of
+those tokens open a line it reads off the text's code points, not off a
+second, line-by-line split.
+
+Every loader reads its file through one reader, so a file that is not UTF-8
+fails as a :class:`FormatError` that names it.
 
 File formats
 ------------
@@ -234,9 +239,18 @@ class EmbeddingTable:
                 )
 
 
+def _read_text(path) -> str:
+    """The file's UTF-8 text; a file that does not decode fails as a FormatError naming it."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
 def load_vocabulary(path) -> LabelVocabulary:
     """Read one label per line; line order defines the indices."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = _read_text(path).splitlines()
     names = []
     for lineno, raw in enumerate(lines, start=1):
         name = raw.strip()
@@ -266,27 +280,72 @@ class _LabelCodes(dict):
         return code
 
 
+# The code points ``str.isspace()`` accepts beyond 9-13 and 28-32, and those
+# ``str.splitlines()`` breaks at beyond 10-13 and 28-30.
+_NON_ASCII_SPACES = np.array([0x85, 0xA0, 0x1680, *range(0x2000, 0x200B), 0x2028, 0x2029,
+                              0x202F, 0x205F, 0x3000], dtype=np.uint32)
+_NON_ASCII_BREAKS = np.array([0x85, 0x2028, 0x2029], dtype=np.uint32)
+
+
+def _spaces_and_breaks(cp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The whitespace mask of the code points ``cp`` and the positions of line breaks.
+
+    ``cp`` is ``uint8`` for ASCII text and ``uint32`` otherwise; only the
+    latter is tested for the non-ASCII code points.  The unsigned
+    differences wrap below zero, so ``cp - lo < n`` tests ``lo <= cp < lo + n``.
+    """
+    space = (cp - 9 < 5) | (cp - 28 < 5)
+    breaks = (cp - 10 < 4) | (cp - 28 < 3)
+    if cp.dtype != np.uint8:
+        space |= np.isin(cp, _NON_ASCII_SPACES)
+        breaks |= np.isin(cp, _NON_ASCII_BREAKS)
+    return space, np.flatnonzero(breaks)
+
+
+def _line_openers(text: str, n_tokens: int) -> np.ndarray:
+    """Which of the ``n_tokens`` tokens of ``text.split()`` open a line, as a bool mask.
+
+    A token starts at a non-space after a space, with the spaces those of
+    ``str.isspace``, and opens a line if it is the first or a break of
+    ``str.splitlines`` lies between it and the token before.  The code
+    points are one byte each for ASCII text and UTF-32 otherwise.  The
+    full-length arrays live only in this call, so they are freed before
+    the tokens are resolved.
+    """
+    if text.isascii():
+        cp = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    else:
+        cp = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
+    space, breaks = _spaces_and_breaks(cp)
+    gap = np.concatenate(([True], space))  # the text starts after a space
+    starts = np.flatnonzero(gap[:-1] > gap[1:])
+    # one searchsorted marks the token after each break; a last slot takes
+    # the breaks after the last token
+    opens = np.zeros(n_tokens + 1, dtype=bool)
+    opens[np.searchsorted(starts, breaks)] = True
+    opens[0] = True
+    return opens[:-1]
+
+
 def load_annotations(path, vocab: LabelVocabulary) -> AnnotationSet:
     """Read ``sample_id label...`` lines, resolving names to indices.
 
     Unknown label names abort with an error listing every offender.
 
-    The text is split into tokens once.  Every line boundary is whitespace to
-    ``str.split``, so the per-line token counts place each sample id and its
-    labels in that one list; no container is built per line or per sample.
+    The text is split into tokens once, by ``str.split``.  Which tokens open
+    a line, and are thus sample ids, comes from the text's code points, not
+    from a second, line-by-line split (``_line_openers``).  No container is
+    built per line or per sample.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
+    text = _read_text(path)
     tokens = text.split()
-    per_line = np.fromiter(map(len, map(str.split, lines)), np.intp, len(lines))
-    lengths = per_line[per_line > 0]
-    is_id = np.zeros(len(tokens), dtype=bool)
-    is_id[np.cumsum(lengths) - lengths] = True
+    is_id = _line_openers(text, len(tokens))
+    lengths = np.diff(np.flatnonzero(is_id), append=len(tokens))
     codes = _LabelCodes(vocab)
     labels = np.fromiter(map(codes.__getitem__, itertools.compress(tokens, (~is_id).tolist())),
                          np.intp, len(tokens) - lengths.size)
     if labels.size and labels.min() < 0:
-        unknown = [f"{path}:{lineno}: {tok!r}" for lineno, raw in enumerate(lines, 1)
+        unknown = [f"{path}:{lineno}: {tok!r}" for lineno, raw in enumerate(text.splitlines(), 1)
                    for tok in raw.split()[1:] if codes[tok] < 0]
         raise FormatError("unknown label name(s): " + ", ".join(unknown))
     sample_ids = tuple(itertools.compress(tokens, is_id.tolist()))
@@ -310,7 +369,7 @@ def load_knowledge_edges(path, vocab: LabelVocabulary) -> KnowledgeEdgeList:
     """
     triples = []
     dropped = 0
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), 1):
         if not raw.strip():
             continue
         fields = raw.split("\t")
@@ -343,7 +402,7 @@ def load_embedding_table(path) -> EmbeddingTable:
     """Read a GloVe-style text table; the first line fixes the width."""
     rows: dict[str, np.ndarray] = {}
     dim = None
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), 1):
         if not raw.strip():
             continue
         parts = raw.split()

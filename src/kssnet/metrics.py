@@ -3,12 +3,14 @@
 Average precision is the non-interpolated form: precision accumulated at
 every positive hit in descending score order, ties broken by stable original
 order.  It is computed by counting, not by walking a full argsort: each
-positive's rank is the number of higher scores (from one sort of the column
-and ``searchsorted``) plus, when its score is tied, the number of equal
-scores at lower indices; its hit count is its place among the positives
-alone.  Every precision term is thus the same ratio of two integers as in
-the walk, and ``math.fsum`` sums the terms exactly, so the AP is bitwise
-that of the walk.
+positive's rank is the number of higher scores (from one sort of the column,
+one sort of the positives' scores and one ``searchsorted``) plus, when its
+score is tied, the number of equal scores at lower indices; its hit count is
+its place among the positives alone.  A score is tied when its sorted
+neighbour equals it, and only a column with a tied positive orders its
+positives by index.  Every precision term is thus the same ratio of two
+integers as in the walk, and ``math.fsum`` sums the terms exactly, so the AP
+is bitwise that of the walk.
 
 ``per_class_ap`` copies the score matrix into rows 8 columns at a time, so
 each class's scores are one contiguous array.  It fills that copy in tiles
@@ -53,14 +55,18 @@ def average_precision(scores: np.ndarray, targets: np.ndarray) -> float:
 
     The ranks of the positives are counted, not read off a full argsort: in
     descending stable order, sample i sits at rank ``#{s_j > s_i} + #{j < i :
-    s_j == s_i} + 1``.  The first count comes from ``searchsorted`` on one
-    ascending sort of the scores; the second is nonzero only for tied scores
-    and comes from one grouped pass over the samples that share a positive's
-    score.  The positives alone are put in stable order, so the k-th of them
-    gets hit count k.  Each term ``hits / rank`` is therefore the quotient of
-    the same two integers as in the rank walk, and ``math.fsum`` makes the
-    sum independent of the order of the terms: the result is bitwise that of
-    the walk.
+    s_j == s_i} + 1``.  Each column is sorted once and its positives' scores
+    once; the first count comes from one ``searchsorted(side="right")`` of
+    the latter into the former.  A positive's score is tied when the score
+    sorted just below the last copy of it equals it.  Only then is the
+    second count nonzero: a column with a tied positive puts its positives
+    in stable order and takes the count from one grouped pass over the
+    samples that share a tied score.  Without ties the sorted scores are
+    that order already, so the k-th positive from the top gets hit count k
+    either way.  Each term ``hits / rank`` is therefore the quotient of the
+    same two integers as in the rank walk, and ``math.fsum`` makes the sum
+    independent of the order of the terms: the result is bitwise that of the
+    walk.
     """
     scores, targets = _checked(scores, targets, 1)
     if not np.all(np.isfinite(scores)):
@@ -88,18 +94,21 @@ def _average_precision(scores: np.ndarray, targets: np.ndarray) -> float:
     n_pos = hit_idx.size
     if n_pos == 0:
         raise ValueError("average precision is undefined without positive targets")
-    # positives in ascending score order (searchsorted runs fastest on sorted
-    # queries), equal scores by descending index: the reverse of their stable
-    # descending order, in which the k-th positive has hit count k
-    hit_idx = hit_idx[np.argsort(-scores[hit_idx], kind="stable")[::-1]]
-    hit_scores = scores[hit_idx]
     ascending = np.sort(scores)
+    # positives in ascending score order (searchsorted runs fastest on sorted
+    # queries); the k-th from the end has hit count k
+    hit_scores = np.sort(scores[hit_idx])
     right = np.searchsorted(ascending, hit_scores, side="right")
     ranks = scores.size - right + 1
-    tied = right - np.searchsorted(ascending, hit_scores, side="left") > 1
+    # a score is tied if the one sorted just below its last copy equals it
+    # (a lone sample compares with itself, which costs time, not correctness)
+    tied = ascending[right - 2] == hit_scores
     if np.any(tied):
+        # equal scores by descending index: the reverse of their stable
+        # descending order, in which the k-th positive has hit count k
+        hit_idx = hit_idx[np.argsort(-scores[hit_idx], kind="stable")[::-1]]
         ranks[tied] += _equal_before(scores, hit_idx[tied])
-    hits = np.arange(hit_idx.size, 0, -1)
+    hits = np.arange(n_pos, 0, -1)
     # fsum is exactly rounded, so the result is independent of term order
     return math.fsum(hits / ranks) / n_pos
 
@@ -263,6 +272,14 @@ def _f1(p: float, r: float) -> float:
     return 2.0 * p * r / (p + r) if p + r > 0 else 0.0
 
 
+def _column_counts(mask: np.ndarray) -> np.ndarray:
+    """The True cells of each column of a bool matrix, as float64.
+
+    The bytes are summed as integers, which runs faster than a bool sum.
+    """
+    return np.add.reduce(mask.view(np.uint8), axis=0, dtype=np.int32).astype(np.float64)
+
+
 def prf_suite(scores: np.ndarray, targets: np.ndarray, decision=("sigmoid", 0.5)) -> PrfResult:
     """Per-class and pooled precision/recall/F1 under a fixed decision rule.
 
@@ -274,9 +291,7 @@ def prf_suite(scores: np.ndarray, targets: np.ndarray, decision=("sigmoid", 0.5)
     scores, targets = _checked(scores, targets, 2)
     pred = decide(scores, decision)
     pos = targets == 1
-    tp = np.sum(pred & pos, axis=0).astype(np.float64)
-    n_pred = pred.sum(axis=0).astype(np.float64)
-    n_pos = pos.sum(axis=0).astype(np.float64)
+    tp, n_pred, n_pos = (_column_counts(x) for x in (pred & pos, pred, pos))
 
     included = n_pos > 0
     n_excluded = int(np.sum(~included))

@@ -1,0 +1,38 @@
+"""The code names that ``tools/bench_pairs.py`` writes into a BENCH file."""
+
+import hashlib
+import importlib.util
+from pathlib import Path
+
+_SPEC = importlib.util.spec_from_file_location(
+    "bench_pairs", Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+
+def _checkout(root: Path, files: dict[str, bytes]) -> Path:
+    for name, data in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
+    return root
+
+
+def test_source_digest_hashes_sorted_paths_sizes_and_bytes(tmp_path):
+    checkout = _checkout(tmp_path, {"src/pkg/b.py": b"two", "src/a.py": b"one",
+                                    "src/pkg/__pycache__/b.pyc": b"cache", "README": b"x"})
+    want = hashlib.sha256(b"src/a.py\0" b"3\0" b"one" b"src/pkg/b.py\0" b"3\0" b"two")
+    assert bench_pairs.source_digest(checkout) == want.hexdigest()
+
+
+def test_source_digest_changes_with_bytes_or_names(tmp_path):
+    digests = {bench_pairs.source_digest(_checkout(tmp_path / name, files))
+               for name, files in {"base": {"src/a.py": b"ab", "src/b.py": b""},
+                                   "edited": {"src/a.py": b"ac", "src/b.py": b""},
+                                   "moved": {"src/a.py": b"a", "src/b.py": b"b"},
+                                   "renamed": {"src/c.py": b"ab", "src/b.py": b""}}.items()}
+    assert len(digests) == 4
+
+
+def test_git_head_is_none_outside_a_work_tree(tmp_path):
+    assert bench_pairs.git_head(_checkout(tmp_path, {"src/a.py": b""})) is None

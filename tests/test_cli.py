@@ -75,6 +75,15 @@ class TestBuildGraph:
         assert run(args) == 1
         assert "--vocab" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--annotations", "--vocab", "--knowledge"])
+    def test_invalid_utf8_names_file(self, toy_files, tmp_path, capsys, flag):
+        path = toy_files[flag[2:]]
+        data = path.read_bytes()
+        path.write_bytes(data[:14] + b"\xff" + data[14:])
+        assert run(self.base_args(toy_files, tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert f"error: {path}: not UTF-8 text" in err and "byte 14" in err
+
     def test_outputs_bit_identical_across_runs(self, toy_files, tmp_path):
         args = self.base_args(toy_files, tmp_path)
         assert run(args) == 0

@@ -1,13 +1,15 @@
 """Property tests: the vectorised label pipeline equals the brute-force oracles.
 
 Shapes stay small and scores come from a handful of values, so ties are the
-common case; the sigmoid rule is checked on scores at the edges of its logit
-band.  The block and tile sizes of the vectorised code are shrunk to a few
+common case, or are distinct, so that AP takes its untied path; the sigmoid
+rule is checked on scores at the edges of its logit band.  The block and tile sizes of the vectorised code are shrunk to a few
 rows or columns, so that small inputs still cross their boundaries.  The
-annotation loader is checked against a line-by-line reference, and fuzzed.
+annotation loader is checked against a line-by-line reference on ASCII and
+non-ASCII text with every kind of whitespace and line break, and fuzzed.
 """
 
 import math
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -37,7 +39,9 @@ def annotation_sets(draw):
 @st.composite
 def ranked_columns(draw):
     n = draw(st.integers(1, 25))
-    scores = draw(st.lists(TIED_VALUES, min_size=n, max_size=n))
+    scores = draw(st.one_of(
+        st.lists(TIED_VALUES, min_size=n, max_size=n),
+        st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n, unique=True)))
     targets = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
     if not any(targets):
         targets[draw(st.integers(0, n - 1))] = 1
@@ -132,11 +136,14 @@ def test_sigmoid_decision_equals_plain_rule(case, block_rows):
 # and "a_b_c" resolve through their spaced names; "x_y_z" matches neither
 # "x_y z" nor any other name.
 LOADER_VOCAB = ingest.LabelVocabulary(
-    ("dog", "cat", "sports ball", "sports_ball", "hot dog", "a b c", "x_y z"))
-KNOWN_TOKENS = ["dog", "cat", "sports_ball", "hot_dog", "a_b_c"]
-UNKNOWN_TOKENS = ["horse", "x_y_z", "sports-ball", "_", "Dog"]
-LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
-GAPS = [" ", "\t", "  ", " \t ", "\x1f", "\u3000"]
+    ("dog", "cat", "sports ball", "sports_ball", "hot dog", "a b c", "x_y z", "café"))
+KNOWN_TOKENS = ["dog", "cat", "sports_ball", "hot_dog", "a_b_c", "café"]
+UNKNOWN_TOKENS = ["horse", "x_y_z", "sports-ball", "_", "Dog", "é", "\u200b"]
+# Every break of str.splitlines(), and every other str.isspace() code point.
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+               "\u2029"]
+GAPS = [" ", "\t", "  ", " \t ", "\x1f", "\xa0", "\u1680", *map(chr, range(0x2000, 0x200B)),
+        "\u202f", "\u205f", "\u3000"]
 
 
 def reference_load_annotations(path, vocab):
@@ -164,19 +171,26 @@ def reference_load_annotations(path, vocab):
 
 @st.composite
 def annotation_texts(draw):
-    tokens = KNOWN_TOKENS + UNKNOWN_TOKENS * (draw(st.integers(0, 2)) == 0)
+    # half the texts are ASCII, which the loader reads a byte per code point
+    ascii_only = draw(st.booleans())
+
+    def pool(items):
+        return [x for x in items if x.isascii() or not ascii_only]
+
+    tokens = pool(KNOWN_TOKENS + UNKNOWN_TOKENS * (draw(st.integers(0, 2)) == 0))
+    gap_pool, break_pool = pool(GAPS), pool(LINE_BREAKS)
     parts = []
     for i in range(draw(st.integers(0, 10))):
         if draw(st.integers(0, 5)) == 0:  # a blank or whitespace-only line
-            parts.append(draw(st.sampled_from(["", *GAPS])))
+            parts.append(draw(st.sampled_from(["", *gap_pool])))
         else:
-            sample_id = draw(st.sampled_from([f"img{i}"] * 6 + ["img0", "dog"]))
+            sample_id = draw(st.sampled_from(pool([f"img{i}"] * 6 + ["img0", "dog", f"é{i}"])))
             line = [sample_id, *draw(st.lists(st.sampled_from(tokens), max_size=6))]
-            gaps = draw(st.lists(st.sampled_from(GAPS), min_size=len(line) + 1,
+            gaps = draw(st.lists(st.sampled_from(gap_pool), min_size=len(line) + 1,
                                  max_size=len(line) + 1))
             parts.append(gaps[0] * draw(st.booleans())
                          + "".join(t + g for t, g in zip(line, gaps[1:])))
-        parts.append(draw(st.sampled_from(LINE_BREAKS)))
+        parts.append(draw(st.sampled_from(break_pool)))
     if parts and draw(st.booleans()):
         parts.pop()  # no break after the last line
     return "".join(parts)
@@ -208,6 +222,18 @@ def test_load_annotations_equals_line_by_line_reference(text):
         assert loaded.samples == reference
 
 
+def test_code_point_classes_equal_str_methods():
+    cp = np.arange(sys.maxunicode + 1, dtype=np.uint32)
+    chars = [chr(c) for c in range(sys.maxunicode + 1)]
+    space, breaks = ingest._spaces_and_breaks(cp)
+    npt.assert_array_equal(space, [c.isspace() for c in chars])
+    npt.assert_array_equal(breaks, [i for i, c in enumerate(chars)
+                                    if len(f"a{c}b".splitlines()) == 2])
+    ascii_space, ascii_breaks = ingest._spaces_and_breaks(cp[:128].astype(np.uint8))
+    npt.assert_array_equal(ascii_space, space[:128])
+    npt.assert_array_equal(ascii_breaks, breaks[breaks < 128])
+
+
 VALID_FILE = ("img1 dog cat\nimg2 sports_ball\n\nimg3\nimg4 hot_dog a_b_c dog\n"
               "img5\tcat\r\nimg6 sports_ball sports_ball\n").encode("utf-8")
 
@@ -226,6 +252,8 @@ def test_damaged_annotation_file_fails_only_as_validation_error(cut, flips):
         path.write_bytes(bytes(data))
         try:
             ann = ingest.load_annotations(path, LOADER_VOCAB)
-        except ValueError:  # FormatError and UnicodeDecodeError are ValueErrors
+        except FormatError as exc:
+            # every failure names the file but a repeated id, as the reference's does
+            assert str(path) in str(exc) or str(exc).startswith("duplicate sample_id")
             return
     assert isinstance(ann, AnnotationSet) and ann.n_labels == len(LOADER_VOCAB)

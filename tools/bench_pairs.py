@@ -9,11 +9,16 @@ written holds every run's end-to-end metrics, and per metric each side's
 median and quartiles, the pairs the change won (ties count for neither) and
 whether the gap between the medians exceeds the parent's interquartile
 range.  Both checkouts must hold the same ``bench/`` and ``BENCHMARK.json``.
+
+Each side's code is named twice: by ``git rev-parse HEAD`` in its checkout,
+when that is a git work tree of its own, and by ``source_digest`` of its
+``src/`` files, which also names a copied checkout or uncommitted changes.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -24,6 +29,36 @@ from pathlib import Path
 def _seeds(text: str) -> list[int]:
     lo, _, hi = text.partition("-")
     return list(range(int(lo), int(hi or lo) + 1))
+
+
+def git_head(checkout: Path) -> str | None:
+    """The commit checked out in ``checkout``, or None if it is not a git work tree's root."""
+    try:
+        proc = subprocess.run(["git", "-C", str(checkout), "rev-parse", "--show-toplevel", "HEAD"],
+                              capture_output=True, text=True)
+    except OSError:
+        return None
+    lines = proc.stdout.split()
+    if proc.returncode or len(lines) != 2 or Path(lines[0]).resolve() != checkout.resolve():
+        return None
+    return lines[1]
+
+
+def source_digest(checkout: Path) -> str:
+    """SHA-256 of the files under ``checkout/src``, bytecode caches left out.
+
+    The files are taken in sorted order of their paths relative to the
+    checkout; each adds its path, its size and its bytes to the hash.
+    """
+    files = sorted(path.relative_to(checkout).as_posix()
+                   for path in (checkout / "src").rglob("*")
+                   if path.is_file() and "__pycache__" not in path.parts)
+    digest = hashlib.sha256()
+    for name in files:
+        data = (checkout / name).read_bytes()
+        digest.update(f"{name}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -86,8 +121,10 @@ def main(argv=None) -> int:
         "command": f"python3 bench/run.py --workload {args.workload} --seed SEED "
                    f"--seconds {args.seconds:g} --trace 0",
         "seeds": args.seeds,
-        "parent_sha": first["parent"]["env"]["git_sha"],
-        "change_sha": first["change"]["env"]["git_sha"],
+        "parent_sha": git_head(args.parent),
+        "change_sha": git_head(args.change),
+        "parent_src_sha256": source_digest(args.parent),
+        "change_src_sha256": source_digest(args.change),
         "host": {key: first["change"]["env"][key]
                  for key in ("nproc", "python", "numpy", "blas", "blas_threads")},
         "summary": summarise(pairs, better),
