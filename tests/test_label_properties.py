@@ -2,8 +2,9 @@
 
 Shapes stay small and scores come from a handful of values, so ties are the
 common case, or are distinct, so that AP takes its untied path; the sigmoid
-rule is checked on scores at the edges of its logit band.  The block and tile sizes of the vectorised code are shrunk to a few
-rows or columns, so that small inputs still cross their boundaries.  The
+rule is checked on scores at the edges of its logit band.  The block and
+tile sizes of the vectorised code are shrunk to a few rows or columns, so
+that small inputs still cross their boundaries.  The
 annotation loader is checked against a line-by-line reference on ASCII and
 non-ASCII text with every kind of whitespace and line break, and fuzzed.
 """
