@@ -11,8 +11,8 @@ per-sample containers for the cyclic garbage collector to scan.  Which of
 those tokens open a line it reads off the text's code points, not off a
 second, line-by-line split.
 
-Every loader reads its file through one reader, so a file that is not UTF-8
-fails as a :class:`FormatError` that names it.
+Every loader reads its file through :func:`kssnet.storage.read_text`, so a
+file that is not UTF-8 fails as a :class:`FormatError` that names it.
 
 File formats
 ------------
@@ -32,9 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-
-class FormatError(ValueError):
-    """An input file violates its documented format."""
+from .storage import FormatError, read_text
 
 
 class UnresolvedLabelError(ValueError):
@@ -239,18 +237,9 @@ class EmbeddingTable:
                 )
 
 
-def _read_text(path) -> str:
-    """The file's UTF-8 text; a file that does not decode fails as a FormatError naming it."""
-    data = Path(path).read_bytes()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
-
-
 def load_vocabulary(path) -> LabelVocabulary:
     """Read one label per line; line order defines the indices."""
-    lines = _read_text(path).splitlines()
+    lines = read_text(path).splitlines()
     names = []
     for lineno, raw in enumerate(lines, start=1):
         name = raw.strip()
@@ -337,7 +326,7 @@ def load_annotations(path, vocab: LabelVocabulary) -> AnnotationSet:
     from a second, line-by-line split (``_line_openers``).  No container is
     built per line or per sample.
     """
-    text = _read_text(path)
+    text = read_text(path)
     tokens = text.split()
     is_id = _line_openers(text, len(tokens))
     lengths = np.diff(np.flatnonzero(is_id), append=len(tokens))
@@ -369,7 +358,7 @@ def load_knowledge_edges(path, vocab: LabelVocabulary) -> KnowledgeEdgeList:
     """
     triples = []
     dropped = 0
-    for lineno, raw in enumerate(_read_text(path).splitlines(), 1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), 1):
         if not raw.strip():
             continue
         fields = raw.split("\t")
@@ -402,7 +391,7 @@ def load_embedding_table(path) -> EmbeddingTable:
     """Read a GloVe-style text table; the first line fixes the width."""
     rows: dict[str, np.ndarray] = {}
     dim = None
-    for lineno, raw in enumerate(_read_text(path).splitlines(), 1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), 1):
         if not raw.strip():
             continue
         parts = raw.split()

@@ -193,9 +193,14 @@ class KssModel:
         (B, H, W, C_in) layout the backbone computes in.  Conv weights stay
         (O, C, 3, 3), so checkpoints do not depend on the layout.
 
+        Each backbone stage is ``conv2d`` then ``avg_pool2d(·, 2, slope)``,
+        which applies the LeakyReLU inside its pooling pass, so no
+        full-size activation is made.
+
         ``on_preactivation``, if given, is called with the input of every
         activation as a plain array, in forward order: each GCN layer's
-        (N, C), then each backbone stage's (B, H, W, C) LeakyReLU input.
+        (N, C), then each backbone stage's (B, H, W, C) LeakyReLU input, the
+        conv output.
         """
         x = np.asarray(x)
         if x.ndim != 4 or x.shape[1] != self.in_channels:
@@ -213,8 +218,7 @@ class KssModel:
             )
             if on_preactivation is not None:
                 on_preactivation(h.data)
-            h = ad.leaky_relu(h, self.slope)
-            h = ad.avg_pool2d(h, 2)
+            h = ad.avg_pool2d(h, 2, slope=self.slope)
             if s in self.lc_stages:
                 h = self._inject(h, embeds[s - self.stage_offset], s)
 

@@ -1,7 +1,9 @@
 """On-disk formats for numeric data and configs: one writer and one reader each.
 
 The dataset inputs (vocabulary, annotations, knowledge triples, word
-embedding tables) are parsed in :mod:`kssnet.ingest`.
+embedding tables) are parsed in :mod:`kssnet.ingest`.  Every text file,
+those and the two below, is read through :func:`read_text`, so a file that
+is not UTF-8 fails as a :class:`FormatError` that names it.
 
 Named-tensor file (magic ``KSNTCKPT``), used for model checkpoints and, as a
 file holding exactly one tensor, for binary adjacencies.  Integers are
@@ -38,6 +40,19 @@ import numpy as np
 
 _CKPT_MAGIC = b"KSNTCKPT"
 _CKPT_VERSION = 1
+
+
+class FormatError(ValueError):
+    """An input file violates its documented format."""
+
+
+def read_text(path) -> str:
+    """The file's UTF-8 text; a file that does not decode fails as a FormatError naming it."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
 def save_named_tensors(path, tensors: dict[str, np.ndarray]) -> None:
@@ -100,7 +115,7 @@ def save_matrix_text(a: np.ndarray, path) -> None:
 
 
 def load_matrix_text(path) -> np.ndarray:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise ValueError(f"{path}: empty matrix file")
     try:
@@ -135,7 +150,12 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 
 def load_config(path) -> dict[str, str]:
-    return parse_config_text(Path(path).read_text(encoding="utf-8"))
+    """Parse a config file; every error names the file."""
+    text = read_text(path)
+    try:
+        return parse_config_text(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_config(config: dict, path) -> None:

@@ -1,6 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import kssnet.autodiff as ad
 from kssnet.checks import grad_check
@@ -39,6 +42,26 @@ def conv_inputs(rng, shape):
 def channels_last(a):
     """(B, C, H, W) -> the (B, H, W, C) layout of ``conv2d`` and ``avg_pool2d``."""
     return np.ascontiguousarray(np.moveaxis(a, 1, -1))
+
+
+# (H, W) of every map smaller than a 3x3 or 5x5 kernel that the tests run
+# through the dense path of ``conv2d``, with each padding that fits it, up
+# to k (one wider than k - 1, where some outputs see only padding).
+DENSE_CASES = [(h, w, k, p) for k in (3, 5) for h, w in [(1, 1), (1, 2), (2, 2), (2, 3)]
+               for p in range(k + 1) if h + 2 * p >= k and w + 2 * p >= k]
+
+
+def pool_of_leaky_relu(x, k, slope, g):
+    """``avg_pool2d(leaky_relu(x, slope), k)`` and its input gradient for upstream ``g``,
+    each computed on whole arrays, in the order of operations ``autodiff`` uses."""
+    a = np.where(x >= 0, x, x * slope)
+    out = a[:, ::k, ::k].copy()
+    for u, v in np.ndindex(k, k):
+        if u or v:
+            out += a[:, u::k, v::k]
+    out /= k * k
+    spread = np.repeat(np.repeat(g / (k * k), k, axis=2), k, axis=1)
+    return out, spread * np.where(x >= 0, x.dtype.type(1), x.dtype.type(slope))
 
 
 def conv_loops(x, w, b, padding):
@@ -118,6 +141,18 @@ class TestForward:
             npt.assert_allclose(out, channels_last(conv_loops(x, w, b, padding)), rtol=0,
                                 atol=1e-12, err_msg=f"(B, C, H, W, O, k, padding) = {shape}")
 
+    @pytest.mark.parametrize("h,w,k,padding", DENSE_CASES)
+    def test_conv2d_dense_path_matches_direct_loops(self, h, w, k, padding, monkeypatch):
+        def no_im2col(*args):
+            raise AssertionError("a map smaller than the kernel took the im2col path")
+
+        monkeypatch.setattr(ad, "_conv_im2col", no_im2col)
+        x, wt, b = conv_inputs(np.random.default_rng(17), (3, 2, h, w, 4, k, padding))
+        out = ad.conv2d(ad.Tensor(channels_last(x)), ad.Tensor(wt), ad.Tensor(b),
+                        padding=padding).data
+        assert out.flags.c_contiguous
+        npt.assert_allclose(out, channels_last(conv_loops(x, wt, b, padding)), rtol=0, atol=1e-12)
+
     def test_conv2d_rejects_what_it_cannot_compute(self):
         x, w = ad.Tensor(channels_last(np.ones((1, 2, 3, 3)))), ad.Tensor(np.ones((4, 2, 3, 3)))
         with pytest.raises(ValueError, match="bias shape"):
@@ -159,6 +194,46 @@ class TestForward:
         ref_grad = g * np.where(x >= 0, dtype(1), dtype(slope))
         assert t.grad.dtype == dtype
         npt.assert_array_equal(t.grad.view(np.uint8), ref_grad.view(np.uint8))
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.data())
+    def test_pool_of_leaky_relu_bitwise_equals_the_two_ops(self, data):
+        k = data.draw(st.sampled_from([1, 2, 3]))
+        dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+        slope = data.draw(st.sampled_from([0.2, 0.0, -0.5, 1.0, 1.5]))
+        shape = (data.draw(st.integers(1, 5)), k * data.draw(st.integers(1, 3)),
+                 k * data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)))
+        size = int(np.prod(shape))
+        values = st.one_of(st.sampled_from([np.nan, 0.0, -0.0, np.inf, -np.inf]),
+                           st.floats(-10, 10))
+        x = np.array(data.draw(st.lists(values, min_size=size, max_size=size)),
+                     dtype=dtype).reshape(shape)
+        pooled = (shape[0], shape[1] // k, shape[2] // k, shape[3])
+        g = np.array(data.draw(st.lists(st.floats(-10, 10), min_size=int(np.prod(pooled)),
+                                        max_size=int(np.prod(pooled)))),
+                     dtype=dtype).reshape(pooled)
+        # blocks of one to three samples, the last one short or not
+        per_sample = size // shape[0]
+        budget = data.draw(st.integers(1, 4 * per_sample - 1))
+
+        def run(fused):
+            t = ad.Tensor(x, requires_grad=True)
+            out = ad.avg_pool2d(t, k, slope) if fused else ad.avg_pool2d(ad.leaky_relu(t, slope), k)
+            out.backward(g)
+            return out.data, t.grad
+
+        with np.errstate(all="ignore"), mock.patch.object(ad, "_POOL_BLOCK_ELEMS", budget):
+            (out, grad), (two_out, two_grad) = run(True), run(False)
+            ref_out, ref_grad = pool_of_leaky_relu(x, k, slope, g)
+        assert out.dtype == grad.dtype == dtype
+        npt.assert_array_equal(out.view(np.uint8), two_out.view(np.uint8))
+        npt.assert_array_equal(grad.view(np.uint8), two_grad.view(np.uint8))
+        # Against whole arrays, a NaN may carry another sign: which NaN the
+        # sum of a NaN and a NaN of the other sign is depends on numpy's loop.
+        nan = np.isnan(ref_out)
+        npt.assert_array_equal(np.isnan(out), nan)
+        npt.assert_array_equal(out[~nan].view(np.uint8), ref_out[~nan].view(np.uint8))
+        npt.assert_array_equal(grad.view(np.uint8), ref_grad.view(np.uint8))
 
     def test_bce_saturation_is_finite(self):
         logits = ad.Tensor(np.array([[1000.0, -1000.0]]))
@@ -250,6 +325,29 @@ class TestGradients:
         x0, w0, b0 = conv_inputs(rng, shape)
         x0 = channels_last(x0)
         padding = shape[-1]
+
+        def input_fn(params):
+            x = ad.Tensor(params.reshape(x0.shape), requires_grad=True)
+            out = ad.conv2d(x, ad.Tensor(w0), ad.Tensor(b0), padding=padding)
+            loss = ad.tsum(ad.mul(out, out))
+            loss.backward()
+            return float(loss.data), x.grad.reshape(-1)
+
+        def weight_fn(params):
+            w = ad.Tensor(params.reshape(w0.shape), requires_grad=True)
+            out = ad.conv2d(ad.Tensor(x0), w, ad.Tensor(b0), padding=padding)
+            loss = ad.tsum(ad.mul(out, out))
+            loss.backward()
+            return float(loss.data), w.grad.reshape(-1)
+
+        assert grad_check(input_fn, x0.ravel()) < 1e-7
+        assert grad_check(weight_fn, w0.ravel()) < 1e-7
+
+    @pytest.mark.parametrize("h,w,k,padding", [(2, 2, 3, 1), (2, 3, 5, 2), (1, 2, 3, 2)])
+    def test_conv_dense_path_gradients(self, h, w, k, padding):
+        rng = np.random.default_rng(18)
+        x0, w0, b0 = conv_inputs(rng, (2, 3, h, w, 2, k, padding))
+        x0 = channels_last(x0)
 
         def input_fn(params):
             x = ad.Tensor(params.reshape(x0.shape), requires_grad=True)

@@ -1,4 +1,4 @@
-"""The code names that ``tools/bench_pairs.py`` writes into a BENCH file."""
+"""The code names that ``tools/bench_pairs.py`` writes into a BENCH file, and its benchmark check."""
 
 import hashlib
 import importlib.util
@@ -36,3 +36,26 @@ def test_source_digest_changes_with_bytes_or_names(tmp_path):
 
 def test_git_head_is_none_outside_a_work_tree(tmp_path):
     assert bench_pairs.git_head(_checkout(tmp_path, {"src/a.py": b""})) is None
+
+
+def test_source_digest_takes_files_and_directories_as_roots(tmp_path):
+    checkout = _checkout(tmp_path, {"bench/run.py": b"r", "BENCHMARK.json": b"{}",
+                                    "src/a.py": b"a"})
+    want = hashlib.sha256(b"BENCHMARK.json\0" b"2\0" b"{}" b"bench/run.py\0" b"1\0" b"r")
+    assert bench_pairs.source_digest(checkout, bench_pairs.BENCH_FILES) == want.hexdigest()
+
+
+def test_different_benchmarks_exit_2_before_any_run(tmp_path, monkeypatch, capsys):
+    files = {"bench/run.py": b"r", "BENCHMARK.json": b"{}", "src/a.py": b"a"}
+    parent = _checkout(tmp_path / "parent", files)
+    change = _checkout(tmp_path / "change", {**files, "bench/run.py": b"edited"})
+
+    def no_run(*args):
+        raise AssertionError("a benchmark ran")
+
+    monkeypatch.setattr(bench_pairs, "run", no_run)
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                             "--workload", "toy-train", "--seeds", "1", "--out", str(out)]) == 2
+    assert "different bench or BENCHMARK.json" in capsys.readouterr().err
+    assert not out.exists()

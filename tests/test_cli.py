@@ -155,6 +155,13 @@ class TestInspect:
         assert run(["inspect", "--graph", str(path)]) == 1
         assert str(path) in capsys.readouterr().err
 
+    def test_invalid_utf8_names_file(self, tmp_path, capsys):
+        path = tmp_path / "a.txt"
+        path.write_bytes(b"2 2\n1\xff0\n0 1\n")
+        assert run(["inspect", "--graph", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {path}: not UTF-8 text" in err and "byte 5" in err
+
     def test_module_entry_point_runs_the_cli(self, tmp_path):
         src = str(Path(kssnet.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -207,6 +214,21 @@ class TestEvaluate:
         assert run(["evaluate", "--checkpoint", str(tmp_path / "none.ckpt"),
                     "--config", str(cfg)]) == 1
         assert "checkpoint" in capsys.readouterr().err
+
+    def test_invalid_utf8_config_names_file(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_bytes(b"epochs = 1\nn_train = 4\xff0\n")
+        assert run(["evaluate", "--checkpoint", str(tmp_path / "none.ckpt"),
+                    "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {cfg}: not UTF-8 text" in err and "byte 22" in err
+
+    def test_config_parse_error_names_file(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("epochs = 1\nnonsense\n")
+        assert run(["evaluate", "--checkpoint", str(tmp_path / "none.ckpt"),
+                    "--config", str(cfg)]) == 1
+        assert f"error: {cfg}: line 2: expected 'key = value'" in capsys.readouterr().err
 
     def test_top_k_decision_flag(self, tmp_path, capsys):
         targets = np.array([[1, 0], [0, 1]], dtype=float)

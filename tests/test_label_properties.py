@@ -6,7 +6,8 @@ rule is checked on scores at the edges of its logit band.  The block and
 tile sizes of the vectorised code are shrunk to a few rows or columns, so
 that small inputs still cross their boundaries.  The
 annotation loader is checked against a line-by-line reference on ASCII and
-non-ASCII text with every kind of whitespace and line break, and fuzzed.
+non-ASCII text with every kind of whitespace and line break.  It and the
+two ``storage`` text loaders are fuzzed with truncated and flipped bytes.
 """
 
 import math
@@ -19,7 +20,7 @@ import numpy as np
 import numpy.testing as npt
 from hypothesis import given, settings, strategies as st
 
-from kssnet import autodiff, graph, ingest, metrics
+from kssnet import autodiff, graph, ingest, metrics, storage
 from kssnet.ingest import AnnotationSet, FormatError
 
 import oracles
@@ -237,20 +238,35 @@ def test_code_point_classes_equal_str_methods():
 
 VALID_FILE = ("img1 dog cat\nimg2 sports_ball\n\nimg3\nimg4 hot_dog a_b_c dog\n"
               "img5\tcat\r\nimg6 sports_ball sports_ball\n").encode("utf-8")
+# Each storage text loader with a file it reads without error.
+STORAGE_FILES = {
+    "config": (storage.load_config,
+               "epochs = 3\nlr = 0.01 # step\n\nseed=7\r\nname = café\n".encode("utf-8")),
+    "matrix": (storage.load_matrix_text, b"2 3\n1 0.5 -2\n\n3e-1 0 1e300\n"),
+}
 
 
-@SETTINGS
-@given(st.integers(0, len(VALID_FILE)),
-       st.lists(st.tuples(st.integers(0, len(VALID_FILE) - 1), st.integers(1, 255)),
-                max_size=4))
-def test_damaged_annotation_file_fails_only_as_validation_error(cut, flips):
-    data = bytearray(VALID_FILE[:cut])
+def damaged(valid: bytes):
+    """Strategy: ``valid`` cut short, then with up to four bytes flipped."""
+    flips = st.lists(st.tuples(st.integers(0, len(valid) - 1), st.integers(1, 255)),
+                     max_size=4)
+    return st.builds(_damage, st.just(valid), st.integers(0, len(valid)), flips)
+
+
+def _damage(valid: bytes, cut: int, flips) -> bytes:
+    data = bytearray(valid[:cut])
     for pos, mask in flips:
         if pos < len(data):
             data[pos] ^= mask
+    return bytes(data)
+
+
+@SETTINGS
+@given(damaged(VALID_FILE))
+def test_damaged_annotation_file_fails_only_as_validation_error(data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "annotations.txt"
-        path.write_bytes(bytes(data))
+        path.write_bytes(data)
         try:
             ann = ingest.load_annotations(path, LOADER_VOCAB)
         except FormatError as exc:
@@ -258,3 +274,18 @@ def test_damaged_annotation_file_fails_only_as_validation_error(cut, flips):
             assert str(path) in str(exc) or str(exc).startswith("duplicate sample_id")
             return
     assert isinstance(ann, AnnotationSet) and ann.n_labels == len(LOADER_VOCAB)
+
+
+@SETTINGS
+@given(st.sampled_from(sorted(STORAGE_FILES)).flatmap(
+    lambda kind: st.tuples(st.just(kind), damaged(STORAGE_FILES[kind][1]))))
+def test_damaged_storage_file_fails_only_as_validation_error(case):
+    kind, data = case
+    load = STORAGE_FILES[kind][0]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"{kind}.txt"
+        path.write_bytes(data)
+        try:
+            load(path)
+        except ValueError as exc:
+            assert str(path) in str(exc)

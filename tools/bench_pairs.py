@@ -8,7 +8,8 @@ the change first on odd seeds and the parent first on even ones.  The JSON
 written holds every run's end-to-end metrics, and per metric each side's
 median and quartiles, the pairs the change won (ties count for neither) and
 whether the gap between the medians exceeds the parent's interquartile
-range.  Both checkouts must hold the same ``bench/`` and ``BENCHMARK.json``.
+range.  Both checkouts must hold the same ``bench/`` and ``BENCHMARK.json``;
+when their digests differ it exits with status 2 before the first run.
 
 Each side's code is named twice: by ``git rev-parse HEAD`` in its checkout,
 when that is a git work tree of its own, and by ``source_digest`` of its
@@ -44,14 +45,20 @@ def git_head(checkout: Path) -> str | None:
     return lines[1]
 
 
-def source_digest(checkout: Path) -> str:
-    """SHA-256 of the files under ``checkout/src``, bytecode caches left out.
+# What the benchmark runs besides the code under test.
+BENCH_FILES = ("bench", "BENCHMARK.json")
 
-    The files are taken in sorted order of their paths relative to the
-    checkout; each adds its path, its size and its bytes to the hash.
+
+def source_digest(checkout: Path, roots=("src",)) -> str:
+    """SHA-256 of the files under ``checkout/src``, or ``roots``, bytecode caches left out.
+
+    Each root is a file or a directory relative to the checkout.  The files
+    are taken in sorted order of their paths relative to the checkout; each
+    adds its path, its size and its bytes to the hash.
     """
-    files = sorted(path.relative_to(checkout).as_posix()
-                   for path in (checkout / "src").rglob("*")
+    paths = [checkout / root for root in roots]
+    found = [p for root in paths for p in ([root] if root.is_file() else root.rglob("*"))]
+    files = sorted(path.relative_to(checkout).as_posix() for path in found
                    if path.is_file() and "__pycache__" not in path.parts)
     digest = hashlib.sha256()
     for name in files:
@@ -103,6 +110,11 @@ def main(argv=None) -> int:
     p.add_argument("--seconds", type=float, default=40.0)
     p.add_argument("--out", type=Path, required=True)
     args = p.parse_args(argv)
+    if source_digest(args.parent, BENCH_FILES) != source_digest(args.change, BENCH_FILES):
+        print(f"error: {args.parent} and {args.change} hold different "
+              f"{' or '.join(BENCH_FILES)}; compare the two checkouts on one benchmark",
+              file=sys.stderr)
+        return 2
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
 
