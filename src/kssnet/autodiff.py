@@ -2,10 +2,12 @@
 
 Just enough machinery for the label-graph pathway, lateral connections, and
 the toy backbone: broadcast-aware elementwise ops, batched matmul,
-reshape/axis swap, a few activations, reductions, stride-1 convolution,
-non-overlapping average pooling (optionally of the LeakyReLU of its input),
-and a numerically stable binary cross-entropy head.  Ops are functions;
-``Tensor`` has no arithmetic operators.
+reshape/axis swap, the tanh and LeakyReLU activations, reductions,
+stride-1 convolution, non-overlapping average pooling (optionally of the
+LeakyReLU of its input), and a numerically stable binary cross-entropy
+head.  Ops are functions; ``Tensor`` has no arithmetic operators.  The
+sigmoid is no op: :func:`_sigmoid` is a plain-array helper for the loss
+gradient and for ``metrics.decide``.
 
 Arrays stay in whatever float dtype they arrive in (float64 for gradient
 checks, float32 allowed for training), gradients included; all ops are
@@ -61,9 +63,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    def zero_grad(self):
-        self.grad = None
 
     def backward(self, grad=None):
         """Accumulate gradients of this tensor into the graph's leaves.
@@ -249,29 +248,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     e += 1.0
     out /= e
     return out
-
-
-def sigmoid(a) -> Tensor:
-    a = as_tensor(a)
-    out = _sigmoid(a.data)
-
-    def backward(g):
-        return (g * out * (1.0 - out),)
-
-    return _node(out, (a,), backward)
-
-
-def activate(a, name: str, slope: float = 0.2) -> Tensor:
-    """Dispatch an activation by name: leaky_relu, tanh, sigmoid, identity."""
-    if name == "leaky_relu":
-        return leaky_relu(a, slope)
-    if name == "tanh":
-        return tanh(a)
-    if name == "sigmoid":
-        return sigmoid(a)
-    if name == "identity":
-        return as_tensor(a)
-    raise ValueError(f"unknown activation {name!r}")
 
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:

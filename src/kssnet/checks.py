@@ -117,7 +117,7 @@ def _lc_check(seed: int, spatial: tuple[int, ...], c: int = 3, n_labels: int = 4
         e = ad.Tensor(e_arr, requires_grad=True)
         w = ad.Tensor(w_arr, requires_grad=True)
         b = ad.Tensor(b_arr, requires_grad=True)
-        out = lc_core(x, e, w, b, "tanh")
+        out = lc_core(x, e, w, b)
         loss = ad.tsum(ad.mul(out, out))
         loss.backward()
         return float(loss.data), _pack([x.grad, e.grad, w.grad, b.grad])

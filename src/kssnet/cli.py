@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -175,23 +176,32 @@ def _parse_channels(cfg: dict[str, str], divisor: int | None) -> tuple[int, ...]
 
 
 def _load_toy_setup(config_path, seed_override=None, divisor=None):
-    """Rebuild dataset, graph, and model deterministically from a config file."""
+    """Rebuild dataset, graph, and model deterministically from a config file.
+
+    Every key is read before any work starts; a key the code never reads
+    fails the call, naming the file.  ``seed`` and ``stage_channels`` count
+    as read when a flag overrides them.
+    """
+    path = _positive_file(config_path, "--config")
     try:
-        cfg = storage.load_config(_positive_file(config_path, "--config"))
+        cfg = storage.load_config(path)
     except ValueError as exc:
         raise CliError(str(exc)) from None
+    unread = set(cfg) - {"seed", "stage_channels"}
 
     def get(key, default, cast):
+        unread.discard(key)
         return cast(cfg[key]) if key in cfg else default
 
     seed = seed_override if seed_override is not None else get("seed", 0, int)
     stage_channels = _parse_channels(cfg, divisor)
-    data = synthetic.make_dataset(
+    embed_dim = get("embed_dim", 12, int)
+    data_args = dict(
         n_train=get("n_train", 2000, int),
         n_val=get("n_val", 500, int),
         n_labels=get("n_labels", 8, int),
         size=get("image_size", 16, int),
-        embed_dim=get("embed_dim", 12, int),
+        embed_dim=embed_dim,
         seed=get("data_seed", 0, int),
         weak_amp=get("weak_amp", 0.35, float),
         noise=get("noise", 0.35, float),
@@ -203,23 +213,12 @@ def _load_toy_setup(config_path, seed_override=None, divisor=None):
         binarize_threshold=get("binarize_t", 0.4, float),
     )
     variant = get("graph", "ks", str)
-    if variant == "identity":
-        adjacency = np.eye(data.n_labels)
-    elif variant in ("ks", "statistical", "knowledge"):
-        overrides = {"statistical": 1.0, "knowledge": 0.0}
-        if variant in overrides:
-            gcfg = graph.GraphPipelineConfig(
-                lam=overrides[variant], tau=gcfg.tau, eta=gcfg.eta,
-                binarize_threshold=gcfg.binarize_threshold,
-            )
-        _, adjacency = graph.build_ks_graph(data.annotations, data.knowledge_edges, gcfg)
-    else:
+    if variant not in ("ks", "statistical", "knowledge", "identity"):
         raise CliError(f"config key 'graph' must be ks|statistical|knowledge|identity, got {variant!r}")
-
-    model = KssModel(
-        adjacency=adjacency,
-        n_labels=data.n_labels,
-        embed_dim=get("embed_dim", 12, int),
+    if variant in ("statistical", "knowledge"):
+        gcfg = dataclasses.replace(gcfg, lam=1.0 if variant == "statistical" else 0.0)
+    model_args = dict(
+        embed_dim=embed_dim,
         stage_channels=stage_channels,
         gcn_depth=get("gcn_depth", 4, int),
         lc_stages=None if get("lc", "true", str).lower() in ("true", "1", "yes") else (),
@@ -236,6 +235,15 @@ def _load_toy_setup(config_path, seed_override=None, divisor=None):
         seed=seed,
         stop_at_train_map=get("stop_at_train_map", None, float),
     )
+    if unread:
+        raise CliError(f"{path}: unknown config key(s): {', '.join(sorted(unread))}")
+
+    data = synthetic.make_dataset(**data_args)
+    if variant == "identity":
+        adjacency = np.eye(data.n_labels)
+    else:
+        _, adjacency = graph.build_ks_graph(data.annotations, data.knowledge_edges, gcfg)
+    model = KssModel(adjacency=adjacency, n_labels=data.n_labels, **model_args)
     return data, model, train_cfg, stage_channels
 
 

@@ -36,18 +36,14 @@ class GraphPipelineConfig:
     with the identity, and ``binarize_threshold`` is the conditional
     probability cut used when building the statistical adjacency.
 
-    ``normalize_after_superimpose`` moves the single post-superimposing
-    normalization from after identity mixing (the default) to directly after
-    the convex combination; both placements are defensible readings of the
-    construction and the default keeps ``tau`` acting on convex-combination
-    scale.
+    The superimposed graph is normalized once, after identity mixing, so
+    ``tau`` acts on the scale of the convex combination.
     """
 
     lam: float = 0.4
     tau: float = 0.02
     eta: float = 0.4
     binarize_threshold: float = 0.4
-    normalize_after_superimpose: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
@@ -128,14 +124,12 @@ def statistical_adjacency(m: np.ndarray, counts: np.ndarray, t: float = 0.4) -> 
     return a
 
 
-def knowledge_adjacency(
-    edges: KnowledgeEdgeList, n: int | None = None, symmetric: bool = True
-) -> np.ndarray:
+def knowledge_adjacency(edges: KnowledgeEdgeList, n: int | None = None) -> np.ndarray:
     """Adjacency whose (i, j) entry is the maximum relation weight between i and j.
 
-    Pairs with no relation get 0.  Relation triples are treated as undirected
-    by default (a relation between i and j belongs to both entry pairs); pass
-    ``symmetric=False`` to keep head -> tail direction only.
+    Pairs with no relation get 0.  Relation triples are undirected: a
+    relation between i and j belongs to both entry pairs, so the result is
+    symmetric.
     """
     if n is None:
         n = edges.n_labels
@@ -144,8 +138,7 @@ def knowledge_adjacency(
     a = np.zeros((n, n), dtype=np.float64)
     for head, tail, _, weight in edges.triples:
         a[head, tail] = max(a[head, tail], weight)
-        if symmetric:
-            a[tail, head] = max(a[tail, head], weight)
+        a[tail, head] = max(a[tail, head], weight)
     return a
 
 
@@ -191,12 +184,6 @@ def identity_mix(a_tau: np.ndarray, eta: float) -> np.ndarray:
     return eta * a_tau + (1.0 - eta) * np.eye(a_tau.shape[0])
 
 
-def edge_set(a: np.ndarray) -> list[tuple[int, int]]:
-    """All ordered index pairs with a nonzero entry, in row-major order."""
-    a = np.asarray(a)
-    return [(int(i), int(j)) for i, j in zip(*np.nonzero(a))]
-
-
 def build_ks_graph(
     ann: AnnotationSet,
     edges: KnowledgeEdgeList,
@@ -215,12 +202,8 @@ def build_ks_graph(
     a_s = statistical_adjacency(m, counts, config.binarize_threshold)
     a_k = knowledge_adjacency(edges)
     a = superimpose(normalize(a_s), normalize(a_k), config.lam)
-    if config.normalize_after_superimpose:
-        a = normalize(a)
-    a_tau = threshold_filter(a, config.tau)
-    a_ks = identity_mix(a_tau, config.eta)
-    a_ks_norm = a_ks if config.normalize_after_superimpose else normalize(a_ks)
-    return a_ks, a_ks_norm
+    a_ks = identity_mix(threshold_filter(a, config.tau), config.eta)
+    return a_ks, normalize(a_ks)
 
 
 def graph_summary(a: np.ndarray) -> dict:

@@ -28,7 +28,6 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -92,8 +91,7 @@ class AnnotationSet:
     each access.  ``AnnotationSet(n_labels, samples)`` builds the arrays from
     that view; :meth:`from_rows` builds them from flat label arrays.
 
-    Empty label sets are legal; they are surfaced through
-    :attr:`empty_sample_ids` rather than rejected, since they legitimately
+    Empty label sets are legal, not rejected, since they legitimately
     contribute zero to co-occurrence counts.
     """
 
@@ -167,14 +165,6 @@ class AnnotationSet:
         return tuple((sid, frozenset(labels[lo:hi]))
                      for sid, lo, hi in zip(self.sample_ids, bounds, bounds[1:]))
 
-    @property
-    def empty_sample_ids(self) -> tuple[str, ...]:
-        return tuple(self.sample_ids[i] for i in np.flatnonzero(np.diff(self.indptr) == 0))
-
-    @property
-    def mean_labels_per_sample(self) -> float:
-        return self.indices.size / len(self) if len(self) else 0.0
-
 
 def _raise_first_invalid(n_labels, sample_ids, rows, labels):
     """Raise for the first sample with a repeated id or an out-of-range label."""
@@ -246,11 +236,10 @@ def load_vocabulary(path) -> LabelVocabulary:
         if not name:
             raise FormatError(f"{path}:{lineno}: empty label")
         names.append(name)
-    return LabelVocabulary(tuple(names))
-
-
-def save_vocabulary(vocab: LabelVocabulary, path) -> None:
-    Path(path).write_text("".join(f"{n}\n" for n in vocab.names), encoding="utf-8")
+    try:
+        return LabelVocabulary(tuple(names))
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 class _LabelCodes(dict):
@@ -341,15 +330,6 @@ def load_annotations(path, vocab: LabelVocabulary) -> AnnotationSet:
     return AnnotationSet.from_rows(len(vocab), sample_ids, lengths - 1, labels)
 
 
-def save_annotations(ann: AnnotationSet, vocab: LabelVocabulary, path) -> None:
-    tokens = [name.replace(" ", "_") for name in vocab.names]
-    bounds = ann.indptr.tolist()
-    labels = ann.indices.tolist()
-    with open(path, "w", encoding="utf-8") as fh:
-        for sample_id, lo, hi in zip(ann.sample_ids, bounds, bounds[1:]):
-            fh.write(" ".join([sample_id, *(tokens[i] for i in labels[lo:hi])]) + "\n")
-
-
 def load_knowledge_edges(path, vocab: LabelVocabulary) -> KnowledgeEdgeList:
     """Read TSV relation triples, dropping records that touch unknown labels.
 
@@ -381,12 +361,6 @@ def load_knowledge_edges(path, vocab: LabelVocabulary) -> KnowledgeEdgeList:
     return KnowledgeEdgeList(len(vocab), tuple(triples), dropped)
 
 
-def save_knowledge_edges(edges: KnowledgeEdgeList, vocab: LabelVocabulary, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for head, tail, relation, weight in edges.triples:
-            fh.write(f"{vocab.names[head]}\t{relation}\t{vocab.names[tail]}\t{weight!r}\n")
-
-
 def load_embedding_table(path) -> EmbeddingTable:
     """Read a GloVe-style text table; the first line fixes the width."""
     rows: dict[str, np.ndarray] = {}
@@ -411,12 +385,6 @@ def load_embedding_table(path) -> EmbeddingTable:
     if dim is None:
         raise FormatError(f"{path}: empty embedding table")
     return EmbeddingTable(dim, rows)
-
-
-def save_embedding_table(table: EmbeddingTable, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for token, vec in table.rows.items():
-            fh.write(" ".join([token, *(repr(float(v)) for v in vec)]) + "\n")
 
 
 def build_initial_embeddings(table: EmbeddingTable, vocab: LabelVocabulary) -> np.ndarray:

@@ -47,33 +47,6 @@ _AP_BLOCK_COLS = 8
 _AP_TILE_ROWS = 256
 
 
-def average_precision(scores: np.ndarray, targets: np.ndarray) -> float:
-    """AP of one class from per-sample scores and binary targets.
-
-    Undefined (raises) when there is no positive target; callers that tolerate
-    positive-free classes should skip them, as ``map_score`` does.
-
-    The ranks of the positives are counted, not read off a full argsort: in
-    descending stable order, sample i sits at rank ``#{s_j > s_i} + #{j < i :
-    s_j == s_i} + 1``.  Each column is sorted once and its positives' scores
-    once; the first count comes from one ``searchsorted(side="right")`` of
-    the latter into the former.  A positive's score is tied when the score
-    sorted just below the last copy of it equals it.  Only then is the
-    second count nonzero: a column with a tied positive puts its positives
-    in stable order and takes the count from one grouped pass over the
-    samples that share a tied score.  Without ties the sorted scores are
-    that order already, so the k-th positive from the top gets hit count k
-    either way.  Each term ``hits / rank`` is therefore the quotient of the
-    same two integers as in the rank walk, and ``math.fsum`` makes the sum
-    independent of the order of the terms: the result is bitwise that of the
-    walk.
-    """
-    scores, targets = _checked(scores, targets, 1)
-    if not np.all(np.isfinite(scores)):
-        raise ValueError("scores must be finite")
-    return _average_precision(scores, targets)
-
-
 def _checked(scores, targets, ndim: int) -> tuple[np.ndarray, np.ndarray]:
     """Scores as float64 and targets as given, once their shapes and targets are valid."""
     scores = np.asarray(scores, dtype=np.float64)
@@ -89,11 +62,18 @@ def _checked(scores, targets, ndim: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _average_precision(scores: np.ndarray, targets: np.ndarray) -> float:
-    """``average_precision`` of inputs already checked."""
+    """AP of one class from checked, finite scores and 0/1 targets with a positive.
+
+    The ranks of the positives are counted as the module docstring says: in
+    descending stable order, sample i sits at rank ``#{s_j > s_i} + #{j < i :
+    s_j == s_i} + 1``, and the second count is taken only in a column with
+    a tied positive.  Each term ``hits / rank`` is the quotient of the same
+    two integers as in the rank walk, and ``math.fsum`` makes the sum
+    independent of the order of the terms, so the result is bitwise that of
+    the walk.
+    """
     hit_idx = np.flatnonzero(targets == 1)
     n_pos = hit_idx.size
-    if n_pos == 0:
-        raise ValueError("average precision is undefined without positive targets")
     ascending = np.sort(scores)
     # positives in ascending score order (searchsorted runs fastest on sorted
     # queries); the k-th from the end has hit count k

@@ -64,6 +64,11 @@ class KssModel:
     and the final layer's output is the classifier.  The paired stage and
     layer must agree on channel width, so ``stage_channels[S-L:]`` is also
     the GCN channel schedule.
+
+    The activations are fixed: every GCN layer and backbone stage applies
+    LeakyReLU with slope ``slope`` below zero, and every lateral connection
+    applies tanh to its embeddings (:func:`lateral.lc_core`).  Every
+    parameter, lateral biases included, is trainable.
     """
 
     def __init__(
@@ -75,9 +80,6 @@ class KssModel:
         gcn_depth: int = 4,
         in_channels: int = 3,
         lc_stages: tuple[int, ...] | None = None,
-        lc_activation: str = "tanh",
-        lc_bias: bool = True,
-        gcn_activation: str = "leaky_relu",
         slope: float = 0.2,
         dropout_rate: float = 0.5,
         seed: int = 0,
@@ -109,9 +111,6 @@ class KssModel:
         self.gcn_depth = gcn_depth
         self.in_channels = in_channels
         self.lc_stages = lc_stages
-        self.lc_activation = lc_activation
-        self.lc_bias = lc_bias
-        self.gcn_activation = gcn_activation
         self.slope = slope
         self.dropout_rate = dropout_rate
         self.seed = seed
@@ -141,10 +140,10 @@ class KssModel:
             c = stage_channels[s]
             w = rng.normal(0.0, np.sqrt(2.0 / n_labels), size=(c, n_labels))
             self._add_param(f"lc.{s}.g.weight", w, np_dtype)
-            self._add_param(f"lc.{s}.g.bias", np.zeros(c), np_dtype, trainable=lc_bias)
+            self._add_param(f"lc.{s}.g.bias", np.zeros(c), np_dtype)
 
-    def _add_param(self, name: str, value: np.ndarray, np_dtype, trainable: bool = True) -> None:
-        self._params[name] = ad.Tensor(np.asarray(value, dtype=np_dtype), requires_grad=trainable)
+    def _add_param(self, name: str, value: np.ndarray, np_dtype) -> None:
+        self._params[name] = ad.Tensor(np.asarray(value, dtype=np_dtype), requires_grad=True)
 
     @property
     def stage_offset(self) -> int:
@@ -174,7 +173,7 @@ class KssModel:
             h = ad.matmul(ad.matmul(self.adjacency, e), self._params[f"gcn.layer{layer}.W"])
             if on_preactivation is not None:
                 on_preactivation(h.data)
-            e = ad.activate(h, self.gcn_activation, self.slope)
+            e = ad.leaky_relu(h, self.slope)
             outs.append(e)
         return outs
 
@@ -237,7 +236,6 @@ class KssModel:
             e,
             self._params[f"lc.{stage}.g.weight"],
             self._params[f"lc.{stage}.g.bias"],
-            self.lc_activation,
         )
         return ad.reshape(out, h.shape)
 
@@ -263,24 +261,6 @@ class KssModel:
 
     def load(self, path) -> None:
         self.load_state_dict(storage.load_named_tensors(path))
-
-    def config_dict(self) -> dict:
-        """Constructor arguments needed to rebuild this model (not the weights)."""
-        return {
-            "n_labels": self.n_labels,
-            "embed_dim": self.embed_dim,
-            "stage_channels": self.stage_channels,
-            "gcn_depth": self.gcn_depth,
-            "in_channels": self.in_channels,
-            "lc_stages": self.lc_stages,
-            "lc_activation": self.lc_activation,
-            "lc_bias": self.lc_bias,
-            "gcn_activation": self.gcn_activation,
-            "slope": self.slope,
-            "dropout_rate": self.dropout_rate,
-            "seed": self.seed,
-            "dtype": self.dtype,
-        }
 
 
 def predict(model: KssModel, x: np.ndarray, e0: np.ndarray, batch_size: int = 256) -> np.ndarray:
@@ -323,10 +303,6 @@ class Adam:
         # float64 work arrays for the update, reused every step
         self._scratch = {name: (np.empty(p.data.shape), np.empty(p.data.shape))
                          for name, p in named_params}
-
-    def zero_grad(self) -> None:
-        for _, p in self.items:
-            p.grad = None
 
     def step(self) -> None:
         """One update, computed in place in each parameter's two work arrays.
@@ -416,37 +392,3 @@ def train_toy(
         if cfg.stop_at_train_map is not None and record["train_map"] >= cfg.stop_at_train_map:
             break
     return history
-
-
-def make_depth_variant(model: KssModel, depth: int, seed: int | None = None) -> KssModel:
-    """Shallower copy: drop leading GCN layers and their lateral connections.
-
-    The first surviving layer is re-initialized to consume the initial
-    embeddings directly (its input width changes to ``embed_dim``); all other
-    parameters are copied.  ``depth`` equal to the current depth returns an
-    identical copy.
-    """
-    if depth < 2:
-        raise ValueError(f"depth must be >= 2, got {depth}")
-    if depth > model.gcn_depth:
-        raise ValueError(f"depth {depth} exceeds model depth {model.gcn_depth}")
-    new_offset = len(model.stage_channels) - depth
-    surviving_lc = tuple(s for s in model.lc_stages if s >= new_offset)
-    variant = KssModel(
-        adjacency=np.array(model.adjacency.data, dtype=np.float64),
-        **{**model.config_dict(), "gcn_depth": depth, "lc_stages": surviving_lc,
-           "seed": model.seed if seed is None else seed},
-    )
-    dropped = model.gcn_depth - depth
-    state = model.state_dict()
-    new_state = variant.state_dict()
-    for name in new_state:
-        if name.startswith("gcn.layer"):
-            layer = int(name.split(".")[1][len("layer"):])
-            if layer == 0 and dropped > 0:
-                continue  # retargeted layer keeps its fresh initialization
-            new_state[name] = state[f"gcn.layer{layer + dropped}.W"]
-        elif name in state:
-            new_state[name] = state[name]
-    variant.load_state_dict(new_state)
-    return variant

@@ -1,4 +1,5 @@
-"""On-disk formats for numeric data and configs: one writer and one reader each.
+"""On-disk formats for numeric data and configs: a writer and a reader for
+each numeric format, a reader for configs.
 
 The dataset inputs (vocabulary, annotations, knowledge triples, word
 embedding tables) are parsed in :mod:`kssnet.ingest`.  Every text file,
@@ -19,7 +20,8 @@ little-endian::
       data     prod(shape) x float64, row-major (one value when ndim = 0)
 
 Nothing follows the last tensor.  A field or payload that runs past the end
-of the file, and any trailing byte, is a ``ValueError`` naming the file.
+of the file, any trailing byte, and a shape numpy cannot hold are each a
+``ValueError`` naming the file.
 
 Text matrix, used for adjacencies, score and target matrices and initial
 embeddings: a ``rows cols`` header line, then one line per row of
@@ -98,7 +100,10 @@ def load_named_tensors(path) -> dict[str, np.ndarray]:
         (ndim,) = struct.unpack("<B", take(1, f"{name!r} ndim"))
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"{name!r} shape"))
         data = take(8 * math.prod(shape), f"{name!r} data")
-        tensors[name] = np.frombuffer(data, dtype="<f8").reshape(shape).astype(np.float64)
+        try:
+            tensors[name] = np.frombuffer(data, dtype="<f8").reshape(shape).astype(np.float64)
+        except ValueError as exc:  # an empty tensor whose other dimensions overflow
+            raise ValueError(f"{path}: tensor {name!r} of shape {shape}: {exc}") from None
     if offset != len(blob):
         raise ValueError(f"{path}: {len(blob) - offset} trailing bytes after the last tensor")
     return tensors
@@ -157,8 +162,3 @@ def load_config(path) -> dict[str, str]:
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
-
-def save_config(config: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for key, value in config.items():
-            fh.write(f"{key} = {value}\n")

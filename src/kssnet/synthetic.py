@@ -47,7 +47,6 @@ class ToyData:
     annotations: AnnotationSet  # training-split annotations
     knowledge_edges: KnowledgeEdgeList
     table: EmbeddingTable
-    true_conditionals: np.ndarray  # analytic P(j | i)
 
     @property
     def n_labels(self) -> int:
@@ -188,5 +187,4 @@ def make_dataset(
         annotations=make_annotations(y_train, n_labels),
         knowledge_edges=toy_knowledge_edges(vocab),
         table=table,
-        true_conditionals=true_conditionals(n_labels, p_strong, cond_hi, cond_lo),
     )

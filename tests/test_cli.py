@@ -1,4 +1,5 @@
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ import numpy.testing as npt
 import pytest
 
 import kssnet
-from kssnet import cli, graph, storage
+from kssnet import cli, storage
 
 
 @pytest.fixture
@@ -84,6 +85,11 @@ class TestBuildGraph:
         err = capsys.readouterr().err
         assert f"error: {path}: not UTF-8 text" in err and "byte 14" in err
 
+    def test_duplicate_vocabulary_label_names_file(self, toy_files, tmp_path, capsys):
+        toy_files["vocab"].write_text("dog\ncat\nball\ncat\n")
+        assert run(self.base_args(toy_files, tmp_path)) == 1
+        assert f"error: {toy_files['vocab']}: duplicate label 'cat'" in capsys.readouterr().err
+
     def test_outputs_bit_identical_across_runs(self, toy_files, tmp_path):
         args = self.base_args(toy_files, tmp_path)
         assert run(args) == 0
@@ -109,7 +115,7 @@ class TestBuildGraph:
         out = capsys.readouterr().out
         reported = int([l for l in out.splitlines() if l.startswith("nnz=")][0].split("=")[1])
         a = storage.load_matrix_text(tmp_path / "a.txt")
-        assert reported == len(graph.edge_set(a))
+        assert reported == np.count_nonzero(a)
 
 
 class TestInspect:
@@ -141,6 +147,14 @@ class TestInspect:
         path.write_bytes(path.read_bytes()[:-30])
         assert run(["inspect", "--graph", str(path), "--binary"]) == 1
         assert str(path) in capsys.readouterr().err
+
+    def test_unrepresentable_shape_is_validation_error(self, tmp_path, capsys):
+        # an empty tensor whose other two dimensions overflow numpy's size
+        path = tmp_path / "a.bin"
+        path.write_bytes(b"KSNTCKPT" + struct.pack("<IIH", 1, 1, 1) + b"a"
+                         + struct.pack("<B3I", 3, 0, 2 ** 32 - 1, 2 ** 32 - 1))
+        assert run(["inspect", "--graph", str(path), "--binary"]) == 1
+        assert f"error: {path}: tensor 'a'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", [
         "2\n1 0\n0 1\n",  # the retired single-N header
@@ -285,6 +299,25 @@ class TestTrainAndEvaluate:
         assert run(["train-toy", "--config", str(cfg), "--checkpoint",
                     str(tmp_path / "m.ckpt"), "--history", str(tmp_path / "h.csv")]) == 1
         assert "dtype" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train-toy", "evaluate"])
+    def test_unknown_config_key_names_file_and_key(self, tmp_path, capsys, command):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("epochs = 1\nepoch = 1\nn_train = 16\nn_val = 8\nlamda = 0.5\n")
+        args = {"train-toy": ["--history", str(tmp_path / "h.csv")], "evaluate": []}[command]
+        assert run([command, "--config", str(cfg), "--checkpoint", str(tmp_path / "m.ckpt"),
+                    *args]) == 1
+        assert f"error: {cfg}: unknown config key(s): epoch, lamda" in capsys.readouterr().err
+        assert not (tmp_path / "h.csv").exists()
+
+    def test_overridden_keys_count_as_read(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("epochs = 0\nn_train = 16\nn_val = 8\nseed = 3\nstage_channels = 8,16\n")
+        assert run(["train-toy", "--config", str(cfg), "--checkpoint",
+                    str(tmp_path / "m.ckpt"), "--history", str(tmp_path / "h.csv"),
+                    "--seed", "5", "--channel-divisor", "32"]) == 0
+        out = capsys.readouterr().out
+        assert "seed=5" in out and "stage_channels=8,16,32,64" in out
 
     def test_bad_divisor_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"

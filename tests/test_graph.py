@@ -120,10 +120,7 @@ class TestKnowledgeAdjacency:
     def test_symmetric_by_default(self):
         a = graph.knowledge_adjacency(KnowledgeEdgeList(2, ((0, 1, "r", 0.7),)))
         assert a[1, 0] == 0.7
-        directed = graph.knowledge_adjacency(
-            KnowledgeEdgeList(2, ((0, 1, "r", 0.7),)), symmetric=False
-        )
-        assert directed[1, 0] == 0.0
+        npt.assert_array_equal(a, a.T)
 
 
 class TestNormalize:
@@ -246,20 +243,6 @@ class TestIdentityMix:
         npt.assert_array_equal(out[off], eta * a[off])
 
 
-class TestEdgeSet:
-    def test_identity(self):
-        assert graph.edge_set(np.eye(2)) == [(0, 0), (1, 1)]
-
-    def test_zero_matrix(self):
-        assert graph.edge_set(np.zeros((3, 3))) == []
-
-    def test_matches_scan_oracle(self):
-        rng = np.random.default_rng(10)
-        a = np.where(rng.random((6, 6)) < 0.3, rng.random((6, 6)), 0.0)
-        expected = [(i, j) for i in range(6) for j in range(6) if a[i, j] != 0]
-        assert graph.edge_set(a) == expected
-
-
 class TestPipeline:
     def _inputs(self, seed=11, n=5):
         rng = np.random.default_rng(seed)
@@ -290,18 +273,6 @@ class TestPipeline:
         )
         npt.assert_allclose(a_ks, ref_ks, rtol=0, atol=1e-12)
         npt.assert_allclose(a_norm, ref_norm, rtol=0, atol=1e-12)
-
-    def test_alternate_normalization_point(self):
-        ann, edges = self._inputs()
-        cfg = graph.GraphPipelineConfig(lam=0.4, tau=0.02, eta=0.4,
-                                        normalize_after_superimpose=True)
-        a_ks, a_norm = graph.build_ks_graph(ann, edges, cfg)
-        ref_ks, ref_norm = oracles.pipeline_oracle(
-            ann.samples, edges.triples, 5, 0.4, 0.02, 0.4, 0.4,
-            normalize_after_superimpose=True,
-        )
-        npt.assert_allclose(a_ks, ref_ks, rtol=0, atol=1e-12)
-        npt.assert_array_equal(a_ks, a_norm)
 
     def test_vocabulary_size_mismatch_rejected(self):
         ann, _ = self._inputs(n=5)

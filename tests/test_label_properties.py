@@ -6,11 +6,13 @@ rule is checked on scores at the edges of its logit band.  The block and
 tile sizes of the vectorised code are shrunk to a few rows or columns, so
 that small inputs still cross their boundaries.  The
 annotation loader is checked against a line-by-line reference on ASCII and
-non-ASCII text with every kind of whitespace and line break.  It and the
-two ``storage`` text loaders are fuzzed with truncated and flipped bytes.
+non-ASCII text with every kind of whitespace and line break.  Every file
+loader is fuzzed with truncated and flipped bytes, the checkpoint reader
+with flipped bytes only (``test_model.py`` tries every truncation of one).
 """
 
 import math
+import struct
 import sys
 import tempfile
 from pathlib import Path
@@ -18,7 +20,7 @@ from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kssnet import autodiff, graph, ingest, metrics, storage
 from kssnet.ingest import AnnotationSet, FormatError
@@ -72,7 +74,8 @@ def test_cooccurrence_counts_match_oracle(case, block_rows):
 @given(ranked_columns())
 def test_average_precision_equals_oracle_bitwise(case):
     scores, targets = case
-    assert metrics.average_precision(scores, targets) == oracles.ap_oracle(scores, targets)
+    column = metrics.per_class_ap(np.array(scores)[:, None], np.array(targets)[:, None])
+    assert column[0] == oracles.ap_oracle(scores, targets)
 
 
 @SETTINGS
@@ -244,13 +247,29 @@ STORAGE_FILES = {
                "epochs = 3\nlr = 0.01 # step\n\nseed=7\r\nname = café\n".encode("utf-8")),
     "matrix": (storage.load_matrix_text, b"2 3\n1 0.5 -2\n\n3e-1 0 1e300\n"),
 }
+# Each other dataset-input loader with a file it reads without error.
+INPUT_FILES = {
+    "vocabulary": (ingest.load_vocabulary, "dog\ncat\nsports ball\ncafé\nhot dog\n".encode("utf-8")),
+    "knowledge": (lambda path: ingest.load_knowledge_edges(path, LOADER_VOCAB),
+                  "dog\tis a\tcat\t1.0\nsports_ball\tused for\thot dog\t0.5\n\n"
+                  "café\trelated to\thorse\t2e-3\n".encode("utf-8")),
+    "embedding": (ingest.load_embedding_table,
+                  "dog 1.0 -2.5 3e-1\ncat 0 0.5 1e300\n\ncafé 1 2 3\n".encode("utf-8")),
+}
+# A checkpoint of a scalar and a 2x3 matrix, in the documented layout.
+CHECKPOINT = (b"KSNTCKPT" + struct.pack("<II", 1, 2)
+              + struct.pack("<H", 5) + b"scale" + struct.pack("<Bd", 0, 2.5)
+              + struct.pack("<H", 1) + b"w" + struct.pack("<B2I", 2, 2, 3)
+              + np.arange(6.0).astype("<f8").tobytes())
 
 
-def damaged(valid: bytes):
-    """Strategy: ``valid`` cut short, then with up to four bytes flipped."""
+def damaged(valid: bytes, truncate: bool = True):
+    """Strategy: ``valid`` cut short (unless ``truncate`` is False), then with
+    up to four bytes flipped."""
     flips = st.lists(st.tuples(st.integers(0, len(valid) - 1), st.integers(1, 255)),
                      max_size=4)
-    return st.builds(_damage, st.just(valid), st.integers(0, len(valid)), flips)
+    cut = st.integers(0, len(valid)) if truncate else st.just(len(valid))
+    return st.builds(_damage, st.just(valid), cut, flips)
 
 
 def _damage(valid: bytes, cut: int, flips) -> bytes:
@@ -276,16 +295,40 @@ def test_damaged_annotation_file_fails_only_as_validation_error(data):
     assert isinstance(ann, AnnotationSet) and ann.n_labels == len(LOADER_VOCAB)
 
 
-@SETTINGS
-@given(st.sampled_from(sorted(STORAGE_FILES)).flatmap(
-    lambda kind: st.tuples(st.just(kind), damaged(STORAGE_FILES[kind][1]))))
-def test_damaged_storage_file_fails_only_as_validation_error(case):
-    kind, data = case
-    load = STORAGE_FILES[kind][0]
+def _load_damaged(load, name: str, data: bytes) -> None:
+    """``load`` a file ``name`` holding ``data``; only a ValueError naming the file may escape."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / f"{kind}.txt"
+        path = Path(tmp) / name
         path.write_bytes(data)
         try:
             load(path)
         except ValueError as exc:
             assert str(path) in str(exc)
+
+
+def _damaged_kinds(files):
+    return st.sampled_from(sorted(files)).flatmap(
+        lambda kind: st.tuples(st.just(kind), damaged(files[kind][1])))
+
+
+@SETTINGS
+@given(_damaged_kinds(STORAGE_FILES))
+def test_damaged_storage_file_fails_only_as_validation_error(case):
+    kind, data = case
+    _load_damaged(STORAGE_FILES[kind][0], f"{kind}.txt", data)
+
+
+@SETTINGS
+@given(_damaged_kinds(INPUT_FILES))
+def test_damaged_input_file_fails_only_as_validation_error(case):
+    kind, data = case
+    _load_damaged(INPUT_FILES[kind][0], f"{kind}.txt", data)
+
+
+@SETTINGS
+@given(damaged(CHECKPOINT, truncate=False))
+# the scalar's ndim byte (offset 23) turned to 9: its shape takes in the bytes
+# after it, an empty tensor whose other dimensions overflow numpy's size
+@example(_damage(CHECKPOINT, len(CHECKPOINT), [(23, 9)]))
+def test_flipped_checkpoint_fails_only_as_validation_error(data):
+    _load_damaged(storage.load_named_tensors, "model.ckpt", data)

@@ -9,18 +9,18 @@ from kssnet.checks import grad_check, lc_2d_check, lc_3d_check
 import oracles
 
 
-def lc(x, e, w, b, activation="tanh"):
+def lc(x, e, w, b):
     """Lateral connection on one (C, ...) feature map through ``lc_core`` on its (S, C) positions."""
     xf = ad.Tensor(x.reshape(x.shape[0], -1).T)
-    out = lateral.lc_core(xf, ad.Tensor(e), ad.Tensor(w), ad.Tensor(b), activation)
+    out = lateral.lc_core(xf, ad.Tensor(e), ad.Tensor(w), ad.Tensor(b))
     return out.data.T.reshape(x.shape)
 
 
-def lc_grads(x, e, w, b, upstream, activation="tanh"):
+def lc_grads(x, e, w, b, upstream):
     """Reverse-mode gradients ``(grad_x, grad_e, grad_w, grad_b)`` for an upstream gradient."""
     xt = ad.Tensor(x.reshape(x.shape[0], -1).T, requires_grad=True)
     et, wt, bt = (ad.Tensor(a, requires_grad=True) for a in (e, w, b))
-    out = lateral.lc_core(xt, et, wt, bt, activation)
+    out = lateral.lc_core(xt, et, wt, bt)
     out.backward(upstream.reshape(x.shape[0], -1).T)
     return xt.grad.T.reshape(x.shape), et.grad, wt.grad, bt.grad
 
@@ -82,8 +82,8 @@ class TestForward2d:
         e = rng.normal(size=(3, 4))
         w = rng.normal(size=(4, 3))
         b = rng.normal(size=4)
-        y2 = lc(x, e, w, b, "sigmoid")
-        y3 = lc(x[:, None], e, w, b, "sigmoid")
+        y2 = lc(x, e, w, b)
+        y3 = lc(x[:, None], e, w, b)
         npt.assert_array_equal(y3[:, 0], y2)
 
     def test_spatial_permutation_equivariance(self):
@@ -154,7 +154,7 @@ class TestBackward:
     def test_upstream_shape_checked(self):
         xf = ad.Tensor(np.zeros((4, 2)), requires_grad=True)
         out = lateral.lc_core(xf, ad.Tensor(np.zeros((3, 2))), ad.Tensor(np.zeros((2, 3))),
-                              ad.Tensor(np.zeros(2)), "tanh")
+                              ad.Tensor(np.zeros(2)))
         with pytest.raises(ValueError, match="gradient shape"):
             out.backward(np.zeros((6, 2)))
 
@@ -182,10 +182,6 @@ class TestBackward:
 
 
 class TestParams:
-    def test_bad_activation_rejected(self):
-        with pytest.raises(ValueError, match="activation"):
-            lc(np.zeros((2, 3, 3)), np.zeros((3, 2)), np.zeros((2, 3)), np.zeros(2), "relu")
-
     def test_bias_shape_checked(self):
         with pytest.raises(ValueError):
             lc(np.zeros((2, 3, 3)), np.zeros((3, 2)), np.zeros((2, 3)), np.zeros(3))

@@ -19,21 +19,28 @@ def top_k_reference(scores, k):
     return pred
 
 
+def average_precision(scores, targets):
+    """AP of one class: ``per_class_ap`` of the one-column matrix."""
+    return metrics.per_class_ap(np.asarray(scores)[:, None], np.asarray(targets)[:, None])[0]
+
+
 class TestAveragePrecision:
     def test_perfect_ranking(self):
-        assert metrics.average_precision([0.9, 0.8, 0.1], [1, 1, 0]) == 1.0
+        assert average_precision([0.9, 0.8, 0.1], [1, 1, 0]) == 1.0
 
     def test_hand_case(self):
-        ap = metrics.average_precision(np.array([0.9, 0.8, 0.7]), np.array([0, 1, 1]))
+        ap = average_precision(np.array([0.9, 0.8, 0.7]), np.array([0, 1, 1]))
         assert ap == pytest.approx(7.0 / 12.0, abs=1e-15)
 
     def test_all_positive(self):
         rng = np.random.default_rng(0)
-        assert metrics.average_precision(rng.normal(size=6), np.ones(6)) == 1.0
+        assert average_precision(rng.normal(size=6), np.ones(6)) == 1.0
 
     def test_no_positives_rejected(self):
+        # a class without positives has no AP: NaN in its column, an error for the mAP
+        assert np.isnan(average_precision([0.5, 0.2], [0, 0]))
         with pytest.raises(ValueError, match="positive"):
-            metrics.average_precision([0.5, 0.2], [0, 0])
+            metrics.map_score([[0.5], [0.2]], [[0], [0]])
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(1)
@@ -42,15 +49,15 @@ class TestAveragePrecision:
             targets = (rng.random(10) < 0.4).astype(int)
             if targets.sum() == 0:
                 targets[0] = 1
-            base = metrics.average_precision(scores, targets)
+            base = average_precision(scores, targets)
             for transform in (lambda s: 3 * s + 2, np.exp, lambda s: s ** 3):
-                assert metrics.average_precision(transform(scores), targets) == base
+                assert average_precision(transform(scores), targets) == base
 
     def test_tie_broken_by_original_order(self):
         # equal scores keep input order: the positive sits at rank 2
-        ap = metrics.average_precision([0.5, 0.5], [0, 1])
+        ap = average_precision([0.5, 0.5], [0, 1])
         assert ap == pytest.approx(0.5)
-        ap = metrics.average_precision([0.5, 0.5], [1, 0])
+        ap = average_precision([0.5, 0.5], [1, 0])
         assert ap == 1.0
 
     def test_matches_oracle_on_random_cases(self):
@@ -61,7 +68,7 @@ class TestAveragePrecision:
             targets = (rng.random(n) < 0.5).astype(int)
             if targets.sum() == 0:
                 targets[int(rng.integers(0, n))] = 1
-            mine = metrics.average_precision(scores, targets)
+            mine = average_precision(scores, targets)
             ref = oracles.ap_oracle([float(s) for s in scores], [int(t) for t in targets])
             assert mine == ref
 
@@ -80,20 +87,20 @@ class TestAveragePrecision:
                 targets = np.ones(n, dtype=int)
             if targets.sum() == 0:
                 targets[int(rng.integers(0, n))] = 1
-            mine = metrics.average_precision(scores, targets)
+            mine = average_precision(scores, targets)
             assert mine == oracles.ap_oracle(scores.tolist(), targets.tolist())
 
     def test_signed_zeros_tie(self):
         scores = np.array([0.0, -0.0, 0.0, -0.0, 1.0])
         for targets in ([0, 1, 0, 1, 0], [1, 0, 0, 0, 0], [0, 0, 0, 1, 1]):
-            mine = metrics.average_precision(scores, targets)
+            mine = average_precision(scores, targets)
             assert mine == oracles.ap_oracle(scores.tolist(), targets)
 
     @pytest.mark.parametrize("bad", [2, -1, 0.5])
     def test_non_binary_targets_rejected(self, bad):
         # a 2 would count as a hit but not as a positive: AP 2.0
         with pytest.raises(ValueError, match="targets must be 0 or 1"):
-            metrics.average_precision([0.9, 0.8, 0.7], [1, bad, 0])
+            average_precision([0.9, 0.8, 0.7], [1, bad, 0])
 
 
 class TestMapScore:

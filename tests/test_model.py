@@ -74,7 +74,8 @@ class TestForward:
             m.forward(np.zeros((2, 1, 8, 8)), np.zeros((8, 4)))
 
     def test_predict_builds_no_graph_and_matches_forward(self):
-        m = tiny_model(lc_bias=False)
+        m = tiny_model()
+        m.param("lc.0.g.bias").requires_grad = False  # predict must restore a False flag too
         rng = np.random.default_rng(5)
         x, e0 = rng.normal(size=(5, 3, 8, 8)), rng.normal(size=(8, 4))
         with_graph = [m.forward(x[i:i + 2], e0) for i in range(0, 5, 2)]
@@ -375,64 +376,6 @@ class TestAdam:
             assert p.grad is not None and p.grad.dtype == np.float32, name
 
 
-class TestDepthVariant:
-    def big_model(self):
-        return km.KssModel(
-            adjacency=tiny_adjacency(8, seed=1),
-            n_labels=8,
-            embed_dim=4,
-            stage_channels=(4, 8, 12, 16),
-            gcn_depth=4,
-            seed=2,
-            dtype="float64",
-        )
-
-    def test_full_depth_is_identity(self):
-        m = self.big_model()
-        variant = km.make_depth_variant(m, 4)
-        for name, arr in m.state_dict().items():
-            npt.assert_array_equal(variant.state_dict()[name], arr)
-
-    def test_two_layer_variant_keeps_one_lc(self):
-        variant = km.make_depth_variant(self.big_model(), 2)
-        lc_weights = [n for n, _ in variant.named_parameters() if n.endswith("g.weight")]
-        assert lc_weights == ["lc.2.g.weight"]
-        assert variant.gcn_depth == 2
-
-    def test_three_layer_variant_retargets_first_layer(self):
-        m = self.big_model()
-        variant = km.make_depth_variant(m, 3)
-        assert variant.param("gcn.layer0.W").data.shape == (4, 8)  # embed_dim -> stage 1 width
-        # deeper layers are carried over unchanged
-        npt.assert_array_equal(variant.param("gcn.layer1.W").data, m.param("gcn.layer2.W").data)
-        npt.assert_array_equal(variant.param("gcn.layer2.W").data, m.param("gcn.layer3.W").data)
-        # surviving lateral connections too
-        npt.assert_array_equal(variant.param("lc.1.g.weight").data, m.param("lc.1.g.weight").data)
-        npt.assert_array_equal(variant.param("lc.2.g.weight").data, m.param("lc.2.g.weight").data)
-
-    def test_backbone_unchanged(self):
-        m = self.big_model()
-        variant = km.make_depth_variant(m, 2)
-        for name, arr in m.state_dict().items():
-            if name.startswith("backbone."):
-                npt.assert_array_equal(variant.state_dict()[name], arr)
-
-    def test_depth_bounds_checked(self):
-        m = self.big_model()
-        with pytest.raises(ValueError, match=">= 2"):
-            km.make_depth_variant(m, 1)
-        with pytest.raises(ValueError, match="exceeds"):
-            km.make_depth_variant(m, 5)
-
-    def test_forward_shape_after_variant(self):
-        m = self.big_model()
-        variant = km.make_depth_variant(m, 3)
-        rng = np.random.default_rng(7)
-        logits = km.predict(variant, rng.normal(size=(2, 3, 16, 16)),
-                            rng.normal(size=(8, 4)))
-        assert logits.shape == (2, 8)
-
-
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
         m = tiny_model(seed=13)
@@ -514,7 +457,7 @@ class TestStorage:
     def test_config_round_trip(self, tmp_path):
         cfg = {"epochs": "12", "lr": "0.01", "graph": "ks"}
         path = tmp_path / "c.cfg"
-        storage.save_config(cfg, path)
+        path.write_text("".join(f"{key} = {value}\n" for key, value in cfg.items()))
         assert storage.load_config(path) == cfg
 
     def test_config_comments_and_errors(self):
