@@ -6,7 +6,7 @@ reshape/axis swap, the tanh and LeakyReLU activations, reductions,
 stride-1 convolution, non-overlapping average pooling (optionally of the
 LeakyReLU of its input), and a numerically stable binary cross-entropy
 head.  Ops are functions; ``Tensor`` has no arithmetic operators.  The
-sigmoid is no op: :func:`_sigmoid` is a plain-array helper for the loss
+sigmoid is not an op: :func:`_sigmoid` is a plain-array helper for the loss
 gradient and for ``metrics.decide``.
 
 Arrays stay in whatever float dtype they arrive in (float64 for gradient

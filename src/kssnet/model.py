@@ -105,15 +105,12 @@ class KssModel:
                     f"lateral connection at stage {s} has no paired non-final GCN layer"
                 )
 
-        self.n_labels = n_labels
-        self.embed_dim = embed_dim
         self.stage_channels = tuple(stage_channels)
         self.gcn_depth = gcn_depth
         self.in_channels = in_channels
         self.lc_stages = lc_stages
         self.slope = slope
         self.dropout_rate = dropout_rate
-        self.seed = seed
         self.dtype = dtype
         np_dtype = _DTYPES[dtype]
 

@@ -161,4 +161,3 @@ def load_config(path) -> dict[str, str]:
         return parse_config_text(text)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-

@@ -46,7 +46,6 @@ class ToyData:
     vocab: LabelVocabulary
     annotations: AnnotationSet  # training-split annotations
     knowledge_edges: KnowledgeEdgeList
-    table: EmbeddingTable
 
     @property
     def n_labels(self) -> int:
@@ -186,5 +185,4 @@ def make_dataset(
         vocab=vocab,
         annotations=make_annotations(y_train, n_labels),
         knowledge_edges=toy_knowledge_edges(vocab),
-        table=table,
     )
