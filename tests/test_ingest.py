@@ -260,7 +260,8 @@ class TestEmbeddings:
             "dog": rng.normal(size=5), "cat": rng.normal(size=5),
         })
         path = write(tmp_path, "emb.txt", "".join(
-            " ".join([token, *map(repr, vec.tolist())]) + "\n" for token, vec in table.rows.items()))
+            " ".join([token, *map(repr, vec.tolist())]) + "\n"
+            for token, vec in table.rows.items()))
         loaded = ingest.load_embedding_table(path)
         assert loaded.dim == table.dim
         assert set(loaded.rows) == set(table.rows)

@@ -249,7 +249,8 @@ STORAGE_FILES = {
 }
 # Each other dataset-input loader with a file it reads without error.
 INPUT_FILES = {
-    "vocabulary": (ingest.load_vocabulary, "dog\ncat\nsports ball\ncafé\nhot dog\n".encode("utf-8")),
+    "vocabulary": (ingest.load_vocabulary,
+                   "dog\ncat\nsports ball\ncafé\nhot dog\n".encode("utf-8")),
     "knowledge": (lambda path: ingest.load_knowledge_edges(path, LOADER_VOCAB),
                   "dog\tis a\tcat\t1.0\nsports_ball\tused for\thot dog\t0.5\n\n"
                   "café\trelated to\thorse\t2e-3\n".encode("utf-8")),
