@@ -57,11 +57,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--annotations", required=True, help="sample_id label... lines")
     p.add_argument("--knowledge", required=True, help="TSV head/relation/tail/weight triples")
     p.add_argument("--vocab", required=True, help="one label per line")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.4,
+    defaults = graph.GraphPipelineConfig
+    p.add_argument("--lambda", dest="lam", type=float, default=defaults.lam,
                    help="statistical-vs-knowledge mixing weight")
-    p.add_argument("--tau", type=float, default=0.02, help="edge-pruning threshold")
-    p.add_argument("--eta", type=float, default=0.4, help="identity mixing weight")
-    p.add_argument("--binarize-t", type=float, default=0.4,
+    p.add_argument("--tau", type=float, default=defaults.tau, help="edge-pruning threshold")
+    p.add_argument("--eta", type=float, default=defaults.eta, help="identity mixing weight")
+    p.add_argument("--binarize-t", type=float, default=defaults.binarize_threshold,
                    help="conditional-probability cut for the statistical graph")
     p.add_argument("--out", required=True,
                    help="output path for the mixed adjacency (text matrix, 'rows cols' header)")
@@ -165,93 +166,100 @@ def _cmd_gradcheck(args) -> int:
     return 0
 
 
-def _parse_channels(cfg: dict[str, str], divisor: int | None) -> tuple[int, ...]:
-    if divisor is not None:
-        if divisor < 1 or any(c % divisor for c in _BASE_SCHEDULE):
-            raise CliError(f"--channel-divisor must divide {_BASE_SCHEDULE}, got {divisor}")
-        return tuple(c // divisor for c in _BASE_SCHEDULE)
-    if "stage_channels" in cfg:
-        return tuple(int(v) for v in cfg["stage_channels"].split(","))
-    return (16, 32, 64, 128)
+def _lc_stages(text: str) -> tuple[()] | None:
+    if text.lower() not in ("true", "1", "yes", "false", "0", "no"):
+        raise ValueError("expected true/1/yes or false/0/no")
+    return None if text.lower() in ("true", "1", "yes") else ()  # None: the model's default
 
 
-def _load_toy_setup(config_path, seed_override=None, divisor=None):
+def _graph_variant(text: str) -> str:
+    if text not in ("ks", "statistical", "knowledge", "identity"):
+        raise ValueError("expected ks|statistical|knowledge|identity")
+    return text
+
+
+# Config key -> (the parts it sets, that part's parameter, parser).  The parts are
+# ``synthetic.make_dataset``, ``graph.GraphPipelineConfig``, ``KssModel`` and
+# ``TrainConfig``; the graph ``variant`` is the CLI's own choice of graph source.
+_TOY_KEYS = {
+    "n_train": ("data", "n_train", int),
+    "n_val": ("data", "n_val", int),
+    "n_labels": ("data", "n_labels", int),
+    "image_size": ("data", "size", int),
+    "embed_dim": ("data", "embed_dim", int),
+    "data_seed": ("data", "seed", int),
+    "weak_amp": ("data", "weak_amp", float),
+    "noise": ("data", "noise", float),
+    "graph": ("graph", "variant", _graph_variant),
+    "lambda": ("graph", "lam", float),
+    "tau": ("graph", "tau", float),
+    "eta": ("graph", "eta", float),
+    "binarize_t": ("graph", "binarize_threshold", float),
+    "stage_channels": ("model", "stage_channels", lambda v: tuple(int(c) for c in v.split(","))),
+    "gcn_depth": ("model", "gcn_depth", int),
+    "lc": ("model", "lc_stages", _lc_stages),
+    "dropout": ("model", "dropout_rate", float),
+    "dtype": ("model", "dtype", str),
+    "seed": ("model train", "seed", int),
+    "epochs": ("train", "epochs", int),
+    "batch_size": ("train", "batch_size", int),
+    "lr": ("train", "lr", float),
+    "gcn_lr": ("train", "gcn_lr", float),
+    "weight_decay": ("train", "weight_decay", float),
+    "stop_at_train_map": ("train", "stop_at_train_map", float),
+}
+_CLI_DEFAULTS = {"graph": "ks", "lc": "true", "dtype": "float32"}
+
+
+def _load_toy_setup(config_path, **overrides):
     """Rebuild dataset, graph, and model deterministically from a config file.
 
-    Every key is read before any work starts; a key the code never reads
-    fails the call, naming the file.  ``seed`` and ``stage_channels`` count
-    as read when a flag overrides them.
+    A flag overrides a key by writing it into the parsed config (``overrides``)
+    before anything is read.  A key the config leaves out is not passed on, so
+    the library's default applies; the CLI owns only ``graph = ks``,
+    ``lc = true`` and ``dtype = float32``.  An unknown key or a value that does
+    not parse fails before any work starts; every error names the file.
     """
     path = _positive_file(config_path, "--config")
+    cfg = {**_CLI_DEFAULTS, **storage.load_config(path), **overrides}
+    unknown = set(cfg) - set(_TOY_KEYS)
+    if unknown:
+        raise CliError(f"{path}: unknown config key(s): {', '.join(sorted(unknown))}")
+    parts = {"data": {}, "graph": {}, "model": {}, "train": {}}
+    for key, text in cfg.items():
+        names, param, parse = _TOY_KEYS[key]
+        try:
+            value = parse(text)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {key} = {text!r}: {exc}") from None
+        for name in names.split():
+            parts[name][param] = value
+
+    variant = parts["graph"].pop("variant")
     try:
-        cfg = storage.load_config(path)
+        gcfg = graph.GraphPipelineConfig(**parts["graph"])
+        if variant in ("statistical", "knowledge"):
+            gcfg = dataclasses.replace(gcfg, lam=1.0 if variant == "statistical" else 0.0)
+        train_cfg = TrainConfig(**parts["train"])
+        data = synthetic.make_dataset(**parts["data"])
+        if variant == "identity":
+            adjacency = np.eye(data.n_labels)
+        else:
+            _, adjacency = graph.build_ks_graph(data.annotations, data.knowledge_edges, gcfg)
+        model = KssModel(adjacency, data.n_labels, data.train.e0.shape[1], **parts["model"])
     except ValueError as exc:
-        raise CliError(str(exc)) from None
-    unread = set(cfg) - {"seed", "stage_channels"}
-
-    def get(key, default, cast):
-        unread.discard(key)
-        return cast(cfg[key]) if key in cfg else default
-
-    seed = seed_override if seed_override is not None else get("seed", 0, int)
-    stage_channels = _parse_channels(cfg, divisor)
-    embed_dim = get("embed_dim", 12, int)
-    data_args = dict(
-        n_train=get("n_train", 2000, int),
-        n_val=get("n_val", 500, int),
-        n_labels=get("n_labels", 8, int),
-        size=get("image_size", 16, int),
-        embed_dim=embed_dim,
-        seed=get("data_seed", 0, int),
-        weak_amp=get("weak_amp", 0.35, float),
-        noise=get("noise", 0.35, float),
-    )
-    gcfg = graph.GraphPipelineConfig(
-        lam=get("lambda", 0.4, float),
-        tau=get("tau", 0.02, float),
-        eta=get("eta", 0.4, float),
-        binarize_threshold=get("binarize_t", 0.4, float),
-    )
-    variant = get("graph", "ks", str)
-    if variant not in ("ks", "statistical", "knowledge", "identity"):
-        raise CliError(f"config key 'graph' must be ks|statistical|knowledge|identity, got {variant!r}")
-    if variant in ("statistical", "knowledge"):
-        gcfg = dataclasses.replace(gcfg, lam=1.0 if variant == "statistical" else 0.0)
-    model_args = dict(
-        embed_dim=embed_dim,
-        stage_channels=stage_channels,
-        gcn_depth=get("gcn_depth", 4, int),
-        lc_stages=None if get("lc", "true", str).lower() in ("true", "1", "yes") else (),
-        dropout_rate=get("dropout", 0.5, float),
-        seed=seed,
-        dtype=get("dtype", "float32", str),
-    )
-    train_cfg = TrainConfig(
-        epochs=get("epochs", 30, int),
-        batch_size=get("batch_size", 50, int),
-        lr=get("lr", 0.01, float),
-        gcn_lr=get("gcn_lr", 0.01, float),
-        weight_decay=get("weight_decay", 1e-4, float),
-        seed=seed,
-        stop_at_train_map=get("stop_at_train_map", None, float),
-    )
-    if unread:
-        raise CliError(f"{path}: unknown config key(s): {', '.join(sorted(unread))}")
-
-    data = synthetic.make_dataset(**data_args)
-    if variant == "identity":
-        adjacency = np.eye(data.n_labels)
-    else:
-        _, adjacency = graph.build_ks_graph(data.annotations, data.knowledge_edges, gcfg)
-    model = KssModel(adjacency=adjacency, n_labels=data.n_labels, **model_args)
-    return data, model, train_cfg, stage_channels
+        raise ValueError(f"{path}: {exc}") from None
+    return data, model, train_cfg
 
 
 def _cmd_train_toy(args) -> int:
-    data, model, cfg, stage_channels = _load_toy_setup(
-        args.config, seed_override=args.seed, divisor=args.channel_divisor
-    )
-    print(f"stage_channels={','.join(str(c) for c in stage_channels)}")
+    overrides = {} if args.seed is None else {"seed": str(args.seed)}
+    if (divisor := args.channel_divisor) is not None:
+        if divisor < 1 or any(c % divisor for c in _BASE_SCHEDULE):
+            raise CliError(f"--channel-divisor must divide {_BASE_SCHEDULE}, got {divisor}")
+        overrides["stage_channels"] = ",".join(str(c // divisor) for c in _BASE_SCHEDULE)
+    data, model, cfg = _load_toy_setup(args.config, **overrides)
+    print(f"stage_channels={','.join(str(c) for c in model.stage_channels)}")
     print(f"seed={cfg.seed}")
 
     history_path = Path(args.history)
@@ -293,31 +301,21 @@ def _cmd_evaluate(args) -> int:
     if args.checkpoint is not None:
         if args.config is None:
             raise CliError("--checkpoint requires --config to rebuild the model")
-        data, model, _, _ = _load_toy_setup(args.config)
-        if not Path(args.checkpoint).is_file():
-            raise CliError(f"--checkpoint: no such file: {args.checkpoint}")
-        model.load(args.checkpoint)
+        data, model, _ = _load_toy_setup(args.config)
+        model.load(_positive_file(args.checkpoint, "--checkpoint"))
         scores = predict(model, data.val.x, data.val.e0)
         targets = data.val.y
     else:
         if args.scores is None or args.targets is None:
             raise CliError("evaluate needs either --scores/--targets or --checkpoint/--config")
-        try:
-            scores = storage.load_matrix_text(_positive_file(args.scores, "--scores"))
-            targets = storage.load_matrix_text(_positive_file(args.targets, "--targets"))
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
+        scores = storage.load_matrix_text(_positive_file(args.scores, "--scores"))
+        targets = storage.load_matrix_text(_positive_file(args.targets, "--targets"))
         if scores.shape != targets.shape:
-            raise CliError(
-                f"shape mismatch: scores {scores.shape} vs targets {targets.shape}"
-            )
+            raise CliError(f"shape mismatch: scores {scores.shape} vs targets {targets.shape}")
         if not np.all((targets == 0) | (targets == 1)):
             raise CliError("--targets: entries must be 0 or 1")
-    try:
-        map_value = metrics.map_score(scores, targets)
-        prf = metrics.prf_suite(scores, targets, decision)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    map_value = metrics.map_score(scores, targets)
+    prf = metrics.prf_suite(scores, targets, decision)
     print(metrics.format_metric_table(map_value, prf))
     return 0
 
@@ -325,10 +323,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_embed(args) -> int:
     vocab = ingest.load_vocabulary(_positive_file(args.vocab, "--vocab"))
     table = ingest.load_embedding_table(_positive_file(args.table, "--table"))
-    try:
-        e0 = ingest.build_initial_embeddings(table, vocab)
-    except ingest.UnresolvedLabelError as exc:
-        raise CliError(str(exc)) from None
+    e0 = ingest.build_initial_embeddings(table, vocab)
     storage.save_matrix_text(e0, args.out)
     _print_kv({"labels": e0.shape[0], "dim": e0.shape[1], "out": args.out})
     return 0
@@ -349,13 +344,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ingest.FormatError, ingest.UnresolvedLabelError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (CliError, ValueError, OSError) as exc:  # FormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # anything else is a runtime failure

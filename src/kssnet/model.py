@@ -257,7 +257,11 @@ class KssModel:
         storage.save_named_tensors(path, self.state_dict())
 
     def load(self, path) -> None:
-        self.load_state_dict(storage.load_named_tensors(path))
+        state = storage.load_named_tensors(path)
+        try:
+            self.load_state_dict(state)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def predict(model: KssModel, x: np.ndarray, e0: np.ndarray, batch_size: int = 256) -> np.ndarray:

@@ -19,9 +19,9 @@ little-endian::
       shape    ndim x uint32
       data     prod(shape) x float64, row-major (one value when ndim = 0)
 
-Nothing follows the last tensor.  A field or payload that runs past the end
-of the file, any trailing byte, and a shape numpy cannot hold are each a
-``ValueError`` naming the file.
+Names are unique.  Nothing follows the last tensor.  A field or payload that
+runs past the end of the file, any trailing byte, a repeated name and a shape
+numpy cannot hold are each a ``ValueError`` naming the file.
 
 Text matrix, used for adjacencies, score and target matrices and initial
 embeddings: a ``rows cols`` header line, then one line per row of
@@ -97,6 +97,8 @@ def load_named_tensors(path) -> dict[str, np.ndarray]:
             name = take(name_len, "name").decode("utf-8")
         except UnicodeDecodeError:
             raise ValueError(f"{path}: tensor name is not UTF-8") from None
+        if name in tensors:
+            raise ValueError(f"{path}: repeated tensor name {name!r}")
         (ndim,) = struct.unpack("<B", take(1, f"{name!r} ndim"))
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"{name!r} shape"))
         data = take(8 * math.prod(shape), f"{name!r} data")

@@ -293,12 +293,34 @@ class TestTrainAndEvaluate:
                     "--channel-divisor", "32"]) == 0
         assert "stage_channels=8,16,32,64" in capsys.readouterr().out
 
-    def test_unknown_dtype_is_validation_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("key, value", [
+        ("dtype", "float16"), ("lc", "ture"), ("n_train", "abc"),
+        ("stage_channels", "16,x"), ("dropout", "1.5"),
+    ], ids=["dtype", "lc", "n_train", "stage_channels", "dropout"])
+    def test_unknown_dtype_is_validation_error(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "c.cfg"
-        cfg.write_text("epochs = 0\nn_train = 16\nn_val = 8\ndtype = float16\n")
+        settings = {"epochs": "0", "n_train": "16", "n_val": "8", key: value}
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
         assert run(["train-toy", "--config", str(cfg), "--checkpoint",
                     str(tmp_path / "m.ckpt"), "--history", str(tmp_path / "h.csv")]) == 1
-        assert "dtype" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: {cfg}: " in err and key in err
+
+    def test_checkpoint_state_error_names_checkpoint(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("epochs = 0\nn_train = 16\nn_val = 8\n")
+        ckpt = tmp_path / "m.ckpt"
+        assert run(["train-toy", "--config", str(cfg), "--checkpoint", str(ckpt),
+                    "--history", str(tmp_path / "h.csv")]) == 0
+        capsys.readouterr()
+        for extra, message in [
+            ("stage_channels = 8,16,32,64", "backbone.stage0.conv.weight: shape"),
+            ("lc = false", "state mismatch: missing [], unexpected ['lc."),
+        ]:
+            other = tmp_path / "other.cfg"
+            other.write_text(cfg.read_text() + extra + "\n")
+            assert run(["evaluate", "--checkpoint", str(ckpt), "--config", str(other)]) == 1
+            assert f"error: {ckpt}: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["train-toy", "evaluate"])
     def test_unknown_config_key_names_file_and_key(self, tmp_path, capsys, command):

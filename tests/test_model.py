@@ -1,3 +1,5 @@
+import re
+import struct
 from unittest import mock
 
 import mpmath
@@ -439,6 +441,16 @@ class TestStorage:
             cut.write_bytes(blob[:size])
             with pytest.raises(ValueError, match=str(cut)):
                 storage.load_named_tensors(cut)
+
+    def test_repeated_name_rejected(self, tmp_path):
+        # the writer takes a dict, so a file with two tensors named "a" is built by hand
+        def scalar_a(value):
+            return struct.pack("<H", 1) + b"a" + struct.pack("<Bd", 0, value)
+
+        path = tmp_path / "t.ckpt"
+        path.write_bytes(b"KSNTCKPT" + struct.pack("<II", 1, 2) + scalar_a(1.0) + scalar_a(2.0))
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: repeated tensor name 'a'"):
+            storage.load_named_tensors(path)
 
     def test_trailing_byte_rejected(self, tmp_path):
         path = tmp_path / "t.ckpt"
