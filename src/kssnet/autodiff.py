@@ -3,11 +3,11 @@
 Just enough machinery for the label-graph pathway, lateral connections, and
 the toy backbone: broadcast-aware elementwise ops, batched matmul,
 reshape/axis swap, the tanh and LeakyReLU activations, reductions,
-stride-1 convolution, non-overlapping average pooling (optionally of the
-LeakyReLU of its input), and a numerically stable binary cross-entropy
-head.  Ops are functions; ``Tensor`` has no arithmetic operators.  The
-sigmoid is not an op: :func:`_sigmoid` is a plain-array helper for the loss
-gradient and for ``metrics.decide``.
+stride-1 convolution, 2x2 average pooling of the LeakyReLU of its input,
+and a numerically stable binary cross-entropy head.  Ops are functions;
+``Tensor`` has no arithmetic operators.  The sigmoid is not an op:
+:func:`_sigmoid` is a plain-array helper for the loss gradient and for
+``metrics.decide``.
 
 Arrays stay in whatever float dtype they arrive in (float64 for gradient
 checks, float32 allowed for training), gradients included; all ops are
@@ -205,7 +205,7 @@ def _leaky_relu_slopes(x: np.ndarray, slope: float, dtype, out=None, mask=None) 
     return np.take(table, mask.view(np.uint8), out=out, mode="clip")
 
 
-def leaky_relu(a, slope: float = 0.2) -> Tensor:
+def leaky_relu(a, slope: float) -> Tensor:
     """``x`` where ``x >= 0``, else ``slope * x``.
 
     Bit for bit ``np.where(x >= 0, x, slope * x)``, signed zeros,
@@ -250,28 +250,21 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
+def tsum(a, axis=None) -> Tensor:
     a = as_tensor(a)
 
     def backward(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).astype(a.data.dtype, copy=False),)
-        ax = axis if isinstance(axis, tuple) else (axis,)
-        if not keepdims:
-            g = np.expand_dims(g, ax)
+        if axis is not None:
+            g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.shape).astype(a.data.dtype, copy=False),)
 
-    return _node(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
+    return _node(a.data.sum(axis=axis), (a,), backward)
 
 
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
+def tmean(a, axis: tuple[int, ...]) -> Tensor:
     a = as_tensor(a)
-    if axis is None:
-        count = a.data.size
-    else:
-        ax = axis if isinstance(axis, tuple) else (axis,)
-        count = int(np.prod([a.shape[i] for i in ax]))
-    return mul_scalar(tsum(a, axis=axis, keepdims=keepdims), 1.0 / count)
+    count = int(np.prod([a.shape[i] for i in axis]))
+    return mul_scalar(tsum(a, axis=axis), 1.0 / count)
 
 
 # Rows (samples x output positions) per im2col block of the conv forward.
@@ -427,35 +420,35 @@ def _conv_dense(x, w, bias, padding, oh, ow):
 _POOL_BLOCK_ELEMS = 2 ** 17
 
 
-def avg_pool2d(x, k: int = 2, slope: float | None = None) -> Tensor:
-    """Non-overlapping k x k average pooling of channels-last (B, H, W, C).
+def avg_pool2d(x, slope: float) -> Tensor:
+    """Non-overlapping 2x2 average pooling of ``leaky_relu(x, slope)``, channels-last.
 
-    With ``slope`` given it pools ``leaky_relu(x, slope)``, bit for bit
-    ``avg_pool2d(leaky_relu(x, slope), k)`` forward and backward, without
-    the full-size activation: the backbone's activate-and-pool is one pass.
+    Bit for bit the mean over each 2x2 window of ``leaky_relu(x, slope)``
+    forward and backward, without the full-size activation: the backbone's
+    activate-and-pool is one pass.  ``slope = 1`` pools ``x`` itself.
 
-    H and W must divide by k.  The forward runs over blocks of whole samples
+    H and W must be even.  The forward runs over blocks of whole samples
     holding at most ``_POOL_BLOCK_ELEMS`` elements (at least one sample).
-    Each block is activated into one reused block buffer, and its k*k
-    strided slices ``a[:, u::k, v::k]`` (contiguous runs of C) are summed
-    into the block's slice of the output and divided by k*k there.  The
-    backward writes ``g / k**2`` into each k x k window of the one gradient
+    Each block is activated into one reused block buffer, and its four
+    strided slices ``a[:, u::2, v::2]`` (contiguous runs of C) are summed
+    into the block's slice of the output and divided by 4 there.  The
+    backward writes ``g / 4`` into each 2x2 window of the one gradient
     array, block by block, and multiplies each block by the activation's
     slope (1 or ``slope``), made in two block buffers from the retained
     input while that block is in cache.
     """
     x = as_tensor(x)
     bs, h, w, c = x.shape
+    k = 2
     if h % k or w % k:
         raise ValueError(f"spatial dims {(h, w)} not divisible by pool size {k}")
     xd = x.data
     step = max(1, _POOL_BLOCK_ELEMS // max(1, h * w * c))
     out = np.empty((bs, h // k, w // k, c), dtype=xd.dtype)
-    act = None if slope is None else np.empty((min(step, bs), h, w, c), dtype=xd.dtype)
+    act = np.empty((min(step, bs), h, w, c), dtype=xd.dtype)
     for lo in range(0, bs, step):
-        a = xd[lo:lo + step]
-        if act is not None:
-            a = _leaky_relu_into(a, slope, act[:len(a)])
+        xb = xd[lo:lo + step]
+        a = _leaky_relu_into(xb, slope, act[:len(xb)])
         o = out[lo:lo + step]
         np.copyto(o, a[:, ::k, ::k])
         for u in range(k):
@@ -468,15 +461,13 @@ def avg_pool2d(x, k: int = 2, slope: float | None = None) -> Tensor:
         gx = np.empty(xd.shape, dtype=g.dtype)
         windows = gx.reshape(bs, h // k, k, w // k, k, c)
         spread = (g / (k * k))[:, :, None, :, None, :]
-        if slope is not None:
-            slopes = np.empty((min(step, bs), h, w, c), dtype=g.dtype)
-            mask = np.empty(slopes.shape, dtype=bool)
+        slopes = np.empty((min(step, bs), h, w, c), dtype=g.dtype)
+        mask = np.empty(slopes.shape, dtype=bool)
         for lo in range(0, bs, step):
             np.copyto(windows[lo:lo + step], spread[lo:lo + step])
-            if slope is not None:
-                xb = xd[lo:lo + step]
-                gx[lo:lo + step] *= _leaky_relu_slopes(xb, slope, g.dtype, out=slopes[:len(xb)],
-                                                       mask=mask[:len(xb)])
+            xb = xd[lo:lo + step]
+            gx[lo:lo + step] *= _leaky_relu_slopes(xb, slope, g.dtype, out=slopes[:len(xb)],
+                                                   mask=mask[:len(xb)])
         return (gx,)
 
     return _node(out, (x,), backward)

@@ -78,11 +78,11 @@ def _unpack(params: np.ndarray, shapes) -> list[np.ndarray]:
     return out
 
 
-def gcn_layer_check(seed: int = 0, n: int = 4, c_in: int = 3, c_out: int = 2):
-    """Loss = sum(leaky_relu(adj @ E @ W)); parameters are E and W."""
+def gcn_layer_check(seed: int):
+    """Loss = sum(leaky_relu(adj @ E @ W)); parameters are E (4 labels x 3) and W (3 x 2)."""
     rng = np.random.default_rng(seed)
-    adj = ad.Tensor(_random_adjacency(n, rng))
-    shapes = [(n, c_in), (c_in, c_out)]
+    adj = ad.Tensor(_random_adjacency(4, rng))
+    shapes = [(4, 3), (3, 2)]
     for _ in range(100):
         e0 = rng.normal(0.0, 1.0, size=shapes[0])
         w0 = rng.normal(0.0, 1.0, size=shapes[1])
@@ -102,10 +102,12 @@ def gcn_layer_check(seed: int = 0, n: int = 4, c_in: int = 3, c_out: int = 2):
     return fn, _pack([e0, w0])
 
 
-def _lc_check(seed: int, spatial: tuple[int, ...], c: int = 3, n_labels: int = 4):
+def _lc_check(seed: int, spatial: tuple[int, ...]):
+    """A lateral connection of 3 channels and 4 labels over ``spatial`` positions."""
     rng = np.random.default_rng(seed)
     size = int(np.prod(spatial))
-    shapes = [(*spatial, c), (n_labels, c), (c, n_labels), (c,)]
+    c = 3
+    shapes = [(*spatial, c), (4, c), (c, 4), (c,)]
     x0 = rng.normal(0.0, 1.0, size=shapes[0])
     e0 = rng.normal(0.0, 1.0, size=shapes[1])
     w0 = rng.normal(0.0, 1.0, size=shapes[2])
@@ -125,12 +127,12 @@ def _lc_check(seed: int, spatial: tuple[int, ...], c: int = 3, n_labels: int = 4
     return fn, _pack([x0, e0, w0, b0])
 
 
-def lc_2d_check(seed: int = 0):
+def lc_2d_check(seed: int):
     """Squared-norm loss of a 2D lateral connection; all four inputs are parameters."""
     return _lc_check(seed, spatial=(5, 6))
 
 
-def lc_3d_check(seed: int = 0):
+def lc_3d_check(seed: int):
     """Squared-norm loss of a 3D lateral connection; all four inputs are parameters."""
     return _lc_check(seed, spatial=(2, 4, 5))
 
@@ -142,17 +144,18 @@ def _kink_margin(model: KssModel, x: np.ndarray, e0: np.ndarray) -> float:
     return min(float(np.min(np.abs(pre))) for pre in pres)
 
 
-def full_model_check(seed: int = 0, n_labels: int = 4, image: int = 8, batch: int = 2):
+def full_model_check(seed: int):
     """BCE loss of a tiny two-stage model w.r.t. every model parameter.
 
-    Inputs are resampled until every LeakyReLU pre-activation clears the kink
-    by a safe margin, keeping central differences meaningful.
+    Four labels, two 8x8 images of two channels.  Inputs are resampled until
+    every LeakyReLU pre-activation clears the kink by a safe margin, keeping
+    central differences meaningful.
     """
     rng = np.random.default_rng(seed)
-    adj = _random_adjacency(n_labels, rng)
+    adj = _random_adjacency(4, rng)
     model = KssModel(
         adjacency=adj,
-        n_labels=n_labels,
+        n_labels=4,
         embed_dim=3,
         stage_channels=(4, 6),
         gcn_depth=2,
@@ -162,11 +165,11 @@ def full_model_check(seed: int = 0, n_labels: int = 4, image: int = 8, batch: in
         dtype="float64",
     )
     for _ in range(200):
-        x = rng.normal(0.0, 1.0, size=(batch, 2, image, image))
-        e0 = rng.normal(0.0, 1.0, size=(n_labels, 3))
+        x = rng.normal(0.0, 1.0, size=(2, 2, 8, 8))
+        e0 = rng.normal(0.0, 1.0, size=(4, 3))
         if _kink_margin(model, x, e0) > _KINK_MARGIN:
             break
-    y = (rng.random((batch, n_labels)) < 0.5).astype(np.float64)
+    y = (rng.random((2, 4)) < 0.5).astype(np.float64)
     names = [name for name, _ in model.named_parameters()]
     shapes = [model.param(name).data.shape for name in names]
 

@@ -209,6 +209,13 @@ _TOY_KEYS = {
     "stop_at_train_map": ("train", "stop_at_train_map", float),
 }
 _CLI_DEFAULTS = {"graph": "ks", "lc": "true", "dtype": "float32"}
+# Graph variant -> the config keys that cannot change its adjacency.
+_IGNORED_GRAPH_KEYS = {
+    "ks": (),
+    "statistical": ("lambda",),
+    "knowledge": ("lambda", "binarize_t"),
+    "identity": ("lambda", "tau", "eta", "binarize_t"),
+}
 
 
 def _load_toy_setup(config_path, **overrides):
@@ -217,8 +224,9 @@ def _load_toy_setup(config_path, **overrides):
     A flag overrides a key by writing it into the parsed config (``overrides``)
     before anything is read.  A key the config leaves out is not passed on, so
     the library's default applies; the CLI owns only ``graph = ks``,
-    ``lc = true`` and ``dtype = float32``.  An unknown key or a value that does
-    not parse fails before any work starts; every error names the file.
+    ``lc = true`` and ``dtype = float32``.  An unknown key, a value that does
+    not parse, or a graph key that the chosen graph variant ignores fails
+    before any work starts; every error names the file.
     """
     path = _positive_file(config_path, "--config")
     cfg = {**_CLI_DEFAULTS, **storage.load_config(path), **overrides}
@@ -236,6 +244,9 @@ def _load_toy_setup(config_path, **overrides):
             parts[name][param] = value
 
     variant = parts["graph"].pop("variant")
+    ignored = [key for key in _IGNORED_GRAPH_KEYS[variant] if key in cfg]
+    if ignored:
+        raise CliError(f"{path}: {', '.join(ignored)} has no effect with graph = {variant}")
     try:
         gcfg = graph.GraphPipelineConfig(**parts["graph"])
         if variant in ("statistical", "knowledge"):
@@ -298,6 +309,13 @@ def _parse_decision(spec: str):
 
 def _cmd_evaluate(args) -> int:
     decision = _parse_decision(args.decision)
+    model_flags = [flag for flag, value in (("--checkpoint", args.checkpoint),
+                                            ("--config", args.config)) if value is not None]
+    matrix_flags = [flag for flag, value in (("--scores", args.scores),
+                                             ("--targets", args.targets)) if value is not None]
+    if model_flags and matrix_flags:
+        raise CliError(f"evaluate: {', '.join(matrix_flags)} cannot be combined with "
+                       f"{', '.join(model_flags)}")
     if args.checkpoint is not None:
         if args.config is None:
             raise CliError("--checkpoint requires --config to rebuild the model")

@@ -73,7 +73,7 @@ def check_adjacency(a: np.ndarray, name: str = "adjacency") -> np.ndarray:
     return a
 
 
-def cooccurrence_counts(ann: AnnotationSet, n: int | None = None):
+def cooccurrence_counts(ann: AnnotationSet):
     """Count pairwise label co-occurrences over an annotation set.
 
     Returns ``(M, counts)`` where ``M[i, j]`` is the number of samples
@@ -90,10 +90,7 @@ def cooccurrence_counts(ann: AnnotationSet, n: int | None = None):
     ``_COOC_BLOCK_ROWS`` < 2**24, and every partial sum of the float64 total
     one far below 2**53, so the result is exact.
     """
-    if n is None:
-        n = ann.n_labels
-    elif n < ann.n_labels:
-        raise ValueError(f"n={n} smaller than annotation vocabulary {ann.n_labels}")
+    n = ann.n_labels
     m = np.zeros((n, n))
     block = np.empty((min(_COOC_BLOCK_ROWS, len(ann)), n), dtype=np.float32)
     for lo in range(0, len(ann), _COOC_BLOCK_ROWS):
@@ -109,7 +106,7 @@ def cooccurrence_counts(ann: AnnotationSet, n: int | None = None):
     return m, counts
 
 
-def statistical_adjacency(m: np.ndarray, counts: np.ndarray, t: float = 0.4) -> np.ndarray:
+def statistical_adjacency(m: np.ndarray, counts: np.ndarray, t: float) -> np.ndarray:
     """Binarize conditional co-occurrence probabilities into an adjacency.
 
     ``P[i, j] = M[i, j] / counts[i]`` (zero when label i never occurs);
@@ -124,18 +121,14 @@ def statistical_adjacency(m: np.ndarray, counts: np.ndarray, t: float = 0.4) -> 
     return a
 
 
-def knowledge_adjacency(edges: KnowledgeEdgeList, n: int | None = None) -> np.ndarray:
+def knowledge_adjacency(edges: KnowledgeEdgeList) -> np.ndarray:
     """Adjacency whose (i, j) entry is the maximum relation weight between i and j.
 
     Pairs with no relation get 0.  Relation triples are undirected: a
     relation between i and j belongs to both entry pairs, so the result is
     symmetric.
     """
-    if n is None:
-        n = edges.n_labels
-    elif n < edges.n_labels:
-        raise ValueError(f"n={n} smaller than edge-list vocabulary {edges.n_labels}")
-    a = np.zeros((n, n), dtype=np.float64)
+    a = np.zeros((edges.n_labels, edges.n_labels), dtype=np.float64)
     for head, tail, _, weight in edges.triples:
         a[head, tail] = max(a[head, tail], weight)
         a[tail, head] = max(a[tail, head], weight)

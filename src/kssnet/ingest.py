@@ -88,8 +88,10 @@ class AnnotationSet:
     ``indices[indptr[i]:indptr[i + 1]]``, sorted and without repeats.  Both
     arrays are read-only ``intp``, and they are the only stored form:
     :attr:`samples` rebuilds the ``((sample_id, frozenset), ...)`` view on
-    each access.  ``AnnotationSet(n_labels, samples)`` builds the arrays from
-    that view; :meth:`from_rows` builds them from flat label arrays.
+    each access.  The one constructor,
+    ``AnnotationSet(n_labels, sample_ids, lengths, labels)``, takes the
+    labels listed sample by sample, ``lengths[i]`` of them for sample i, in
+    any order within a sample and possibly repeated.
 
     Empty label sets are legal, not rejected, since they legitimately
     contribute zero to co-occurrence counts.
@@ -100,24 +102,8 @@ class AnnotationSet:
     indptr: np.ndarray
     indices: np.ndarray
 
-    def __init__(self, n_labels: int, samples=()):
-        samples = tuple(samples)
-        lengths = np.fromiter((len(labels) for _, labels in samples), np.intp, len(samples))
-        labels = np.fromiter(itertools.chain.from_iterable(labels for _, labels in samples),
-                             np.intp, int(lengths.sum()))
-        self._store(n_labels, tuple(sid for sid, _ in samples), lengths, labels)
-
-    @classmethod
-    def from_rows(cls, n_labels: int, sample_ids, lengths, labels) -> AnnotationSet:
-        """Build from ``labels`` listed sample by sample, ``lengths[i]`` for sample i.
-
-        Within a sample the labels may come in any order and repeat.
-        """
-        ann = cls.__new__(cls)
-        ann._store(n_labels, tuple(sample_ids), lengths, labels)
-        return ann
-
-    def _store(self, n_labels, sample_ids, lengths, labels) -> None:
+    def __init__(self, n_labels: int, sample_ids, lengths, labels):
+        sample_ids = tuple(sample_ids)
         if n_labels < 1:
             raise FormatError("n_labels must be >= 1")
         lengths = np.asarray(lengths, dtype=np.intp)
@@ -327,7 +313,7 @@ def load_annotations(path, vocab: LabelVocabulary) -> AnnotationSet:
                    for tok in raw.split()[1:] if codes[tok] < 0]
         raise FormatError("unknown label name(s): " + ", ".join(unknown))
     sample_ids = tuple(itertools.compress(tokens, is_id.tolist()))
-    return AnnotationSet.from_rows(len(vocab), sample_ids, lengths - 1, labels)
+    return AnnotationSet(len(vocab), sample_ids, lengths - 1, labels)
 
 
 def load_knowledge_edges(path, vocab: LabelVocabulary) -> KnowledgeEdgeList:

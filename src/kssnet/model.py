@@ -20,6 +20,11 @@ from .synthetic import LabeledImages
 
 _DTYPES = {"float32": np.float32, "float64": np.float64}
 
+# Adam's moment decay rates and denominator guard.
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
+
 
 class TrainingDiverged(RuntimeError):
     """Training hit a non-finite loss."""
@@ -31,17 +36,16 @@ class TrainConfig:
 
     Learning rates are per parameter group: ``gcn_lr`` drives the graph
     convolution weights, ``lr`` everything else.  Weight decay is decoupled
-    and skipped for biases.  All randomness flows from ``seed``.  Dropout
-    rate and dtype are model settings; :class:`KssModel` owns them.
+    and skipped for biases.  Adam's constants are fixed, not configured:
+    ``_BETA1`` = 0.9, ``_BETA2`` = 0.999 and ``_EPS`` = 1e-8.  All
+    randomness flows from ``seed``.  Dropout rate and dtype are model
+    settings; :class:`KssModel` owns them.
     """
 
     epochs: int = 30
     batch_size: int = 50
     lr: float = 0.01
     gcn_lr: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 1e-4
     seed: int = 0
     stop_at_train_map: float | None = None
@@ -189,7 +193,7 @@ class KssModel:
         (B, H, W, C_in) layout the backbone computes in.  Conv weights stay
         (O, C, 3, 3), so checkpoints do not depend on the layout.
 
-        Each backbone stage is ``conv2d`` then ``avg_pool2d(·, 2, slope)``,
+        Each backbone stage is ``conv2d`` then ``avg_pool2d(·, slope)``,
         which applies the LeakyReLU inside its pooling pass, so no
         full-size activation is made.
 
@@ -214,7 +218,7 @@ class KssModel:
             )
             if on_preactivation is not None:
                 on_preactivation(h.data)
-            h = ad.avg_pool2d(h, 2, slope=self.slope)
+            h = ad.avg_pool2d(h, self.slope)
             if s in self.lc_stages:
                 h = self._inject(h, embeds[s - self.stage_offset], s)
 
@@ -315,8 +319,8 @@ class Adam:
         """
         cfg = self.cfg
         self.t += 1
-        bc1 = 1.0 - cfg.beta1 ** self.t
-        bc2 = 1.0 - cfg.beta2 ** self.t
+        bc1 = 1.0 - _BETA1 ** self.t
+        bc2 = 1.0 - _BETA2 ** self.t
         for name, p in self.items:
             if p.grad is None:
                 continue
@@ -324,16 +328,16 @@ class Adam:
             m = self.m[name]
             v = self.v[name]
             tmp, update = self._scratch[name]
-            np.multiply(g, 1.0 - cfg.beta1, out=tmp)
-            m *= cfg.beta1
+            np.multiply(g, 1.0 - _BETA1, out=tmp)
+            m *= _BETA1
             m += tmp
-            np.multiply(g, 1.0 - cfg.beta2, out=tmp)
+            np.multiply(g, 1.0 - _BETA2, out=tmp)
             tmp *= g
-            v *= cfg.beta2
+            v *= _BETA2
             v += tmp
             np.divide(v, bc2, out=tmp)
             np.sqrt(tmp, out=tmp)
-            tmp += cfg.eps
+            tmp += _EPS
             np.divide(m, bc1, out=update)
             update /= tmp
             lr = cfg.gcn_lr if name.startswith("gcn.") else cfg.lr

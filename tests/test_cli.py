@@ -252,6 +252,24 @@ class TestEvaluate:
         assert run(["evaluate", "--scores", str(tmp_path / "s.txt"),
                     "--targets", str(tmp_path / "t.txt"), "--decision", "top_k:1"]) == 0
 
+    def test_flags_of_both_modes_rejected(self, tmp_path, capsys):
+        targets = np.array([[1, 0], [0, 1]], dtype=float)
+        storage.save_matrix_text(targets, tmp_path / "s.txt")
+        storage.save_matrix_text(targets, tmp_path / "t.txt")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("epochs = 0\nn_train = 16\nn_val = 8\n")
+        matrices = ["--scores", str(tmp_path / "s.txt"), "--targets", str(tmp_path / "t.txt")]
+        for model_args, flags in [
+            (["--checkpoint", str(tmp_path / "m.ckpt"), "--config", str(cfg)],
+             "--checkpoint, --config"),
+            (["--config", str(cfg)], "--config"),
+        ]:
+            assert run(["evaluate", *matrices, *model_args]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert (f"error: evaluate: --scores, --targets cannot be combined with {flags}"
+                    in captured.err)
+
     def test_bad_decision_flag(self, tmp_path):
         assert run(["evaluate", "--scores", "x", "--targets", "y",
                     "--decision", "argmax"]) == 1
@@ -293,18 +311,30 @@ class TestTrainAndEvaluate:
                     "--channel-divisor", "32"]) == 0
         assert "stage_channels=8,16,32,64" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("key, value", [
-        ("dtype", "float16"), ("lc", "ture"), ("n_train", "abc"),
-        ("stage_channels", "16,x"), ("dropout", "1.5"),
-    ], ids=["dtype", "lc", "n_train", "stage_channels", "dropout"])
-    def test_unknown_dtype_is_validation_error(self, tmp_path, capsys, key, value):
+    @pytest.mark.parametrize("extra, message", [
+        ({"dtype": "float16"}, "dtype"),
+        ({"lc": "ture"}, "lc"),
+        ({"n_train": "abc"}, "n_train"),
+        ({"stage_channels": "16,x"}, "stage_channels"),
+        ({"dropout": "1.5"}, "dropout"),
+        ({"graph": "statistical", "lambda": "0.2"},
+         "lambda has no effect with graph = statistical"),
+        ({"graph": "knowledge", "binarize_t": "0.05"},
+         "binarize_t has no effect with graph = knowledge"),
+        ({"graph": "knowledge", "lambda": "0.9", "binarize_t": "0.95"},
+         "lambda, binarize_t has no effect with graph = knowledge"),
+        ({"graph": "identity", "eta": "0.5"}, "eta has no effect with graph = identity"),
+        ({"graph": "identity", "lambda": "0.2", "tau": "0.1", "eta": "0.5", "binarize_t": "0.3"},
+         "lambda, tau, eta, binarize_t has no effect with graph = identity"),
+    ], ids=["dtype", "lc", "n_train", "stage_channels", "dropout", "statistical-lambda",
+            "knowledge-binarize_t", "knowledge-both", "identity-eta", "identity-all"])
+    def test_unknown_dtype_is_validation_error(self, tmp_path, capsys, extra, message):
         cfg = tmp_path / "c.cfg"
-        settings = {"epochs": "0", "n_train": "16", "n_val": "8", key: value}
+        settings = {"epochs": "0", "n_train": "16", "n_val": "8", **extra}
         cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
         assert run(["train-toy", "--config", str(cfg), "--checkpoint",
                     str(tmp_path / "m.ckpt"), "--history", str(tmp_path / "h.csv")]) == 1
-        err = capsys.readouterr().err
-        assert f"error: {cfg}: " in err and key in err
+        assert f"error: {cfg}: {message}" in capsys.readouterr().err
 
     def test_checkpoint_state_error_names_checkpoint(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"

@@ -3,29 +3,26 @@ import numpy.testing as npt
 import pytest
 
 from kssnet import graph, storage, synthetic
-from kssnet.ingest import AnnotationSet, KnowledgeEdgeList
+from kssnet.ingest import KnowledgeEdgeList
 
 import oracles
-
-
-def ann_from_sets(label_sets, n):
-    samples = tuple((f"s{i}", frozenset(s)) for i, s in enumerate(label_sets))
-    return AnnotationSet(n, samples)
+from test_ingest import annotation_set
 
 
 class TestCooccurrence:
     def test_two_samples(self):
-        m, counts = graph.cooccurrence_counts(ann_from_sets([{0, 1}, {0}], 2))
+        m, counts = graph.cooccurrence_counts(annotation_set(2, [("a", {0, 1}), ("b", {0})]))
         npt.assert_array_equal(m, [[0, 1], [1, 0]])
         npt.assert_array_equal(counts, [2, 1])
 
     def test_empty_annotation_set(self):
-        m, counts = graph.cooccurrence_counts(ann_from_sets([], 3))
+        m, counts = graph.cooccurrence_counts(annotation_set(3, []))
         npt.assert_array_equal(m, np.zeros((3, 3)))
         npt.assert_array_equal(counts, np.zeros(3))
 
     def test_repeated_pair(self):
-        m, counts = graph.cooccurrence_counts(ann_from_sets([{0, 1}] * 3, 2))
+        ann = annotation_set(2, [(f"s{i}", {0, 1}) for i in range(3)])
+        m, counts = graph.cooccurrence_counts(ann)
         assert m[0, 1] == 3 and m[1, 0] == 3
         npt.assert_array_equal(counts, [3, 3])
 
@@ -34,7 +31,7 @@ class TestCooccurrence:
         for _ in range(30):
             n = int(rng.integers(1, 8))
             samples = oracles.random_annotation_samples(rng, n, int(rng.integers(0, 20)))
-            ann = AnnotationSet(n, samples)
+            ann = annotation_set(n, samples)
             m, counts = graph.cooccurrence_counts(ann)
             m_ref, counts_ref = oracles.cooccurrence_oracle(samples, n)
             npt.assert_array_equal(m, m_ref)
@@ -43,21 +40,16 @@ class TestCooccurrence:
             assert np.all(np.diag(m) == 0)
 
     def test_matches_brute_force_across_block_boundaries(self):
-        # two full GEMM blocks and a short third, with empty label sets and
-        # a wider output than the vocabulary
+        # two full GEMM blocks and a short third, with empty label sets
         rng = np.random.default_rng(1)
         n_samples = 2 * graph._COOC_BLOCK_ROWS + 3
         samples = oracles.random_annotation_samples(rng, 6, n_samples)
         assert any(not labels for _, labels in samples)
-        m, counts = graph.cooccurrence_counts(AnnotationSet(6, samples), n=9)
-        m_ref, counts_ref = oracles.cooccurrence_oracle(samples, 9)
+        m, counts = graph.cooccurrence_counts(annotation_set(6, samples))
+        m_ref, counts_ref = oracles.cooccurrence_oracle(samples, 6)
         assert m.dtype == np.int64 and counts.dtype == np.int64
         npt.assert_array_equal(m, m_ref)
         npt.assert_array_equal(counts, counts_ref)
-
-    def test_n_below_vocabulary_rejected(self):
-        with pytest.raises(ValueError, match="smaller"):
-            graph.cooccurrence_counts(ann_from_sets([{0, 2}], 3), n=2)
 
 
 class TestStatisticalAdjacency:
@@ -248,7 +240,7 @@ class TestPipeline:
         rng = np.random.default_rng(seed)
         samples = oracles.random_annotation_samples(rng, n, 30)
         triples = oracles.random_triples(rng, n, 12)
-        return AnnotationSet(n, samples), KnowledgeEdgeList(n, triples)
+        return annotation_set(n, samples), KnowledgeEdgeList(n, triples)
 
     def test_pure_statistical_endpoint(self):
         ann, edges = self._inputs()
@@ -290,7 +282,7 @@ class TestPipeline:
             cfg = graph.GraphPipelineConfig(lam=0.4, tau=0.02, eta=0.4)
 
             base_ks, base_norm = graph.build_ks_graph(
-                AnnotationSet(n, samples), KnowledgeEdgeList(n, triples), cfg
+                annotation_set(n, samples), KnowledgeEdgeList(n, triples), cfg
             )
             perm_samples = tuple(
                 (sid, frozenset(int(perm[i]) for i in labels)) for sid, labels in samples
@@ -299,7 +291,7 @@ class TestPipeline:
                 (int(perm[h]), int(perm[t]), r, w) for h, t, r, w in triples
             )
             perm_ks, perm_norm = graph.build_ks_graph(
-                AnnotationSet(n, perm_samples), KnowledgeEdgeList(n, perm_triples), cfg
+                annotation_set(n, perm_samples), KnowledgeEdgeList(n, perm_triples), cfg
             )
             p = np.eye(n)[perm]  # row i of P is e_{perm[i]}... see assertion below
             # pipeline(P . data)[perm[i], perm[j]] == pipeline(data)[i, j]
@@ -320,7 +312,7 @@ class TestPipeline:
         )
         cfg = graph.GraphPipelineConfig(lam=0.5, tau=0.0625, eta=0.5)
         base_ks, _ = graph.build_ks_graph(
-            AnnotationSet(n, samples), KnowledgeEdgeList(n, triples), cfg
+            annotation_set(n, samples), KnowledgeEdgeList(n, triples), cfg
         )
         perm = rng.permutation(n)
         perm_samples = tuple(
@@ -328,7 +320,7 @@ class TestPipeline:
         )
         perm_triples = tuple((int(perm[h]), int(perm[t]), r, w) for h, t, r, w in triples)
         perm_ks, _ = graph.build_ks_graph(
-            AnnotationSet(n, perm_samples), KnowledgeEdgeList(n, perm_triples), cfg
+            annotation_set(n, perm_samples), KnowledgeEdgeList(n, perm_triples), cfg
         )
         npt.assert_array_equal(perm_ks[np.ix_(perm, perm)], base_ks)
 

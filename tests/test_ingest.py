@@ -13,6 +13,14 @@ def vocab():
     return ingest.LabelVocabulary(("dog", "cat"))
 
 
+def annotation_set(n_labels, samples):
+    """An ``AnnotationSet`` from ``(sample_id, labels)`` pairs."""
+    samples = tuple(samples)
+    return ingest.AnnotationSet(n_labels, [sid for sid, _ in samples],
+                                [len(labels) for _, labels in samples],
+                                [label for _, labels in samples for label in labels])
+
+
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -80,7 +88,7 @@ class TestAnnotations:
 
     def test_round_trip(self, tmp_path):
         vocab = ingest.LabelVocabulary(("sports ball", "dog", "cat"))
-        ann = ingest.AnnotationSet(3, (
+        ann = annotation_set(3, (
             ("img1", frozenset({0, 2})),
             ("img2", frozenset()),
             ("img3", frozenset({1})),
@@ -98,18 +106,19 @@ class TestAnnotations:
         assert ann.samples == (("img1", frozenset({0, 1})), ("img2", frozenset()),
                                ("img3", frozenset({0})))
 
-    def test_from_rows_equals_sample_constructor(self):
+    def test_labels_in_any_order_with_repeats(self):
         samples = (("a", frozenset({2, 0})), ("b", frozenset()), ("c", frozenset({1})))
-        ann = ingest.AnnotationSet(3, samples)
-        # labels in any order, repeats allowed
-        rows = ingest.AnnotationSet.from_rows(3, ["a", "b", "c"], [4, 0, 2], [2, 0, 2, 2, 1, 1])
-        assert rows == ann and hash(rows) == hash(ann)
-        assert rows.samples == samples
-        assert rows != ingest.AnnotationSet(4, samples)
-        assert rows != ingest.AnnotationSet(3, samples[:2] + (("c", frozenset({2})),))
+        ann = ingest.AnnotationSet(3, ["a", "b", "c"], [4, 0, 2], [2, 0, 2, 2, 1, 1])
+        npt.assert_array_equal(ann.indptr, [0, 2, 2, 3])
+        npt.assert_array_equal(ann.indices, [0, 2, 1])
+        assert ann.samples == samples
+        from_sets = annotation_set(3, samples)
+        assert ann == from_sets and hash(ann) == hash(from_sets)
+        assert ann != annotation_set(4, samples)
+        assert ann != annotation_set(3, samples[:2] + (("c", frozenset({2})),))
 
     def test_immutable(self):
-        ann = ingest.AnnotationSet(2, (("a", frozenset({1})),))
+        ann = annotation_set(2, (("a", frozenset({1})),))
         with pytest.raises(dataclasses.FrozenInstanceError):
             ann.n_labels = 3
         for array in (ann.indptr, ann.indices):
@@ -118,26 +127,26 @@ class TestAnnotations:
 
     def test_invalid_sets_rejected_in_sample_order(self):
         with pytest.raises(ingest.FormatError, match="n_labels must be >= 1"):
-            ingest.AnnotationSet(0, ())
+            annotation_set(0, ())
         with pytest.raises(ingest.FormatError, match=r"duplicate sample_id 'a'"):
-            ingest.AnnotationSet(2, (("a", frozenset()), ("b", frozenset()), ("a", {1})))
+            annotation_set(2, (("a", frozenset()), ("b", frozenset()), ("a", {1})))
         for bad in (2, -1):
             for later_duplicate in ((), (("a", {1}),)):
                 with pytest.raises(ingest.FormatError,
                                    match=rf"sample 'b': label index {bad} outside \[0, 2\)"):
-                    ingest.AnnotationSet(2, (("a", {0}), ("b", {1, bad})) + later_duplicate)
+                    annotation_set(2, (("a", {0}), ("b", {1, bad})) + later_duplicate)
         with pytest.raises(ingest.FormatError, match="duplicate sample_id 'a'"):
-            ingest.AnnotationSet(2, (("a", {0}), ("a", {0}), ("b", {5})))
+            annotation_set(2, (("a", {0}), ("a", {0}), ("b", {5})))
         with pytest.raises(ValueError, match="lengths"):
-            ingest.AnnotationSet.from_rows(2, ["a"], [2], [0])
+            ingest.AnnotationSet(2, ["a"], [2], [0])
 
     def test_large_load_needs_no_full_collection(self, tmp_path):
         # one container kept alive per sample would make a 50k-line load run
         # the cyclic collector over the whole heap
         vocab = ingest.LabelVocabulary(tuple(f"label {i}" for i in range(80)))
         y = np.random.default_rng(0).random((50_000, 80)) < 0.04
-        ann = ingest.AnnotationSet.from_rows(80, [f"img{i:06d}" for i in range(len(y))],
-                                             y.sum(axis=1), np.nonzero(y)[1])
+        ann = ingest.AnnotationSet(80, [f"img{i:06d}" for i in range(len(y))],
+                                   y.sum(axis=1), np.nonzero(y)[1])
         path = write(tmp_path, "a.txt", "".join(
             " ".join([f"img{i:06d}", *(f"label_{j}" for j in np.flatnonzero(row))]) + "\n"
             for i, row in enumerate(y)))

@@ -26,6 +26,7 @@ from kssnet import autodiff, graph, ingest, metrics, storage
 from kssnet.ingest import AnnotationSet, FormatError
 
 import oracles
+from test_ingest import annotation_set
 from test_metrics import top_k_reference
 
 SETTINGS = settings(max_examples=200, deadline=None, database=None)
@@ -36,8 +37,7 @@ TIED_VALUES = st.sampled_from([-1.5, -0.0, 0.0, 0.25, 1.0, 3.0])
 def annotation_sets(draw):
     n = draw(st.integers(1, 6))
     label_sets = draw(st.lists(st.frozensets(st.integers(0, n - 1)), max_size=12))
-    samples = tuple((f"s{i}", labels) for i, labels in enumerate(label_sets))
-    return AnnotationSet(n, samples), n + draw(st.integers(0, 2))
+    return annotation_set(n, ((f"s{i}", labels) for i, labels in enumerate(label_sets)))
 
 
 @st.composite
@@ -61,11 +61,10 @@ def score_matrices(draw):
 
 @SETTINGS
 @given(annotation_sets(), st.integers(1, 4))
-def test_cooccurrence_counts_match_oracle(case, block_rows):
-    ann, n = case
+def test_cooccurrence_counts_match_oracle(ann, block_rows):
     with mock.patch.object(graph, "_COOC_BLOCK_ROWS", block_rows):
-        m, counts = graph.cooccurrence_counts(ann, n)
-    m_ref, counts_ref = oracles.cooccurrence_oracle(ann.samples, n)
+        m, counts = graph.cooccurrence_counts(ann)
+    m_ref, counts_ref = oracles.cooccurrence_oracle(ann.samples, ann.n_labels)
     npt.assert_array_equal(m, m_ref)
     npt.assert_array_equal(counts, counts_ref)
 
