@@ -2,9 +2,10 @@
 
 Just enough machinery for the label-graph pathway, lateral connections, and
 the toy backbone: broadcast-aware elementwise ops, batched matmul,
-reshape/axis swap, the tanh and LeakyReLU activations, reductions,
-stride-1 convolution, 2x2 average pooling of the LeakyReLU of its input,
-and a numerically stable binary cross-entropy head.  Ops are functions;
+reshape/axis swap, the tanh and LeakyReLU activations, reductions, the
+backbone's one convolution (3x3 kernels, stride 1, zero padding 1, a bias),
+2x2 average pooling of the LeakyReLU of its input, and a numerically stable
+binary cross-entropy head.  Ops are functions;
 ``Tensor`` has no arithmetic operators.  The sigmoid is not an op:
 :func:`_sigmoid` is a plain-array helper for the loss gradient and for
 ``metrics.decide``.
@@ -15,13 +16,14 @@ deterministic.  Feature maps are channels-last, (B, H, W, C), the one
 layout of the convolution and the pooling: a copy of a window tap or a
 pooled slice then moves runs of C (or W*C) floats rather than rows W floats
 long, so its cost follows the bytes, not the row count.  Kernels stay
-(O, C, k, k).  The convolution is im2col followed by GEMM in sample blocks;
+(O, C, 3, 3).  The convolution is im2col followed by GEMM in sample blocks;
 its backward is one GEMM for the weight gradient and a GEMM followed by
 col2im for the input gradient, rebuilding the column matrix from the padded
 input it retains.  A map with fewer positions than the kernel has taps is
 instead one dense GEMM against a matrix of the taps (see :func:`conv2d`).
 The backbone's LeakyReLU runs inside the pooling pass, block by block, so
-its full-size activation is never made (see :func:`avg_pool2d`).
+its full-size activation is never made (see :func:`avg_pool2d`).  Every
+LeakyReLU slope lies in (0, 1]; another is rejected with ``ValueError``.
 """
 
 from __future__ import annotations
@@ -179,18 +181,14 @@ def swap_last(a) -> Tensor:
 def _leaky_relu_into(x: np.ndarray, slope: float, out: np.ndarray) -> np.ndarray:
     """Write ``np.where(x >= 0, x, slope * x)`` into ``out``, bit for bit.
 
-    A positive slope keeps the sign, so the result is the larger (for
-    ``slope > 1`` the smaller) of ``x`` and ``slope * x``, computed
-    branch-free; a zero or negative slope (``0 * inf`` is NaN, and a
-    negative slope flips the sign of zero) copies ``x`` over ``slope * x``
-    where ``x >= 0``.
+    ``slope`` must lie in (0, 1], else ``ValueError``.  Such a slope keeps
+    the sign of ``x``, zeros included, and does not grow it, so the result
+    is the larger of ``x`` and ``slope * x``.
     """
+    if not 0 < slope <= 1:
+        raise ValueError(f"LeakyReLU slope must lie in (0, 1], got {slope}")
     np.multiply(x, slope, out=out)
-    if slope > 0:
-        (np.minimum if slope > 1 else np.maximum)(x, out, out=out)
-    else:
-        np.copyto(out, x, where=x >= 0)
-    return out
+    return np.maximum(x, out, out=out)
 
 
 def _leaky_relu_slopes(x: np.ndarray, slope: float, dtype, out=None, mask=None) -> np.ndarray:
@@ -206,7 +204,7 @@ def _leaky_relu_slopes(x: np.ndarray, slope: float, dtype, out=None, mask=None) 
 
 
 def leaky_relu(a, slope: float) -> Tensor:
-    """``x`` where ``x >= 0``, else ``slope * x``.
+    """``x`` where ``x >= 0``, else ``slope * x``, for a ``slope`` in (0, 1].
 
     Bit for bit ``np.where(x >= 0, x, slope * x)``, signed zeros,
     infinities and NaNs included, written into one array (see
@@ -267,70 +265,63 @@ def tmean(a, axis: tuple[int, ...]) -> Tensor:
     return mul_scalar(tsum(a, axis=axis), 1.0 / count)
 
 
+# The side of every convolution kernel; the zero padding is 1 on each side, so
+# the output keeps the input's height and width.
+_K = 3
 # Rows (samples x output positions) per im2col block of the conv forward.
 _CONV_BLOCK_ROWS = 1024
 
 
-def _windows(xp: np.ndarray, k: int) -> np.ndarray:
-    """The k x k windows of a padded (B, Hp, Wp, C) input, as a (B, oh, ow, k, k, C) view.
+def _windows(xp: np.ndarray) -> np.ndarray:
+    """The 3x3 windows of a padded (B, H+2, W+2, C) input, as a (B, H, W, 3, 3, C) view.
 
-    Reshaped to (B*oh*ow, k*k*C) it is the im2col matrix: a row lists its
+    Reshaped to (B*H*W, 9*C) it is the im2col matrix: a row lists its
     window tap by tap, (u, v) row-major, so every copied run is C floats long.
     """
-    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (_K, _K), axis=(1, 2))
     return win.transpose(0, 1, 2, 4, 5, 3)
 
 
-def conv2d(x, w, b=None, padding: int = 1) -> Tensor:
-    """Stride-1 2D convolution of channels-last (B, H, W, C) with (O, C, k, k) kernels.
+def conv2d(x, w, b) -> Tensor:
+    """The backbone convolution: channels-last (B, H, W, C) input, (O, C, 3, 3) kernels, bias (O,).
 
-    Returns a C-contiguous (B, oh, ow, O) array in the input dtype.  A map
-    with at least k*k positions is convolved as im2col then GEMM
-    (:func:`_conv_im2col`); a smaller one, such as the 2x2 last stage under
-    3x3 kernels, as one dense GEMM (:func:`_conv_dense`), which needs
-    (H*W)**2 * C * O multiply-adds against im2col's H*W * k*k * C * O.  The
-    two sum the products in different orders, so they agree to rounding,
-    not bit for bit.  Gradients nobody needs (the input of the first layer)
-    are not computed.
+    Stride 1 and zero padding 1, so the output keeps the input's height and
+    width: a C-contiguous (B, H, W, O) array in the input dtype.  A kernel
+    that is not 3x3, a bias that is not (O,) or a channel count that
+    differs from the kernel's raises ``ValueError``.  A map with at least 9
+    positions is convolved as im2col then GEMM (:func:`_conv_im2col`); a
+    smaller one, such as the 2x2 last stage, as one dense GEMM
+    (:func:`_conv_dense`), which needs (H*W)**2 * C * O multiply-adds
+    against im2col's H*W * 9 * C * O.  The two sum the products in
+    different orders, so they agree to rounding, not bit for bit.
+    Gradients nobody needs (the input of the first layer) are not computed.
     """
-    x, w = as_tensor(x), as_tensor(w)
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     o, c, kh, kw = w.shape
-    if kh != kw:
-        raise ValueError("only square kernels are supported")
+    if (kh, kw) != (_K, _K):
+        raise ValueError(f"kernel {kh}x{kw} is not {_K}x{_K}")
     if x.shape[3] != c:
         raise ValueError(f"channel mismatch: input {x.shape[3]}, kernel {c}")
-    k = kh
+    if b.shape != (o,):
+        raise ValueError(f"bias shape {b.shape} != ({o},)")
     _, h, wd, _ = x.shape
-    oh, ow = h + 2 * padding - k + 1, wd + 2 * padding - k + 1
-    if padding < 0 or oh < 1 or ow < 1:
-        raise ValueError(f"kernel {k} with padding {padding} does not fit a {h}x{wd} input")
-    parents = (x, w)
-    bias = None
-    if b is not None:
-        b = as_tensor(b)
-        if b.shape != (o,):
-            raise ValueError(f"bias shape {b.shape} != ({o},)")
-        parents = (x, w, b)
-        bias = b.data
-    conv = _conv_dense if h * wd < k * k else _conv_im2col
-    out, input_grad, weight_grad = conv(x.data, w.data, bias, padding, oh, ow)
+    conv = _conv_dense if h * wd < _K * _K else _conv_im2col
+    out, input_grad, weight_grad = conv(x.data, w.data, b.data)
 
     def backward(g):
         gx = input_grad(g) if x.requires_grad else None
         gw = weight_grad(g) if w.requires_grad else None
-        if b is None:
-            return gx, gw
         return gx, gw, g.reshape(-1, o).sum(axis=0)
 
-    return _node(out, parents, backward)
+    return _node(out, (x, w, b), backward)
 
 
-def _conv_im2col(x, w, bias, padding, oh, ow):
+def _conv_im2col(x, w, bias):
     """Forward of :func:`conv2d` as im2col then GEMM, and its two gradient functions.
 
     The forward runs over blocks of whole samples holding at most
     ``_CONV_BLOCK_ROWS`` output positions (at least one sample): each
-    block's (rows, k*k*C) window matrix times ``w`` as (k*k*C, O) is
+    block's (rows, 9*C) window matrix times ``w`` as (9*C, O) is
     written, bias added, straight into its slice of the preallocated
     output, so no transpose follows.  The blocks are there for memory:
     unblocked, tall GEMMs such as the (65536 x 27) @ (27 x 16) stage 0 of a
@@ -340,43 +331,42 @@ def _conv_im2col(x, w, bias, padding, oh, ow):
 
     It retains the padded input, not the columns.  The weight gradient
     rebuilds them (one GEMM); the input gradient is one batched GEMM into
-    k*k tap-major (B*oh*ow, C) slabs that are added into a zeroed padded
-    buffer (col2im: contiguous runs ow*C long), then cropped.  Neither is
+    9 tap-major (B*H*W, C) slabs that are added into a zeroed padded
+    buffer (col2im: contiguous runs W*C long), then cropped.  Neither is
     blocked: backward runs on training minibatches only.
     """
     bs, h, wd, c = x.shape
-    o, _, k, _ = w.shape
-    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
-    wmat = w.transpose(2, 3, 1, 0).reshape(k * k * c, o)
-    win = _windows(xp, k)
-    out = np.empty((bs, oh, ow, o), dtype=np.result_type(xp, wmat))
-    step = max(1, _CONV_BLOCK_ROWS // (oh * ow))
+    o = w.shape[0]
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    wmat = w.transpose(2, 3, 1, 0).reshape(_K * _K * c, o)
+    win = _windows(xp)
+    out = np.empty((bs, h, wd, o), dtype=np.result_type(xp, wmat))
+    step = max(1, _CONV_BLOCK_ROWS // (h * wd))
     for lo in range(0, bs, step):
         block = out[lo:lo + step].reshape(-1, o)
-        np.matmul(win[lo:lo + step].reshape(-1, k * k * c), wmat, out=block)
-        if bias is not None:
-            block += bias
+        np.matmul(win[lo:lo + step].reshape(-1, _K * _K * c), wmat, out=block)
+        block += bias
 
     def input_grad(g):
-        taps = np.matmul(g.reshape(-1, o), wmat.reshape(k * k, c, o).transpose(0, 2, 1))
+        taps = np.matmul(g.reshape(-1, o), wmat.reshape(_K * _K, c, o).transpose(0, 2, 1))
         gxp = np.zeros(xp.shape, dtype=taps.dtype)
-        for u in range(k):
-            for v in range(k):
-                gxp[:, u:u + oh, v:v + ow] += taps[u * k + v].reshape(bs, oh, ow, c)
-        return gxp[:, padding:padding + h, padding:padding + wd]
+        for u in range(_K):
+            for v in range(_K):
+                gxp[:, u:u + h, v:v + wd] += taps[u * _K + v].reshape(bs, h, wd, c)
+        return gxp[:, 1:1 + h, 1:1 + wd]
 
     def weight_grad(g):
-        gmat = win.reshape(-1, k * k * c).T @ g.reshape(-1, o)
-        return gmat.reshape(k, k, c, o).transpose(3, 2, 0, 1)
+        gmat = win.reshape(-1, _K * _K * c).T @ g.reshape(-1, o)
+        return gmat.reshape(_K, _K, c, o).transpose(3, 2, 0, 1)
 
     return out, input_grad, weight_grad
 
 
-def _conv_dense(x, w, bias, padding, oh, ow):
+def _conv_dense(x, w, bias):
     """Forward of :func:`conv2d` as one dense GEMM, and its two gradient functions.
 
-    For maps smaller than the kernel.  ``x`` as a (B, H*W*C) matrix is
-    multiplied by the (H*W*C, oh*ow*O) matrix ``t`` that holds, at each
+    For maps with fewer than 9 positions.  ``x`` as a (B, H*W*C) matrix is
+    multiplied by the (H*W*C, H*W*O) matrix ``t`` that holds, at each
     (input position, output position) pair within reach of each other, the
     (C, O) kernel tap that joins them, and zeros elsewhere: no padding and
     no window copy.  The input gradient is ``g @ t.T``; the weight gradient
@@ -385,26 +375,25 @@ def _conv_dense(x, w, bias, padding, oh, ow):
     non-finite input reaches outputs out of its reach.
     """
     bs, h, wd, c = x.shape
-    o, _, k, _ = w.shape
-    pairs = [(i, j, p, q, i - p + padding, j - q + padding)
-             for i, j, p, q in np.ndindex(h, wd, oh, ow)
-             if 0 <= i - p + padding < k and 0 <= j - q + padding < k]
-    taps = w.transpose(2, 3, 1, 0)  # (k, k, C, O)
-    t = np.zeros((h, wd, c, oh, ow, o), dtype=taps.dtype)
+    o = w.shape[0]
+    pairs = [(i, j, p, q, i - p + 1, j - q + 1)
+             for i, j, p, q in np.ndindex(h, wd, h, wd)
+             if 0 <= i - p + 1 < _K and 0 <= j - q + 1 < _K]
+    taps = w.transpose(2, 3, 1, 0)  # (3, 3, C, O)
+    t = np.zeros((h, wd, c, h, wd, o), dtype=taps.dtype)
     for i, j, p, q, u, v in pairs:
         t[i, j, :, p, q] = taps[u, v]
-    t = t.reshape(h * wd * c, oh * ow * o)
+    t = t.reshape(h * wd * c, h * wd * o)
     xmat = x.reshape(bs, h * wd * c)
-    out = (xmat @ t).reshape(bs, oh, ow, o)
-    if bias is not None:
-        out += bias
+    out = (xmat @ t).reshape(bs, h, wd, o)
+    out += bias
 
     def input_grad(g):
         return (g.reshape(bs, -1) @ t.T).reshape(x.shape)
 
     def weight_grad(g):
-        full = (xmat.T @ g.reshape(bs, -1)).reshape(h, wd, c, oh, ow, o)
-        gtaps = np.zeros((k, k, c, o), dtype=full.dtype)
+        full = (xmat.T @ g.reshape(bs, -1)).reshape(h, wd, c, h, wd, o)
+        gtaps = np.zeros((_K, _K, c, o), dtype=full.dtype)
         for i, j, p, q, u, v in pairs:
             gtaps[u, v] += full[i, j, :, p, q]
         return gtaps.transpose(3, 2, 0, 1)
@@ -425,7 +414,8 @@ def avg_pool2d(x, slope: float) -> Tensor:
 
     Bit for bit the mean over each 2x2 window of ``leaky_relu(x, slope)``
     forward and backward, without the full-size activation: the backbone's
-    activate-and-pool is one pass.  ``slope = 1`` pools ``x`` itself.
+    activate-and-pool is one pass.  ``slope`` must lie in (0, 1], else
+    ``ValueError``; ``slope = 1`` pools ``x`` itself.
 
     H and W must be even.  The forward runs over blocks of whole samples
     holding at most ``_POOL_BLOCK_ELEMS`` elements (at least one sample).

@@ -190,12 +190,8 @@ def full_model_check(seed: int):
     return fn, _pack([model.param(name).data for name in names])
 
 
-def run_standard_checks(seed: int = 0, step: float = 1e-6, corrupt: bool = False) -> dict[str, float]:
-    """Gradient-check every component once; returns component -> max relative error.
-
-    ``corrupt`` perturbs the reverse-mode gradients before comparison (a
-    negative control used to prove the checker can fail).
-    """
+def run_standard_checks(seed: int = 0, step: float = 1e-6) -> dict[str, float]:
+    """Gradient-check every component once; returns component -> max relative error."""
     builders = {
         "gcn_layer": gcn_layer_check,
         "lc_2d": lc_2d_check,
@@ -205,12 +201,5 @@ def run_standard_checks(seed: int = 0, step: float = 1e-6, corrupt: bool = False
     results = {}
     for name, builder in builders.items():
         fn, params = builder(seed)
-        if corrupt:
-            inner = fn
-
-            def fn(p, inner=inner):
-                value, grad = inner(p)
-                return value, grad * 1.01 + 1e-3
-
         results[name] = grad_check(fn, params, step)
     return results

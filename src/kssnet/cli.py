@@ -79,7 +79,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("gradcheck", help="finite-difference checks of every component")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--step", type=float, default=1e-6)
-    p.add_argument("--corrupt-backward", action="store_true", help=argparse.SUPPRESS)
 
     p = sub.add_parser("train-toy", help="train the toy model on the synthetic dataset")
     p.add_argument("--config", required=True, help="flat key = value training config")
@@ -153,8 +152,7 @@ def _cmd_inspect(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    results = checks.run_standard_checks(seed=args.seed, step=args.step,
-                                         corrupt=args.corrupt_backward)
+    results = checks.run_standard_checks(seed=args.seed, step=args.step)
     failed = False
     for name, err in results.items():
         tol = checks.GRADCHECK_TOLERANCES[name]
@@ -226,7 +224,9 @@ def _load_toy_setup(config_path, **overrides):
     the library's default applies; the CLI owns only ``graph = ks``,
     ``lc = true`` and ``dtype = float32``.  An unknown key, a value that does
     not parse, or a graph key that the chosen graph variant ignores fails
-    before any work starts; every error names the file.
+    before any work starts; a value a constructor rejects, or an image side
+    that the backbone stages cannot halve, fails during set-up, before
+    training.  Every error names the file.
     """
     path = _positive_file(config_path, "--config")
     cfg = {**_CLI_DEFAULTS, **storage.load_config(path), **overrides}
@@ -258,6 +258,10 @@ def _load_toy_setup(config_path, **overrides):
         else:
             _, adjacency = graph.build_ks_graph(data.annotations, data.knowledge_edges, gcfg)
         model = KssModel(adjacency, data.n_labels, data.train.e0.shape[1], **parts["model"])
+        side, n_stages = data.train.x.shape[-1], len(model.stage_channels)
+        if side % 2 ** n_stages:
+            raise ValueError(f"image_size = {side} is not divisible by 2 ** {n_stages}: "
+                             "each backbone stage halves the image")
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     return data, model, train_cfg

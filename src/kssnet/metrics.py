@@ -228,12 +228,7 @@ def decide(scores: np.ndarray, decision=("sigmoid", 0.5)) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PrfResult:
-    """Averaged per-class and pooled precision/recall/F1.
-
-    ``n_excluded_classes`` counts positive-free classes left out of the
-    per-class averages; ``n_empty_precision`` counts included classes whose
-    precision denominator was empty and therefore contributed 0.
-    """
+    """Averaged per-class and pooled precision/recall/F1."""
 
     cp: float
     cr: float
@@ -241,8 +236,6 @@ class PrfResult:
     op: float
     or_: float
     of1: float
-    n_excluded_classes: int = 0
-    n_empty_precision: int = 0
 
     def as_tuple(self):
         return (self.cp, self.cr, self.cf1, self.op, self.or_, self.of1)
@@ -265,8 +258,7 @@ def prf_suite(scores: np.ndarray, targets: np.ndarray, decision=("sigmoid", 0.5)
 
     Per-class precision/recall are averaged over classes that have at least
     one positive target; pooled statistics use TP/FP/FN summed over all
-    classes.  Empty denominators contribute 0 and are flagged.  Targets
-    must be 0 or 1.
+    classes.  Empty denominators contribute 0.  Targets must be 0 or 1.
     """
     scores, targets = _checked(scores, targets, 2)
     pred = decide(scores, decision)
@@ -274,10 +266,8 @@ def prf_suite(scores: np.ndarray, targets: np.ndarray, decision=("sigmoid", 0.5)
     tp, n_pred, n_pos = (_column_counts(x) for x in (pred & pos, pred, pos))
 
     included = n_pos > 0
-    n_excluded = int(np.sum(~included))
-    if n_excluded == scores.shape[1]:
+    if not included.any():
         raise ValueError("every class lacks positive targets")
-    empty_prec = included & (n_pred == 0)
     prec = np.zeros_like(tp)
     np.divide(tp, n_pred, out=prec, where=n_pred > 0)
     rec = np.zeros_like(tp)
@@ -288,10 +278,7 @@ def prf_suite(scores: np.ndarray, targets: np.ndarray, decision=("sigmoid", 0.5)
     cr = math.fsum(rec[included]) / n_included
     op = float(tp.sum() / n_pred.sum()) if n_pred.sum() > 0 else 0.0
     or_ = float(tp.sum() / n_pos.sum()) if n_pos.sum() > 0 else 0.0
-    return PrfResult(
-        cp=cp, cr=cr, cf1=_f1(cp, cr), op=op, or_=or_, of1=_f1(op, or_),
-        n_excluded_classes=n_excluded, n_empty_precision=int(np.sum(empty_prec)),
-    )
+    return PrfResult(cp=cp, cr=cr, cf1=_f1(cp, cr), op=op, or_=or_, of1=_f1(op, or_))
 
 
 def format_metric_table(map_value: float, prf: PrfResult) -> str:

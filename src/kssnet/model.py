@@ -10,6 +10,7 @@ with each label's embedding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,8 +56,12 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lr <= 0 or self.gcn_lr <= 0:
-            raise ValueError("learning rates must be positive")
+        for name in ("lr", "gcn_lr"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not (self.weight_decay >= 0 and math.isfinite(self.weight_decay)):
+            raise ValueError(f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
 
 
 class KssModel:
@@ -130,9 +135,8 @@ class KssModel:
             self._add_param(f"backbone.stage{s}.conv.bias", np.zeros(c_out), np_dtype)
             c_prev = c_out
 
-        self.gcn_channels = tuple(stage_channels[offset:])
         c_prev = embed_dim
-        for layer, c_out in enumerate(self.gcn_channels):
+        for layer, c_out in enumerate(stage_channels[offset:]):
             w = rng.normal(0.0, np.sqrt(2.0 / c_prev), size=(c_prev, c_out))
             self._add_param(f"gcn.layer{layer}.W", w, np_dtype)
             c_prev = c_out
@@ -214,7 +218,6 @@ class KssModel:
                 h,
                 self._params[f"backbone.stage{s}.conv.weight"],
                 self._params[f"backbone.stage{s}.conv.bias"],
-                padding=1,
             )
             if on_preactivation is not None:
                 on_preactivation(h.data)

@@ -160,6 +160,9 @@ def make_dataset(
     noise: float = 0.35,
 ) -> ToyData:
     """Generate the full toy bundle (splits, vocabulary, edges, embeddings)."""
+    for name, value in (("weak_amp", weak_amp), ("noise", noise)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     rng = np.random.default_rng(seed)
     vocab = LabelVocabulary(tuple(toy_label_names(n_labels)))
     table = toy_embedding_table(n_labels, embed_dim, seed)

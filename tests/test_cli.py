@@ -9,7 +9,7 @@ import numpy.testing as npt
 import pytest
 
 import kssnet
-from kssnet import cli, storage
+from kssnet import checks, cli, storage
 
 
 @pytest.fixture
@@ -194,8 +194,23 @@ class TestGradcheck:
         out = capsys.readouterr().out
         assert out.count("ok") == 4
 
-    def test_corrupted_backward_fails(self, capsys):
-        assert run(["gradcheck", "--seed", "0", "--corrupt-backward"]) == 1
+    def test_corrupted_backward_fails(self, capsys, monkeypatch):
+        # a negative control: a perturbed reverse-mode gradient must fail the check
+        build = checks.gcn_layer_check
+
+        def corrupted(seed):
+            fn, params = build(seed)
+
+            def perturbed(p):
+                value, grad = fn(p)
+                return value, grad * 1.01 + 1e-3
+
+            return perturbed, params
+
+        monkeypatch.setattr(checks, "gcn_layer_check", corrupted)
+        assert run(["gradcheck", "--seed", "0"]) == 1
+        assert "gcn_layer max_rel_err=" in (out := capsys.readouterr().out)
+        assert out.splitlines()[0].endswith("FAIL")
 
     def test_output_deterministic_per_seed(self, capsys):
         run(["gradcheck", "--seed", "7"])
@@ -326,8 +341,16 @@ class TestTrainAndEvaluate:
         ({"graph": "identity", "eta": "0.5"}, "eta has no effect with graph = identity"),
         ({"graph": "identity", "lambda": "0.2", "tau": "0.1", "eta": "0.5", "binarize_t": "0.3"},
          "lambda, tau, eta, binarize_t has no effect with graph = identity"),
+        ({"lr": "nan"}, "lr must be positive and finite, got nan"),
+        ({"gcn_lr": "inf"}, "gcn_lr must be positive and finite, got inf"),
+        ({"weight_decay": "nan"}, "weight_decay must be >= 0 and finite, got nan"),
+        ({"weight_decay": "-5"}, "weight_decay must be >= 0 and finite, got -5.0"),
+        ({"noise": "nan"}, "noise must be finite, got nan"),
+        ({"image_size": "24"}, "image_size = 24 is not divisible by 2 ** 4"),
     ], ids=["dtype", "lc", "n_train", "stage_channels", "dropout", "statistical-lambda",
-            "knowledge-binarize_t", "knowledge-both", "identity-eta", "identity-all"])
+            "knowledge-binarize_t", "knowledge-both", "identity-eta", "identity-all",
+            "lr-nan", "gcn_lr-inf", "weight_decay-nan", "weight_decay-negative", "noise-nan",
+            "image_size-24"])
     def test_unknown_dtype_is_validation_error(self, tmp_path, capsys, extra, message):
         cfg = tmp_path / "c.cfg"
         settings = {"epochs": "0", "n_train": "16", "n_val": "8", **extra}

@@ -242,18 +242,16 @@ class TestPrfSuite:
         pred = metrics.decide(scores, ("sigmoid", 0.5))
         assert r.as_tuple() == oracles.prf_oracle(pred, targets)
 
-    def test_empty_precision_flagged(self):
+    def test_empty_precision_contributes_zero(self):
         scores = np.full((2, 2), -5.0)  # nothing predicted
         targets = np.array([[1, 0], [1, 1]])
         r = metrics.prf_suite(scores, targets)
         assert r.cp == 0.0 and r.op == 0.0
-        assert r.n_empty_precision == 2
 
     def test_positive_free_class_excluded(self):
         scores = np.array([[5.0, 5.0], [5.0, -5.0]])
         targets = np.array([[1, 0], [1, 0]])
         r = metrics.prf_suite(scores, targets)
-        assert r.n_excluded_classes == 1
         assert r.cr == 1.0
 
     @pytest.mark.filterwarnings("ignore:.*excluded from mAP")

@@ -201,7 +201,7 @@ def reference_forward(m, x, e0, slope, on_preactivation):
     h = x
     for s in range(len(m.stage_channels)):
         h = leaky(conv_loops(h, m.param(f"backbone.stage{s}.conv.weight").data,
-                             m.param(f"backbone.stage{s}.conv.bias").data, 1))
+                             m.param(f"backbone.stage{s}.conv.bias").data))
         bs, c, hh, ww = h.shape
         pooled = np.empty((bs, c, hh // 2, ww // 2))
         for i, j in np.ndindex(hh // 2, ww // 2):

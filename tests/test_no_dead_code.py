@@ -26,8 +26,13 @@ module: that is how the toy run's key table in ``cli`` reaches
 ``make_dataset``, ``GraphPipelineConfig``, ``KssModel`` and ``TrainConfig``.
 ``ALLOWED_PARAMS`` lists the parameters that may stay unset, each with its
 reason; an entry that a caller sets, or that names no checked parameter,
-fails the test.  A parameter that is passed at one value everywhere still
-passes, so such parameters are found by hand.
+fails the test.
+
+A parameter that every call passes, always as the same constant expression
+(a literal, or a tuple or arithmetic of literals, compared as
+``ast.unparse`` spells it), is one value too and fails.  A call with a
+``*args`` or ``**mapping`` argument may pass anything, so it keeps its
+callee's parameters out of this rule.
 """
 
 import ast
@@ -154,9 +159,9 @@ def defaulted_parameters() -> list[tuple[str, str, str, int | None]]:
     return out
 
 
-def passed_arguments() -> dict[str, list[tuple[float, set[str]]]]:
-    """Callee name -> ``(positional count, keyword names)`` of every call to it."""
-    calls: dict[str, list[tuple[float, set[str]]]] = {}
+def passed_arguments() -> dict[str, list[tuple[float, set[str], ast.Call]]]:
+    """Callee name -> ``(positional count, keyword names, call)`` of every call to it."""
+    calls: dict[str, list[tuple[float, set[str], ast.Call]]] = {}
     for _, tree in _caller_trees():
         constants = {node.value for node in ast.walk(tree)
                      if isinstance(node, ast.Constant) and isinstance(node.value, str)}
@@ -172,8 +177,34 @@ def passed_arguments() -> dict[str, list[tuple[float, set[str]]]]:
             if any(kw.arg is None for kw in node.keywords):
                 keywords |= constants
             calls.setdefault(name, []).append(
-                (float("inf") if starred else len(node.args), keywords))
+                (float("inf") if starred else len(node.args), keywords, node))
     return calls
+
+
+_CONSTANT_NODES = (ast.Constant, ast.Tuple, ast.List, ast.UnaryOp, ast.BinOp,
+                   ast.unaryop, ast.operator, ast.expr_context)
+
+
+def one_constant(calls, name: str, pos: int | None) -> str | None:
+    """The constant expression every call in ``calls`` passes to the parameter, if one.
+
+    None when there is no call, when a call passes nothing there, passes an
+    expression that is not constant or has a ``*args`` or ``**mapping``
+    argument, or when two calls pass different constants.
+    """
+    passed = set()
+    for _, _, call in calls:
+        if any(isinstance(arg, ast.Starred) for arg in call.args) or \
+                any(kw.arg is None for kw in call.keywords):
+            return None
+        values = [kw.value for kw in call.keywords if kw.arg == name]
+        if not values and pos is not None and len(call.args) > pos:
+            values = [call.args[pos]]
+        if not values or not all(isinstance(node, _CONSTANT_NODES)
+                                 for node in ast.walk(values[0])):
+            return None
+        passed.add(ast.unparse(values[0]))
+    return passed.pop() if len(passed) == 1 else None
 
 
 def test_every_public_name_has_a_caller():
@@ -187,13 +218,21 @@ def test_every_defaulted_parameter_is_set_by_a_caller():
     calls = passed_arguments()
     unset = [qual for qual, callee, name, pos in defaulted_parameters()
              if not any(name in keywords or (pos is not None and count > pos)
-                        for count, keywords in calls.get(callee, ()))]
+                        for count, keywords, _ in calls.get(callee, ()))]
     stray = [qual for qual in unset if qual not in ALLOWED_PARAMS]
     assert not stray, (f"{len(unset)} defaulted parameters no caller sets, {len(stray)} of "
                        "them not in ALLOWED_PARAMS: " + ", ".join(unset))
     stale = sorted(set(ALLOWED_PARAMS) - set(unset))
     assert not stale, "ALLOWED_PARAMS entries that a caller sets or that do not exist: " + \
         ", ".join(stale)
+
+
+def test_no_defaulted_parameter_is_one_constant():
+    calls = passed_arguments()
+    fixed = [f"{qual} = {value}" for qual, callee, name, pos in defaulted_parameters()
+             if (value := one_constant(calls.get(callee, ()), name, pos)) is not None]
+    assert not fixed, "defaulted parameters every call passes as one constant: " + \
+        ", ".join(fixed)
 
 
 def test_every_allowed_name_exists():
