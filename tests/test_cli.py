@@ -209,8 +209,8 @@ class TestGradcheck:
 
         monkeypatch.setattr(checks, "gcn_layer_check", corrupted)
         assert run(["gradcheck", "--seed", "0"]) == 1
-        assert "gcn_layer max_rel_err=" in (out := capsys.readouterr().out)
-        assert out.splitlines()[0].endswith("FAIL")
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first.startswith("gcn_layer max_rel_err=") and first.endswith(" FAIL")
 
     def test_output_deterministic_per_seed(self, capsys):
         run(["gradcheck", "--seed", "7"])

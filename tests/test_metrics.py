@@ -242,7 +242,7 @@ class TestPrfSuite:
         pred = metrics.decide(scores, ("sigmoid", 0.5))
         assert r.as_tuple() == oracles.prf_oracle(pred, targets)
 
-    def test_empty_precision_contributes_zero(self):
+    def test_empty_precision_flagged(self):
         scores = np.full((2, 2), -5.0)  # nothing predicted
         targets = np.array([[1, 0], [1, 1]])
         r = metrics.prf_suite(scores, targets)
