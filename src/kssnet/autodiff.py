@@ -5,10 +5,11 @@ the toy backbone: broadcast-aware elementwise ops, batched matmul,
 reshape/axis swap, the tanh and LeakyReLU activations, reductions, the
 backbone's one convolution (3x3 kernels, stride 1, zero padding 1, a bias),
 2x2 average pooling of the LeakyReLU of its input, and a numerically stable
-binary cross-entropy head.  Ops are functions;
-``Tensor`` has no arithmetic operators.  The sigmoid is not an op:
-:func:`_sigmoid` is a plain-array helper for the loss gradient and for
-``metrics.decide``.
+binary cross-entropy head.  Ops are functions of Tensors, never of plain
+arrays or numbers; ``Tensor`` has no arithmetic operators.  Gradients flow
+back from a scalar: ``backward()`` takes no upstream gradient.  The sigmoid
+is not an op: :func:`_sigmoid` is a plain-array helper for the loss gradient
+and for ``metrics.decide``.
 
 Arrays stay in whatever float dtype they arrive in (float64 for gradient
 checks, float32 allowed for training), gradients included; all ops are
@@ -32,24 +33,28 @@ import numpy as np
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a broadcast gradient back down to `shape`."""
+    """Sum a gradient broadcast over leading axes back down to `shape`.
+
+    The program broadcasts over leading axes only: a (C,) bias over
+    (..., S, C) and a (C, N) weight over a batch.
+    """
     extra = grad.ndim - len(shape)
     if extra > 0:
         grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
 
 
 class Tensor:
+    """A float32 or float64 array, its gradient, and the op that made it.
+
+    ``Tensor(data)`` keeps ``np.asarray(data)`` as it is: callers pass
+    float32 or float64.  ``backward()`` runs from a scalar tensor only.
+    """
+
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data)
-        if arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(np.float64)
-        self.data = arr
+        self.data = np.asarray(data)
         self.grad = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
@@ -63,23 +68,15 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+    def backward(self):
+        """Accumulate the gradients of this scalar-valued tensor into the graph's leaves.
 
-    def backward(self, grad=None):
-        """Accumulate gradients of this tensor into the graph's leaves.
-
-        Without an argument the tensor must be scalar-valued; otherwise
-        `grad` supplies the upstream gradient (same shape as `data`).
+        The gradient of a non-scalar output ``out`` for an upstream ``g`` is
+        that of ``tsum(mul(out, Tensor(g)))``.
         """
-        if grad is None:
-            if self.data.size != 1:
-                raise ValueError("backward() without an explicit gradient needs a scalar")
-            grad = np.ones_like(self.data)
-        else:
-            grad = np.asarray(grad, dtype=self.data.dtype)
-            if grad.shape != self.data.shape:
-                raise ValueError(f"gradient shape {grad.shape} != value shape {self.data.shape}")
+        if self.data.size != 1:
+            raise ValueError("backward() needs a scalar")
+        grad = np.ones_like(self.data)
 
         topo: list[Tensor] = []
         visited: set[int] = set()
@@ -107,10 +104,6 @@ class Tensor:
                 parent.grad = pgrad if parent.grad is None else parent.grad + pgrad
 
 
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     out = Tensor(data, requires_grad=any(p.requires_grad for p in parents))
     if out.requires_grad:
@@ -119,35 +112,28 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     return out
 
 
-def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-
+def add(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
     return _node(a.data + b.data, (a, b), backward)
 
 
-def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-
+def mul(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
 
     return _node(a.data * b.data, (a, b), backward)
 
 
-def mul_scalar(a, s: float) -> Tensor:
-    a = as_tensor(a)
-
+def mul_scalar(a: Tensor, s: float) -> Tensor:
     def backward(g):
         return (g * s,)
 
     return _node(a.data * s, (a,), backward)
 
 
-def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError("matmul operands must have ndim >= 2")
 
@@ -159,18 +145,15 @@ def matmul(a, b) -> Tensor:
     return _node(np.matmul(a.data, b.data), (a, b), backward)
 
 
-def reshape(a, shape) -> Tensor:
-    a = as_tensor(a)
-
+def reshape(a: Tensor, shape) -> Tensor:
     def backward(g):
         return (g.reshape(a.shape),)
 
     return _node(a.data.reshape(shape), (a,), backward)
 
 
-def swap_last(a) -> Tensor:
+def swap_last(a: Tensor) -> Tensor:
     """Transpose the last two axes."""
-    a = as_tensor(a)
 
     def backward(g):
         return (np.swapaxes(g, -1, -2),)
@@ -203,7 +186,7 @@ def _leaky_relu_slopes(x: np.ndarray, slope: float, dtype, out=None, mask=None) 
     return np.take(table, mask.view(np.uint8), out=out, mode="clip")
 
 
-def leaky_relu(a, slope: float) -> Tensor:
+def leaky_relu(a: Tensor, slope: float) -> Tensor:
     """``x`` where ``x >= 0``, else ``slope * x``, for a ``slope`` in (0, 1].
 
     Bit for bit ``np.where(x >= 0, x, slope * x)``, signed zeros,
@@ -213,7 +196,6 @@ def leaky_relu(a, slope: float) -> Tensor:
     none, and multiplies ``g`` by ``slope`` or 1.  The backbone applies the
     activation inside :func:`avg_pool2d`; this op serves the GCN.
     """
-    a = as_tensor(a)
     x = a.data
     out = _leaky_relu_into(x, slope, np.empty_like(x))
 
@@ -223,8 +205,7 @@ def leaky_relu(a, slope: float) -> Tensor:
     return _node(out, (a,), backward)
 
 
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
+def tanh(a: Tensor) -> Tensor:
     out = np.tanh(a.data)
 
     def backward(g):
@@ -248,9 +229,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def tsum(a, axis=None) -> Tensor:
-    a = as_tensor(a)
-
+def tsum(a: Tensor, axis=None) -> Tensor:
     def backward(g):
         if axis is not None:
             g = np.expand_dims(g, axis)
@@ -259,10 +238,9 @@ def tsum(a, axis=None) -> Tensor:
     return _node(a.data.sum(axis=axis), (a,), backward)
 
 
-def tmean(a, axis: tuple[int, ...]) -> Tensor:
-    a = as_tensor(a)
-    count = int(np.prod([a.shape[i] for i in axis]))
-    return mul_scalar(tsum(a, axis=axis), 1.0 / count)
+def tmean(a: Tensor) -> Tensor:
+    """The mean of a channels-last (B, H, W, C) map over its two spatial axes: (B, C)."""
+    return mul_scalar(tsum(a, axis=(1, 2)), 1.0 / (a.shape[1] * a.shape[2]))
 
 
 # The side of every convolution kernel; the zero padding is 1 on each side, so
@@ -282,7 +260,7 @@ def _windows(xp: np.ndarray) -> np.ndarray:
     return win.transpose(0, 1, 2, 4, 5, 3)
 
 
-def conv2d(x, w, b) -> Tensor:
+def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """The backbone convolution: channels-last (B, H, W, C) input, (O, C, 3, 3) kernels, bias (O,).
 
     Stride 1 and zero padding 1, so the output keeps the input's height and
@@ -296,7 +274,6 @@ def conv2d(x, w, b) -> Tensor:
     different orders, so they agree to rounding, not bit for bit.
     Gradients nobody needs (the input of the first layer) are not computed.
     """
-    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     o, c, kh, kw = w.shape
     if (kh, kw) != (_K, _K):
         raise ValueError(f"kernel {kh}x{kw} is not {_K}x{_K}")
@@ -409,7 +386,7 @@ def _conv_dense(x, w, bias):
 _POOL_BLOCK_ELEMS = 2 ** 17
 
 
-def avg_pool2d(x, slope: float) -> Tensor:
+def avg_pool2d(x: Tensor, slope: float) -> Tensor:
     """Non-overlapping 2x2 average pooling of ``leaky_relu(x, slope)``, channels-last.
 
     Bit for bit the mean over each 2x2 window of ``leaky_relu(x, slope)``
@@ -427,7 +404,6 @@ def avg_pool2d(x, slope: float) -> Tensor:
     slope (1 or ``slope``), made in two block buffers from the retained
     input while that block is in cache.
     """
-    x = as_tensor(x)
     bs, h, w, c = x.shape
     k = 2
     if h % k or w % k:
@@ -463,12 +439,11 @@ def avg_pool2d(x, slope: float) -> Tensor:
     return _node(out, (x,), backward)
 
 
-def bce_with_logits(logits, targets: np.ndarray) -> Tensor:
+def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Mean sigmoid binary cross-entropy, in the overflow-safe form.
 
     Per element: max(z, 0) - z*y + log(1 + exp(-|z|)).
     """
-    logits = as_tensor(logits)
     z = logits.data
     y = np.asarray(targets, dtype=z.dtype)
     if y.shape != z.shape:

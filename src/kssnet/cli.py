@@ -72,13 +72,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--summary-json", default=None, help="also write the summary as JSON")
 
     p = sub.add_parser("inspect", help="summarize a stored adjacency matrix")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--binary", action="store_true",
-                   help="read a KSNTCKPT file holding one tensor instead of a text matrix")
+    p.add_argument("--graph", required=True, help="text matrix, 'rows cols' header")
 
     p = sub.add_parser("gradcheck", help="finite-difference checks of every component")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--step", type=float, default=1e-6)
 
     p = sub.add_parser("train-toy", help="train the toy model on the synthetic dataset")
     p.add_argument("--config", required=True, help="flat key = value training config")
@@ -140,19 +137,13 @@ def _cmd_build_graph(args) -> int:
 
 def _cmd_inspect(args) -> int:
     path = _positive_file(args.graph, "--graph")
-    if args.binary:
-        tensors = storage.load_named_tensors(path)
-        if len(tensors) != 1:
-            raise CliError(f"{path}: expected one tensor, found {len(tensors)}")
-        (a,) = tensors.values()
-    else:
-        a = storage.load_matrix_text(path)
+    a = storage.load_matrix_text(path)
     _print_kv(graph.graph_summary(graph.check_adjacency(a, str(path))))
     return 0
 
 
 def _cmd_gradcheck(args) -> int:
-    results = checks.run_standard_checks(seed=args.seed, step=args.step)
+    results = checks.run_standard_checks(args.seed)
     failed = False
     for name, err in results.items():
         tol = checks.GRADCHECK_TOLERANCES[name]

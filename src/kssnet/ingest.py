@@ -130,17 +130,6 @@ class AnnotationSet:
         object.__setattr__(self, "indptr", indptr)
         object.__setattr__(self, "indices", indices)
 
-    def __eq__(self, other):
-        if not isinstance(other, AnnotationSet):
-            return NotImplemented
-        return (self.n_labels == other.n_labels and self.sample_ids == other.sample_ids
-                and np.array_equal(self.indptr, other.indptr)
-                and np.array_equal(self.indices, other.indices))
-
-    def __hash__(self):
-        return hash((self.n_labels, self.sample_ids, self.indptr.tobytes(),
-                     self.indices.tobytes()))
-
     def __len__(self) -> int:
         return len(self.sample_ids)
 

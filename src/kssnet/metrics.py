@@ -47,12 +47,12 @@ _AP_BLOCK_COLS = 8
 _AP_TILE_ROWS = 256
 
 
-def _checked(scores, targets, ndim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Scores as float64 and targets as given, once their shapes and targets are valid."""
+def _checked(scores, targets) -> tuple[np.ndarray, np.ndarray]:
+    """Scores as float64 and targets as given, once both are valid matching 2-D arrays."""
     scores = np.asarray(scores, dtype=np.float64)
     targets = np.asarray(targets)
-    if scores.shape != targets.shape or scores.ndim != ndim:
-        raise ValueError(f"expected matching {ndim}-D arrays, got {scores.shape} and "
+    if scores.shape != targets.shape or scores.ndim != 2:
+        raise ValueError(f"expected matching 2-D arrays, got {scores.shape} and "
                          f"{targets.shape}")
     binary = targets == 0
     binary |= targets == 1
@@ -115,7 +115,7 @@ def per_class_ap(scores: np.ndarray, targets: np.ndarray) -> np.ndarray:
     a block's size, not the matrix's: a transposed copy of the whole matrix
     would add its full size to the peak memory.
     """
-    scores, targets = _checked(scores, targets, 2)
+    scores, targets = _checked(scores, targets)
     if not np.all(np.isfinite(scores)):
         raise ValueError("scores must be finite")
     n, n_classes = scores.shape
@@ -260,7 +260,7 @@ def prf_suite(scores: np.ndarray, targets: np.ndarray, decision=("sigmoid", 0.5)
     one positive target; pooled statistics use TP/FP/FN summed over all
     classes.  Empty denominators contribute 0.  Targets must be 0 or 1.
     """
-    scores, targets = _checked(scores, targets, 2)
+    scores, targets = _checked(scores, targets)
     pred = decide(scores, decision)
     pos = targets == 1
     tp, n_pred, n_pos = (_column_counts(x) for x in (pred & pos, pred, pos))

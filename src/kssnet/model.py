@@ -225,7 +225,7 @@ class KssModel:
             if s in self.lc_stages:
                 h = self._inject(h, embeds[s - self.stage_offset], s)
 
-        pooled = ad.tmean(h, axis=(1, 2))  # (B, C)
+        pooled = ad.tmean(h)  # (B, C)
         if train and self.dropout_rate > 0.0:
             if rng is None:
                 raise ValueError("training-mode forward needs a random generator for dropout")
@@ -325,8 +325,6 @@ class Adam:
         bc1 = 1.0 - _BETA1 ** self.t
         bc2 = 1.0 - _BETA2 ** self.t
         for name, p in self.items:
-            if p.grad is None:
-                continue
             g = np.asarray(p.grad, dtype=np.float64)
             m = self.m[name]
             v = self.v[name]

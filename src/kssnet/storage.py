@@ -6,9 +6,8 @@ embedding tables) are parsed in :mod:`kssnet.ingest`.  Every text file,
 those and the two below, is read through :func:`read_text`, so a file that
 is not UTF-8 fails as a :class:`FormatError` that names it.
 
-Named-tensor file (magic ``KSNTCKPT``), used for model checkpoints and, as a
-file holding exactly one tensor, for binary adjacencies.  Integers are
-little-endian::
+Named-tensor file (magic ``KSNTCKPT``), used for model checkpoints.  Integers
+are little-endian::
 
     magic      8 bytes   b"KSNTCKPT"
     version    uint32    1

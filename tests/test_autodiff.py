@@ -166,7 +166,7 @@ class TestForward:
                        for a in (channels_last(x), w, b))
             out = ad.conv2d(x, w, b)
             assert out.data.dtype == dtype and out.data.flags.c_contiguous
-            out.backward(np.ones(out.shape, dtype=dtype))
+            ad.tsum(out).backward()
             for t in (x, w, b):
                 assert t.grad.dtype == dtype and t.grad.shape == t.shape
 
@@ -183,7 +183,7 @@ class TestForward:
         assert out.data.dtype == dtype
         npt.assert_array_equal(out.data.view(np.uint8), ref.view(np.uint8))
         g = np.random.default_rng(13).normal(size=x.shape).astype(dtype)
-        out.backward(g)
+        ad.tsum(ad.mul(out, ad.Tensor(g))).backward()  # seeds the gradient g at out
         ref_grad = g * np.where(x >= 0, dtype(1), dtype(slope))
         assert t.grad.dtype == dtype
         npt.assert_array_equal(t.grad.view(np.uint8), ref_grad.view(np.uint8))
@@ -221,7 +221,7 @@ class TestForward:
             t = ad.Tensor(x, requires_grad=True)
             out = (ad.avg_pool2d(t, slope) if fused
                    else ad.avg_pool2d(ad.leaky_relu(t, slope), 1.0))
-            out.backward(g)
+            ad.tsum(ad.mul(out, ad.Tensor(g))).backward()
             return out.data, t.grad
 
         with np.errstate(all="ignore"), mock.patch.object(ad, "_POOL_BLOCK_ELEMS", budget):
@@ -252,7 +252,7 @@ class TestGradients:
         (lambda t: ad.tsum(ad.mul(t, t)), (3, 4)),
         (lambda t: ad.tsum(ad.tanh(t)), (5,)),
         (lambda t: ad.tsum(ad.mul(ad.reshape(t, (2, 6)), ad.reshape(t, (2, 6)))), (3, 4)),
-        (lambda t: ad.tmean(ad.mul(t, t), axis=(0, 1)), (2, 5)),
+        (lambda t: ad.tsum(ad.tmean(ad.mul(t, t))), (2, 2, 3, 2)),
         (lambda t: ad.tsum(ad.swap_last(t)), (2, 3)),
     ])
     def test_elementwise_ops(self, build, shape):
@@ -363,10 +363,12 @@ class TestGradients:
         npt.assert_allclose(t.grad, [5.0, 7.0], rtol=0, atol=1e-15)
 
     def test_backward_with_explicit_upstream(self):
+        # an upstream gradient g at a non-scalar output is seeded by tsum(mul(out, g))
         t = ad.Tensor(np.ones((2, 2)), requires_grad=True)
         out = ad.mul_scalar(t, 3.0)
         upstream = np.array([[1.0, 2.0], [3.0, 4.0]])
-        out.backward(upstream)
+        ad.tsum(ad.mul(out, ad.Tensor(upstream))).backward()
+        npt.assert_array_equal(out.grad, upstream)
         npt.assert_array_equal(t.grad, 3.0 * upstream)
 
     def test_backward_requires_scalar_without_upstream(self):

@@ -129,33 +129,6 @@ class TestInspect:
         out = capsys.readouterr().out
         assert "n=4" in out and "symmetric=" in out
 
-    def test_inspect_binary(self, tmp_path, capsys):
-        path = tmp_path / "a.bin"
-        storage.save_named_tensors(path, {"adjacency": np.eye(3)})
-        assert run(["inspect", "--graph", str(path), "--binary"]) == 0
-        assert "nnz=3" in capsys.readouterr().out
-
-    def test_binary_needs_exactly_one_tensor(self, tmp_path, capsys):
-        path = tmp_path / "two.bin"
-        storage.save_named_tensors(path, {"a": np.eye(2), "b": np.eye(2)})
-        assert run(["inspect", "--graph", str(path), "--binary"]) == 1
-        assert str(path) in capsys.readouterr().err
-
-    def test_truncated_binary_is_validation_error(self, tmp_path, capsys):
-        path = tmp_path / "a.bin"
-        storage.save_named_tensors(path, {"adjacency": np.eye(3)})
-        path.write_bytes(path.read_bytes()[:-30])
-        assert run(["inspect", "--graph", str(path), "--binary"]) == 1
-        assert str(path) in capsys.readouterr().err
-
-    def test_unrepresentable_shape_is_validation_error(self, tmp_path, capsys):
-        # an empty tensor whose other two dimensions overflow numpy's size
-        path = tmp_path / "a.bin"
-        path.write_bytes(b"KSNTCKPT" + struct.pack("<IIH", 1, 1, 1) + b"a"
-                         + struct.pack("<B3I", 3, 0, 2 ** 32 - 1, 2 ** 32 - 1))
-        assert run(["inspect", "--graph", str(path), "--binary"]) == 1
-        assert f"error: {path}: tensor 'a'" in capsys.readouterr().err
-
     @pytest.mark.parametrize("text", [
         "2\n1 0\n0 1\n",  # the retired single-N header
         "2 3\n1 0 0\n0 1 0\n",  # not square
@@ -243,6 +216,25 @@ class TestEvaluate:
         assert run(["evaluate", "--checkpoint", str(tmp_path / "none.ckpt"),
                     "--config", str(cfg)]) == 1
         assert "checkpoint" in capsys.readouterr().err
+
+    def test_truncated_checkpoint_is_validation_error(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("epochs = 0\nn_train = 16\nn_val = 8\n")
+        path = tmp_path / "m.ckpt"
+        storage.save_named_tensors(path, {"adjacency": np.eye(3)})
+        path.write_bytes(path.read_bytes()[:-30])
+        assert run(["evaluate", "--checkpoint", str(path), "--config", str(cfg)]) == 1
+        assert f"error: {path}: truncated" in capsys.readouterr().err
+
+    def test_unrepresentable_checkpoint_shape_is_validation_error(self, tmp_path, capsys):
+        # an empty tensor whose other two dimensions overflow numpy's size
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("epochs = 0\nn_train = 16\nn_val = 8\n")
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(b"KSNTCKPT" + struct.pack("<IIH", 1, 1, 1) + b"a"
+                         + struct.pack("<B3I", 3, 0, 2 ** 32 - 1, 2 ** 32 - 1))
+        assert run(["evaluate", "--checkpoint", str(path), "--config", str(cfg)]) == 1
+        assert f"error: {path}: tensor 'a'" in capsys.readouterr().err
 
     def test_invalid_utf8_config_names_file(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"

@@ -21,6 +21,12 @@ def annotation_set(n_labels, samples):
                                 [label for _, labels in samples for label in labels])
 
 
+def same_annotations(a, b):
+    """Whether two ``AnnotationSet`` objects hold the same label count, ids and CSR arrays."""
+    return (a.n_labels == b.n_labels and a.sample_ids == b.sample_ids
+            and np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices))
+
+
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -94,7 +100,7 @@ class TestAnnotations:
             ("img3", frozenset({1})),
         ))
         path = write(tmp_path, "a.txt", "img1 sports_ball cat\nimg2\nimg3 dog\n")
-        assert ingest.load_annotations(path, vocab) == ann
+        assert same_annotations(ingest.load_annotations(path, vocab), ann)
 
     def test_csr_rows_are_sorted_without_repeats(self, tmp_path, vocab):
         path = write(tmp_path, "a.txt", "img1 cat dog cat\nimg2\n\nimg3 dog\n")
@@ -113,9 +119,9 @@ class TestAnnotations:
         npt.assert_array_equal(ann.indices, [0, 2, 1])
         assert ann.samples == samples
         from_sets = annotation_set(3, samples)
-        assert ann == from_sets and hash(ann) == hash(from_sets)
-        assert ann != annotation_set(4, samples)
-        assert ann != annotation_set(3, samples[:2] + (("c", frozenset({2})),))
+        assert same_annotations(ann, from_sets)
+        assert not same_annotations(ann, annotation_set(4, samples))
+        assert not same_annotations(ann, annotation_set(3, samples[:2] + (("c", frozenset({2})),)))
 
     def test_immutable(self):
         ann = annotation_set(2, (("a", frozenset({1})),))
@@ -163,7 +169,7 @@ class TestAnnotations:
         finally:
             gc.callbacks.remove(record)
         assert 2 not in generations
-        assert loaded == ann
+        assert same_annotations(loaded, ann)
 
 
 class TestKnowledgeEdges:

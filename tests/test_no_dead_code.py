@@ -30,9 +30,12 @@ fails the test.
 
 A parameter that every call passes, always as the same constant expression
 (a literal, or a tuple or arithmetic of literals, compared as
-``ast.unparse`` spells it), is one value too and fails.  A call with a
-``*args`` or ``**mapping`` argument may pass anything, so it keeps its
-callee's parameters out of this rule.
+``ast.unparse`` spells it), is one value too and fails.  This rule covers
+every named parameter, required or defaulted, of every module-level
+function and of every method of a module-level class (dataclass fields
+included), public or private.  A call with a ``*args`` or ``**mapping``
+argument may pass anything, so it keeps its callee's parameters out of this
+rule.
 """
 
 import ast
@@ -54,7 +57,6 @@ ALLOWED_PARAMS = {
                      "reads sys.argv",
     "model.KssModel.slope": "the dyadic label-permutation test needs slope 1/4 to stay "
                             "bitwise exact",
-    "autodiff.Tensor.backward.grad": "op tests backpropagate non-scalar outputs",
 }
 
 
@@ -98,17 +100,18 @@ def referenced_names() -> set[str]:
     return names
 
 
-def _defaulted_args(fn: ast.FunctionDef, implicit: int):
-    """``(name, positional index or None)`` of each parameter of ``fn`` with a default.
+def _args(fn: ast.FunctionDef, implicit: int):
+    """``(name, positional index or None, has a default)`` of each named parameter of ``fn``.
 
     A call passes the first positional argument to parameter ``implicit``:
     1 for a method, whose ``self`` the call does not pass.
     """
     positional = fn.args.posonlyargs + fn.args.args
     first = len(positional) - len(fn.args.defaults)
-    out = [(arg.arg, i - implicit) for i, arg in enumerate(positional) if i >= first]
-    out += [(arg.arg, None) for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
-            if default is not None]
+    out = [(arg.arg, i - implicit, i >= first) for i, arg in enumerate(positional)
+           if i >= implicit]
+    out += [(arg.arg, None, default is not None)
+            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)]
     return out
 
 
@@ -118,7 +121,7 @@ def _init_false(keywords) -> bool:
 
 
 def _dataclass_fields(cls: ast.ClassDef):
-    """``(name, positional index)`` of each defaulted field of ``cls``'s generated ``__init__``.
+    """``(name, positional index, has a default)`` of each field of ``cls``'s ``__init__``.
 
     Empty unless ``cls`` is a dataclass that generates its ``__init__``.
     """
@@ -130,33 +133,45 @@ def _dataclass_fields(cls: ast.ClassDef):
     fields = [item for item in cls.body
               if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
               and not (isinstance(item.value, ast.Call) and _init_false(item.value.keywords))]
-    return [(item.target.id, i) for i, item in enumerate(fields) if item.value is not None]
+    return [(item.target.id, i, item.value is not None) for i, item in enumerate(fields)]
 
 
-def defaulted_parameters() -> list[tuple[str, str, str, int | None]]:
-    """``(qualified name, callee, parameter, positional index)`` of every checked parameter."""
+def parameters(private: bool) -> list[tuple[str, str, str, int | None, bool]]:
+    """``(qualified name, callee, parameter, positional index, has a default)`` of each parameter.
+
+    The parameters of module-level functions and of the methods of
+    module-level classes, ``__init__`` included; of public names only
+    unless ``private``.
+    """
     out = []
     for path, tree in _modules():
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or \
+                    node.name.startswith("_") and not private:
                 continue
             qual = f"{path.stem}.{node.name}"
             if isinstance(node, ast.FunctionDef):
-                out += [(f"{qual}.{name}", node.name, name, pos)
-                        for name, pos in _defaulted_args(node, 0)]
+                out += [(f"{qual}.{name}", node.name, name, *rest)
+                        for name, *rest in _args(node, 0)]
                 continue
-            out += [(f"{qual}.{name}", node.name, name, pos)
-                    for name, pos in _dataclass_fields(node)]
+            out += [(f"{qual}.{name}", node.name, name, *rest)
+                    for name, *rest in _dataclass_fields(node)]
             for item in node.body:
                 if not isinstance(item, ast.FunctionDef):
                     continue
                 if item.name == "__init__":
-                    out += [(f"{qual}.{name}", node.name, name, pos)
-                            for name, pos in _defaulted_args(item, 1)]
-                elif not item.name.startswith("_"):
-                    out += [(f"{qual}.{item.name}.{name}", item.name, name, pos)
-                            for name, pos in _defaulted_args(item, 1)]
+                    out += [(f"{qual}.{name}", node.name, name, *rest)
+                            for name, *rest in _args(item, 1)]
+                elif private or not item.name.startswith("_"):
+                    out += [(f"{qual}.{item.name}.{name}", item.name, name, *rest)
+                            for name, *rest in _args(item, 1)]
     return out
+
+
+def defaulted_parameters() -> list[tuple[str, str, str, int | None]]:
+    """``(qualified name, callee, parameter, positional index)`` of every public defaulted one."""
+    return [(qual, callee, name, pos)
+            for qual, callee, name, pos, default in parameters(private=False) if default]
 
 
 def passed_arguments() -> dict[str, list[tuple[float, set[str], ast.Call]]]:
@@ -228,11 +243,11 @@ def test_every_defaulted_parameter_is_set_by_a_caller():
 
 
 def test_no_defaulted_parameter_is_one_constant():
+    # required parameters and private functions included; see the module docstring
     calls = passed_arguments()
-    fixed = [f"{qual} = {value}" for qual, callee, name, pos in defaulted_parameters()
+    fixed = [f"{qual} = {value}" for qual, callee, name, pos, _ in parameters(private=True)
              if (value := one_constant(calls.get(callee, ()), name, pos)) is not None]
-    assert not fixed, "defaulted parameters every call passes as one constant: " + \
-        ", ".join(fixed)
+    assert not fixed, "parameters every call passes as one constant: " + ", ".join(fixed)
 
 
 def test_every_allowed_name_exists():
