@@ -29,7 +29,7 @@ _STEP = 1e-6
 
 
 def grad_check(fn, params: np.ndarray) -> float:
-    """Compare a computation's reverse-mode gradient against central differences of step 1e-6.
+    """Compare a computation's reverse-mode gradient against central differences.
 
     ``fn(params) -> (value, grad)`` evaluates a deterministic scalar and its
     reverse-mode gradient at a flattened parameter vector.  Returns
