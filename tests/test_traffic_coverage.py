@@ -29,6 +29,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import kssnet
 from kssnet import cli, storage
@@ -200,6 +201,7 @@ def _run_cli(d: Path) -> None:
              "--decision", decision)
 
 
+@pytest.mark.filterwarnings("ignore:.* without positives excluded from mAP")
 def test_the_program_runs_every_line_it_has(tmp_path, capsys):
     def traffic():
         _run_workloads(tmp_path)
