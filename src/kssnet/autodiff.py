@@ -174,16 +174,24 @@ def _leaky_relu_into(x: np.ndarray, slope: float, out: np.ndarray) -> np.ndarray
     return np.maximum(x, out, out=out)
 
 
-def _leaky_relu_slopes(x: np.ndarray, slope: float, dtype, out=None, mask=None) -> np.ndarray:
+def _leaky_relu_slopes(x: np.ndarray, slope: float, dtype, out=None) -> np.ndarray:
     """The derivative of ``leaky_relu`` at ``x``, 1 or ``slope``, in ``dtype``.
 
-    Looked up from a two-entry table of ``dtype`` by the ``x >= 0`` mask, so
-    float32 gradients stay float32.  ``out`` and ``mask`` are optional
-    buffers of x's shape for the result and the bool mask.
+    Built in the bits of ``dtype``, so float32 gradients stay float32: the
+    ``x >= 0`` mask is written as 0 or 1 into the same-width integer view
+    of the result, which becomes ``mask * (bits(1) - bits(slope)) +
+    bits(slope)``, the bits of 1 or of ``slope``.  A slope in (0, 1] has
+    bits no greater than those of 1, so nothing overflows.  ``out`` is an
+    optional buffer of x's shape for the result.
     """
-    table = np.array([slope, 1], dtype=dtype)
-    mask = np.asarray(np.greater_equal(x, 0, out=mask))
-    return np.take(table, mask.view(np.uint8), out=out, mode="clip")
+    bits = np.array([slope, 1], dtype=dtype).view(f"i{np.dtype(dtype).itemsize}")
+    if out is None:
+        out = np.empty(x.shape, dtype=dtype)
+    ints = out.view(bits.dtype)
+    np.greater_equal(x, 0, out=ints)
+    ints *= bits[1] - bits[0]
+    ints += bits[0]
+    return out
 
 
 def leaky_relu(a: Tensor, slope: float) -> Tensor:
@@ -314,7 +322,8 @@ def _conv_im2col(x, w, bias):
     """
     bs, h, wd, c = x.shape
     o = w.shape[0]
-    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    xp = np.zeros((bs, h + 2, wd + 2, c), dtype=x.dtype)
+    xp[:, 1:-1, 1:-1] = x
     wmat = w.transpose(2, 3, 1, 0).reshape(_K * _K * c, o)
     win = _windows(xp)
     out = np.empty((bs, h, wd, o), dtype=np.result_type(xp, wmat))
@@ -401,8 +410,9 @@ def avg_pool2d(x: Tensor, slope: float) -> Tensor:
     into the block's slice of the output and divided by 4 there.  The
     backward writes ``g / 4`` into each 2x2 window of the one gradient
     array, block by block, and multiplies each block by the activation's
-    slope (1 or ``slope``), made in two block buffers from the retained
-    input while that block is in cache.
+    slope (1 or ``slope``), built as bits in one block buffer from the
+    retained input while that block is in cache (see
+    :func:`_leaky_relu_slopes`).
     """
     bs, h, w, c = x.shape
     k = 2
@@ -428,12 +438,10 @@ def avg_pool2d(x: Tensor, slope: float) -> Tensor:
         windows = gx.reshape(bs, h // k, k, w // k, k, c)
         spread = (g / (k * k))[:, :, None, :, None, :]
         slopes = np.empty((min(step, bs), h, w, c), dtype=g.dtype)
-        mask = np.empty(slopes.shape, dtype=bool)
         for lo in range(0, bs, step):
             np.copyto(windows[lo:lo + step], spread[lo:lo + step])
             xb = xd[lo:lo + step]
-            gx[lo:lo + step] *= _leaky_relu_slopes(xb, slope, g.dtype, out=slopes[:len(xb)],
-                                                   mask=mask[:len(xb)])
+            gx[lo:lo + step] *= _leaky_relu_slopes(xb, slope, g.dtype, out=slopes[:len(xb)])
         return (gx,)
 
     return _node(out, (x,), backward)

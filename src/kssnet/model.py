@@ -253,12 +253,12 @@ class KssModel:
         extra = sorted(set(state) - set(self._params))
         if missing or extra:
             raise ValueError(f"state mismatch: missing {missing}, unexpected {extra}")
-        np_dtype = _DTYPES[self.dtype]
         for name, p in self._params.items():
-            arr = np.asarray(state[name])
-            if arr.shape != p.data.shape:
-                raise ValueError(f"{name}: shape {arr.shape} != {p.data.shape}")
-            p.data = arr.astype(np_dtype)
+            shape = np.shape(state[name])
+            if shape != p.data.shape:
+                raise ValueError(f"{name}: shape {shape} != {p.data.shape}")
+        for name, p in self._params.items():
+            p.data[...] = state[name]
 
     def save(self, path) -> None:
         storage.save_named_tensors(path, self.state_dict())
@@ -296,57 +296,82 @@ def predict(model: KssModel, x: np.ndarray, e0: np.ndarray, batch_size: int = 25
 class Adam:
     """Adaptive-moment optimizer with per-group learning rates.
 
-    Decoupled weight decay is applied to every tensor except biases; GCN
-    weights use ``cfg.gcn_lr``, everything else ``cfg.lr``.  Moment buffers
-    are kept in float64 regardless of parameter dtype; each step writes the
-    parameter arrays in place.
+    The parameters are packed into one flat buffer in their dtype, in three
+    contiguous groups: GCN weights (``cfg.gcn_lr``, with weight decay),
+    the other weights (``cfg.lr``, with weight decay) and the biases
+    (``cfg.lr``, without).  Each parameter's ``data`` becomes a view into
+    that buffer, so whoever writes a parameter must write it in place.  The
+    moments and the two work arrays are flat float64 arrays; ``m[name]``
+    and ``v[name]`` are views into them.
     """
 
     def __init__(self, named_params: list[tuple[str, ad.Tensor]], cfg: TrainConfig):
-        self.items = named_params
         self.cfg = cfg
         self.t = 0
-        self.m = {name: np.zeros(p.data.shape) for name, p in named_params}
-        self.v = {name: np.zeros(p.data.shape) for name, p in named_params}
-        # float64 work arrays for the update, reused every step
-        self._scratch = {name: (np.empty(p.data.shape), np.empty(p.data.shape))
-                         for name, p in named_params}
+
+        def group(item):  # 0: GCN weights, 1: other weights, 2: biases
+            name = item[0]
+            return 2 if name.endswith(".bias") else 0 if name.startswith("gcn.") else 1
+
+        items = sorted(named_params, key=group)  # stable: each group keeps its order
+        sizes = [p.data.size for _, p in items]
+        kinds = [group(item) for item in items]
+        self._n_gcn = sum(size for size, kind in zip(sizes, kinds) if kind == 0)
+        self._n_weights = sum(size for size, kind in zip(sizes, kinds) if kind < 2)
+        total = sum(sizes)
+        self._data = np.empty(total, dtype=np.result_type(*(p.data for _, p in items)))
+        self._m, self._v = np.zeros(total), np.zeros(total)
+        self._tmp, self._update = np.empty(total), np.empty(total)
+        self.m, self.v, self._grads = {}, {}, []
+        self._params = [p for _, p in items]
+        lo = 0
+        for (name, p), size in zip(items, sizes):
+            flat = slice(lo, lo + size)
+            lo += size
+            view = self._data[flat].reshape(p.data.shape)
+            view[...] = p.data
+            p.data = view
+            self.m[name] = self._m[flat].reshape(p.data.shape)
+            self.v[name] = self._v[flat].reshape(p.data.shape)
+            self._grads.append(self._update[flat].reshape(p.data.shape))
 
     def step(self) -> None:
-        """One update, computed in place in each parameter's two work arrays.
+        """One update, computed in place in the two flat work arrays.
 
-        It performs the operations of ``m = b1*m + (1-b1)*g``,
+        The gradients are copied into one of them, cast to float64.  It
+        performs the operations of ``m = b1*m + (1-b1)*g``,
         ``v = b2*v + (1-b2)*g*g``, ``update = (m/bc1) / (sqrt(v/bc2) + eps)``
-        (plus ``wd*p`` for non-biases) and ``p = p - lr*update`` in the same
-        order and dtypes, so the result is bit for bit that of the formula.
+        (plus ``wd*p`` for the weights) and ``p = p - lr*update`` in the same
+        order and dtypes as a per-tensor loop would, so the result is bit
+        for bit that of the formula.
         """
         cfg = self.cfg
         self.t += 1
         bc1 = 1.0 - _BETA1 ** self.t
         bc2 = 1.0 - _BETA2 ** self.t
-        for name, p in self.items:
-            g = np.asarray(p.grad, dtype=np.float64)
-            m = self.m[name]
-            v = self.v[name]
-            tmp, update = self._scratch[name]
-            np.multiply(g, 1.0 - _BETA1, out=tmp)
-            m *= _BETA1
-            m += tmp
-            np.multiply(g, 1.0 - _BETA2, out=tmp)
-            tmp *= g
-            v *= _BETA2
-            v += tmp
-            np.divide(v, bc2, out=tmp)
-            np.sqrt(tmp, out=tmp)
-            tmp += _EPS
-            np.divide(m, bc1, out=update)
-            update /= tmp
-            lr = cfg.gcn_lr if name.startswith("gcn.") else cfg.lr
-            if cfg.weight_decay and not name.endswith(".bias"):
-                update += cfg.weight_decay * p.data  # product in the parameter's dtype
-            update *= lr
-            np.subtract(p.data, update, out=update)
-            p.data[...] = update
+        for p, g in zip(self._params, self._grads):
+            np.copyto(g, p.grad)
+        m, v, tmp, data = self._m, self._v, self._tmp, self._data
+        g = update = self._update  # update overwrites g once g is no longer read
+        np.multiply(g, 1.0 - _BETA1, out=tmp)
+        m *= _BETA1
+        m += tmp
+        np.multiply(g, 1.0 - _BETA2, out=tmp)
+        tmp *= g
+        v *= _BETA2
+        v += tmp
+        np.divide(v, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += _EPS
+        np.divide(m, bc1, out=update)
+        update /= tmp
+        if cfg.weight_decay:
+            n = self._n_weights
+            update[:n] += cfg.weight_decay * data[:n]  # product in the parameters' dtype
+        update[:self._n_gcn] *= cfg.gcn_lr
+        update[self._n_gcn:] *= cfg.lr
+        np.subtract(data, update, out=update)
+        data[...] = update
 
 
 def train_toy(

@@ -171,7 +171,7 @@ class TestForward:
                 assert t.grad.dtype == dtype and t.grad.shape == t.shape
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("slope", [0.2, 1.0])
+    @pytest.mark.parametrize("slope", [0.2, 1.0, 0.25, 1e-3])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_leaky_relu_bitwise_equals_where(self, slope, dtype):
         special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e-30, -1e-30, 2.5, -2.5]
@@ -188,6 +188,22 @@ class TestForward:
         assert t.grad.dtype == dtype
         npt.assert_array_equal(t.grad.view(np.uint8), ref_grad.view(np.uint8))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_slope_factor_bits_equal_where_across_the_unit_interval(self, dtype):
+        # every slope in (0, 1], subnormal, rounding to 0 or to 1 in float32,
+        # and one just below 1 included
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e-30, -1e-30, 2.5, -2.5]
+        x = np.concatenate([special, np.random.default_rng(14).normal(size=50)]).astype(dtype)
+        tiny = float(np.finfo(dtype).smallest_subnormal)
+        slopes = [tiny, 1e-300, 1e-45, 1e-3, 0.2, 0.25, np.nextafter(1.0, 0.0), 1.0,
+                  *np.random.default_rng(15).uniform(0, 1, size=20)]
+        with np.errstate(invalid="ignore"):
+            for slope in slopes:
+                factor = ad._leaky_relu_slopes(x, slope, dtype)
+                ref = np.where(x >= 0, dtype(1), dtype(slope))
+                assert factor.dtype == dtype
+                npt.assert_array_equal(factor.view(np.uint8), ref.view(np.uint8))
+
     @pytest.mark.parametrize("slope", [0.0, 1.5, -0.3, -0.5, np.nan])
     def test_slope_outside_unit_interval_rejected(self, slope):
         x = ad.Tensor(np.ones((1, 2, 2, 1)))
@@ -200,7 +216,7 @@ class TestForward:
     def test_pool_of_leaky_relu_bitwise_equals_the_two_ops(self, data):
         k = 2
         dtype = data.draw(st.sampled_from([np.float32, np.float64]))
-        slope = data.draw(st.sampled_from([0.2, 1.0]))
+        slope = data.draw(st.sampled_from([0.2, 1.0, 0.25, 1e-3]))
         shape = (data.draw(st.integers(1, 5)), k * data.draw(st.integers(1, 3)),
                  k * data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)))
         size = int(np.prod(shape))

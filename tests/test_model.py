@@ -369,6 +369,28 @@ class TestAdam:
                 npt.assert_array_equal(opt.m[name], ref[name][1])
                 npt.assert_array_equal(opt.v[name], ref[name][2])
 
+    def test_model_step_is_bitwise_the_textbook_formula(self):
+        # a float32 model with lateral connections, whose lc.*.g.bias join
+        # the bias group beside the backbone biases
+        rng = np.random.default_rng(1)
+        m = tiny_model(stage_channels=(4, 8, 12), gcn_depth=3, dtype="float32")
+        params = dict(m.named_parameters())
+        assert {"lc.0.g.bias", "lc.1.g.bias", "gcn.layer2.W"} <= set(params)
+        cfg = km.TrainConfig(lr=0.01, gcn_lr=0.003, weight_decay=1e-3)
+        ref = {n: [p.data.copy(), np.zeros(p.shape), np.zeros(p.shape)]
+               for n, p in params.items()}
+        opt = km.Adam(m.named_parameters(), cfg)
+        for t in range(1, 4):
+            for name, p in params.items():
+                p.grad = rng.normal(size=p.shape).astype(np.float32)
+                ref[name] = adam_reference_step(cfg, t, name, ref[name][0], p.grad, *ref[name][1:])
+            opt.step()
+            for name, p in params.items():
+                assert p.data.dtype == np.float32
+                npt.assert_array_equal(p.data, ref[name][0])
+                npt.assert_array_equal(opt.m[name], ref[name][1])
+                npt.assert_array_equal(opt.v[name], ref[name][2])
+
     def test_float32_train_step_gradients_stay_float32(self):
         data = small_data(n=32)
         m = small_train_model(data, dtype="float32")
@@ -406,6 +428,30 @@ class TestCheckpoint:
         other = tiny_model(stage_channels=(4, 12))
         with pytest.raises(ValueError, match="shape"):
             other.load(path)
+
+    def test_bad_last_shape_rejected_before_any_write(self):
+        m = tiny_model(seed=13)
+        before = m.state_dict()
+        state = tiny_model(seed=14).state_dict()
+        last = list(state)[-1]
+        state[last] = np.zeros(state[last].shape + (1,))
+        with pytest.raises(ValueError, match=f"{re.escape(last)}: shape"):
+            m.load_state_dict(state)
+        after = m.state_dict()
+        assert list(after) == list(before)
+        for name, arr in before.items():
+            npt.assert_array_equal(after[name], arr)
+
+    def test_load_writes_into_the_arrays_adam_steps(self):
+        m = tiny_model(seed=13)
+        opt = km.Adam(m.named_parameters(), km.TrainConfig())
+        state = tiny_model(seed=14).state_dict()
+        m.load_state_dict(state)
+        for _, p in m.named_parameters():
+            p.grad = np.ones(p.shape)
+        opt.step()
+        for name, arr in m.state_dict().items():
+            assert not np.array_equal(arr, state[name]), name
 
     def test_missing_tensor_rejected(self, tmp_path):
         m = tiny_model()
