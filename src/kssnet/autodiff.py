@@ -25,11 +25,22 @@ instead one dense GEMM against a matrix of the taps (see :func:`conv2d`).
 The backbone's LeakyReLU runs inside the pooling pass, block by block, so
 its full-size activation is never made (see :func:`avg_pool2d`).  Every
 LeakyReLU slope lies in (0, 1]; another is rejected with ``ValueError``.
+
+The convolution and the pooling split their work across the process's
+workers (:mod:`kssnet.workers`), in shares of whole samples, of the conv
+forward's sample blocks, of the nine kernel taps, or of a GEMM's output
+columns; no sum is split.  A share makes the numpy calls the whole makes
+for its part, or, for a GEMM split by columns, calls that OpenBLAS computes
+column for column alike (see ``_COLUMN_GRAIN``), so outputs and gradients
+are bit for bit the same with any number of workers.  The other ops run on
+the calling thread only.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from . import workers
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -305,44 +316,63 @@ def _conv_im2col(x, w, bias):
     """Forward of :func:`conv2d` as im2col then GEMM, and its two gradient functions.
 
     The forward runs over blocks of whole samples holding at most
-    ``_CONV_BLOCK_ROWS`` output positions (at least one sample): each
-    block's (rows, 9*C) window matrix times ``w`` as (9*C, O) is
-    written, bias added, straight into its slice of the preallocated
-    output, so no transpose follows.  The blocks are there for memory:
-    unblocked, tall GEMMs such as the (65536 x 27) @ (27 x 16) stage 0 of a
-    256-image ``predict`` chunk make two-thread OpenBLAS touch about 18 MB
-    more work buffer (+19% peak RSS on the toy trainer); in 1024-row blocks
-    it is about 1 MB, and the blocked forward is no slower.
+    ``_CONV_BLOCK_ROWS`` output positions (at least one sample), a share of
+    the blocks per worker (:func:`workers.run`).  A share pads its samples
+    into the zeroed padded input, then writes each block's (rows, 9*C)
+    window matrix times ``w`` as (9*C, O), bias added, straight into its
+    slice of the preallocated output, so no transpose follows.  The blocks
+    are there for memory: unblocked, tall GEMMs such as the (65536 x 27) @
+    (27 x 16) stage 0 of a 256-image ``predict`` chunk made two-thread
+    OpenBLAS, as the program ran it before it had workers, touch about
+    18 MB more work buffer (+19% peak RSS on the toy trainer); in 1024-row
+    blocks it was about 1 MB, and the blocked forward no slower.
 
     It retains the padded input, not the columns.  The weight gradient
-    rebuilds them (one GEMM); the input gradient is one batched GEMM into
-    9 tap-major (B*H*W, C) slabs that are added into a zeroed padded
-    buffer (col2im: contiguous runs W*C long), then cropped.  Neither is
-    blocked: backward runs on training minibatches only.
+    rebuilds them and multiplies them by ``g`` (:func:`_column_shares`), so
+    the sum over samples and positions is never split.  The input gradient
+    is 9 GEMMs into tap-major (B*H*W, C) slabs, a share of the taps per
+    worker, whose slabs are then added into a zeroed padded buffer, a share
+    of the samples per worker (col2im: contiguous runs W*C long), and
+    cropped.  The backward is not blocked: it runs on training minibatches
+    only.
     """
     bs, h, wd, c = x.shape
     o = w.shape[0]
     xp = np.zeros((bs, h + 2, wd + 2, c), dtype=x.dtype)
-    xp[:, 1:-1, 1:-1] = x
     wmat = w.transpose(2, 3, 1, 0).reshape(_K * _K * c, o)
     win = _windows(xp)
     out = np.empty((bs, h, wd, o), dtype=np.result_type(xp, wmat))
     step = max(1, _CONV_BLOCK_ROWS // (h * wd))
-    for lo in range(0, bs, step):
-        block = out[lo:lo + step].reshape(-1, o)
-        np.matmul(win[lo:lo + step].reshape(-1, _K * _K * c), wmat, out=block)
-        block += bias
+
+    def forward(lo, hi):  # blocks lo to hi
+        xp[lo * step:hi * step, 1:-1, 1:-1] = x[lo * step:hi * step]
+        for first in range(lo * step, min(hi * step, bs), step):
+            block = out[first:first + step].reshape(-1, o)
+            np.matmul(win[first:first + step].reshape(-1, _K * _K * c), wmat, out=block)
+            block += bias
+
+    workers.run(forward, -(-bs // step))
 
     def input_grad(g):
-        taps = np.matmul(g.reshape(-1, o), wmat.reshape(_K * _K, c, o).transpose(0, 2, 1))
+        wtaps = wmat.reshape(_K * _K, c, o).transpose(0, 2, 1)
+        taps = np.empty((_K * _K, bs * h * wd, c), dtype=np.result_type(g, wtaps))
         gxp = np.zeros(xp.shape, dtype=taps.dtype)
-        for u in range(_K):
-            for v in range(_K):
-                gxp[:, u:u + h, v:v + wd] += taps[u * _K + v].reshape(bs, h, wd, c)
+
+        def products(lo, hi):  # taps lo to hi
+            np.matmul(g.reshape(-1, o), wtaps[lo:hi], out=taps[lo:hi])
+
+        def col2im(lo, hi):  # samples lo to hi
+            for u in range(_K):
+                for v in range(_K):
+                    tap = taps[u * _K + v].reshape(bs, h, wd, c)
+                    gxp[lo:hi, u:u + h, v:v + wd] += tap[lo:hi]
+
+        workers.run(products, _K * _K)
+        workers.run(col2im, bs)
         return gxp[:, 1:1 + h, 1:1 + wd]
 
     def weight_grad(g):
-        gmat = win.reshape(-1, _K * _K * c).T @ g.reshape(-1, o)
+        gmat = _column_shares(win.reshape(-1, _K * _K * c).T, g.reshape(-1, o))
         return gmat.reshape(_K, _K, c, o).transpose(3, 2, 0, 1)
 
     return out, input_grad, weight_grad
@@ -356,9 +386,11 @@ def _conv_dense(x, w, bias):
     (input position, output position) pair within reach of each other, the
     (C, O) kernel tap that joins them, and zeros elsewhere: no padding and
     no window copy.  The input gradient is ``g @ t.T``; the weight gradient
-    folds the blocks of ``x.T @ g`` back onto their taps.  A zero of ``t``
-    times an infinite input is NaN, where im2col would add nothing, so a
-    non-finite input reaches outputs out of its reach.
+    folds the blocks of ``x.T @ g`` back onto their taps.  Each of the three
+    GEMMs is split into shares of its output columns (:func:`_column_shares`),
+    so no sum is split.  A zero of ``t`` times an infinite input is NaN, where
+    im2col would add nothing, so a non-finite input reaches outputs out of
+    its reach.
     """
     bs, h, wd, c = x.shape
     o = w.shape[0]
@@ -371,20 +403,53 @@ def _conv_dense(x, w, bias):
         t[i, j, :, p, q] = taps[u, v]
     t = t.reshape(h * wd * c, h * wd * o)
     xmat = x.reshape(bs, h * wd * c)
-    out = (xmat @ t).reshape(bs, h, wd, o)
+    out = _column_shares(xmat, t).reshape(bs, h, wd, o)
     out += bias
 
     def input_grad(g):
-        return (g.reshape(bs, -1) @ t.T).reshape(x.shape)
+        return _column_shares(g.reshape(bs, -1), t.T).reshape(x.shape)
 
     def weight_grad(g):
-        full = (xmat.T @ g.reshape(bs, -1)).reshape(h, wd, c, h, wd, o)
+        full = _column_shares(xmat.T, g.reshape(bs, -1)).reshape(h, wd, c, h, wd, o)
         gtaps = np.zeros((_K, _K, c, o), dtype=full.dtype)
         for i, j, p, q, u, v in pairs:
             gtaps[u, v] += full[i, j, :, p, q]
         return gtaps.transpose(3, 2, 0, 1)
 
     return out, input_grad, weight_grad
+
+
+# A GEMM split by columns is cut only where the whole and every share take the
+# same OpenBLAS kernel, one whose columns do not depend on the others:
+# - on multiples of _COLUMN_GRAIN columns, where the kernel's column tiles end
+#   too (a cut elsewhere changed some float64 products' last bits);
+# - into shares of at least _COLUMN_SHARE_MACS multiply-adds, above the sizes
+#   that OpenBLAS computes with its small-matrix kernels (cut below them, a
+#   2 x 512 by 512 x 1024 product changed its last bits).
+# The share size also repays the thread handoff.  Float32, two workers: at
+# B = 50 the weight gradients of stages 1 and 2 (7.4M multiply-adds a share)
+# took 1.27x and 1.08x the time of one worker, while the 256-sample GEMMs of
+# stages 1 to 3 (67M and more a share) took 0.6x to 0.7x.
+_COLUMN_GRAIN = 16
+_COLUMN_SHARE_MACS = 2 ** 24
+
+
+def _column_shares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for 2-D ``a`` and ``b``, computed in shares of its columns, one per worker.
+
+    Each share is at least ``_COLUMN_SHARE_MACS`` multiply-adds.
+    """
+    m, k = a.shape
+    n = b.shape[1]
+    out = np.empty((m, n), dtype=np.result_type(a, b))
+
+    def share(lo, hi):  # column units lo to hi
+        cols = slice(lo * _COLUMN_GRAIN, min(hi * _COLUMN_GRAIN, n))
+        np.matmul(a, b[:, cols], out=out[:, cols])
+
+    min_share = -(-_COLUMN_SHARE_MACS // max(1, m * k * _COLUMN_GRAIN))
+    workers.run(share, -(-n // _COLUMN_GRAIN), min_share)
+    return out
 
 
 # Elements of x per block of ``avg_pool2d``: a block of x and the buffers
@@ -395,6 +460,12 @@ def _conv_dense(x, w, bias):
 _POOL_BLOCK_ELEMS = 2 ** 17
 
 
+# Fewest elements of x in a share of ``avg_pool2d``: a share is worth its thread
+# handoff from about here.  At B = 50, float32, the 204,800-element stage 0
+# ran in 0.68x the time in two shares, the 102,400-element stage 1 in 1.6x.
+_POOL_SHARE_ELEMS = 2 ** 16
+
+
 def avg_pool2d(x: Tensor, slope: float) -> Tensor:
     """Non-overlapping 2x2 average pooling of ``leaky_relu(x, slope)``, channels-last.
 
@@ -403,16 +474,17 @@ def avg_pool2d(x: Tensor, slope: float) -> Tensor:
     activate-and-pool is one pass.  ``slope`` must lie in (0, 1], else
     ``ValueError``; ``slope = 1`` pools ``x`` itself.
 
-    H and W must be even.  The forward runs over blocks of whole samples
-    holding at most ``_POOL_BLOCK_ELEMS`` elements (at least one sample).
-    Each block is activated into one reused block buffer, and its four
-    strided slices ``a[:, u::2, v::2]`` (contiguous runs of C) are summed
-    into the block's slice of the output and divided by 4 there.  The
-    backward writes ``g / 4`` into each 2x2 window of the one gradient
-    array, block by block, and multiplies each block by the activation's
-    slope (1 or ``slope``), built as bits in one block buffer from the
-    retained input while that block is in cache (see
-    :func:`_leaky_relu_slopes`).
+    H and W must be even.  The work is split into shares of whole samples,
+    one per worker (:func:`workers.run`), and each share runs over blocks
+    of its samples holding at most ``_POOL_BLOCK_ELEMS`` elements (at least
+    one sample).  Forward, each block is activated into the share's one
+    reused block buffer, and its four strided slices ``a[:, u::2, v::2]``
+    (contiguous runs of C) are summed into the block's slice of the output
+    and divided by 4 there.  The backward writes ``g / 4`` into each 2x2
+    window of the one gradient array, block by block, and multiplies each
+    block by the activation's slope (1 or ``slope``), built as bits in the
+    share's block buffer from the retained input while that block is in
+    cache (see :func:`_leaky_relu_slopes`).
     """
     bs, h, w, c = x.shape
     k = 2
@@ -421,27 +493,37 @@ def avg_pool2d(x: Tensor, slope: float) -> Tensor:
     xd = x.data
     step = max(1, _POOL_BLOCK_ELEMS // max(1, h * w * c))
     out = np.empty((bs, h // k, w // k, c), dtype=xd.dtype)
-    act = np.empty((min(step, bs), h, w, c), dtype=xd.dtype)
-    for lo in range(0, bs, step):
-        xb = xd[lo:lo + step]
-        a = _leaky_relu_into(xb, slope, act[:len(xb)])
-        o = out[lo:lo + step]
-        np.copyto(o, a[:, ::k, ::k])
-        for u in range(k):
-            for v in range(k):
-                if u or v:
-                    o += a[:, u::k, v::k]
-        o /= k * k
+
+    def forward(lo, hi):
+        act = np.empty((min(step, hi - lo), h, w, c), dtype=xd.dtype)
+        for first in range(lo, hi, step):
+            last = min(first + step, hi)
+            a = _leaky_relu_into(xd[first:last], slope, act[:last - first])
+            o = out[first:last]
+            np.copyto(o, a[:, ::k, ::k])
+            for u in range(k):
+                for v in range(k):
+                    if u or v:
+                        o += a[:, u::k, v::k]
+            o /= k * k
+
+    min_share = -(-_POOL_SHARE_ELEMS // max(1, h * w * c))
+    workers.run(forward, bs, min_share)
 
     def backward(g):
         gx = np.empty(xd.shape, dtype=g.dtype)
         windows = gx.reshape(bs, h // k, k, w // k, k, c)
-        spread = (g / (k * k))[:, :, None, :, None, :]
-        slopes = np.empty((min(step, bs), h, w, c), dtype=g.dtype)
-        for lo in range(0, bs, step):
-            np.copyto(windows[lo:lo + step], spread[lo:lo + step])
-            xb = xd[lo:lo + step]
-            gx[lo:lo + step] *= _leaky_relu_slopes(xb, slope, g.dtype, out=slopes[:len(xb)])
+        spread = g[:, :, None, :, None, :]
+
+        def share(lo, hi):
+            slopes = np.empty((min(step, hi - lo), h, w, c), dtype=g.dtype)
+            for first in range(lo, hi, step):
+                last = min(first + step, hi)
+                np.divide(spread[first:last], k * k, out=windows[first:last])
+                gx[first:last] *= _leaky_relu_slopes(xd[first:last], slope, g.dtype,
+                                                     out=slopes[:last - first])
+
+        workers.run(share, bs, min_share)
         return (gx,)
 
     return _node(out, (x,), backward)

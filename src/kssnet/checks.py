@@ -176,7 +176,7 @@ def full_model_check(seed: int):
 
     def fn(params):
         for name, arr in zip(names, _unpack(params, shapes)):
-            model.param(name).data = arr
+            model.param(name).data[...] = arr
         model.zero_grad()
         loss = ad.bce_with_logits(model.forward(x, e0), y)
         loss.backward()

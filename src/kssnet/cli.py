@@ -3,6 +3,12 @@ train the toy model, evaluate scores, and build initial embeddings.
 
 Exit codes: 0 on success, 1 on validation errors (bad flags, bad files),
 2 on unexpected runtime failures.
+
+OPENBLAS_NUM_THREADS sets how many cores a run uses (by default, one per
+core).  The model's convolution, pooling and optimizer step split their work
+across that many threads, and from their first call OpenBLAS runs on one
+thread, so its own threads do not compete with them.  Commands that run no
+model leave OpenBLAS its threads.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from . import lateral, metrics, storage
+from . import lateral, metrics, storage, workers
 from .synthetic import LabeledImages
 
 _DTYPES = {"float32": np.float32, "float64": np.float64}
@@ -25,6 +25,10 @@ _DTYPES = {"float32": np.float32, "float64": np.float64}
 _BETA1 = 0.9
 _BETA2 = 0.999
 _EPS = 1e-8
+# Fewest parameters in a share of the Adam update.  Float32, two workers: the
+# 109,456-parameter toy model stepped in 0.63x the time of one, a
+# 5,160-parameter one in 2.0x.
+_ADAM_SHARE = 2 ** 14
 
 
 class TrainingDiverged(RuntimeError):
@@ -343,7 +347,8 @@ class Adam:
         ``v = b2*v + (1-b2)*g*g``, ``update = (m/bc1) / (sqrt(v/bc2) + eps)``
         (plus ``wd*p`` for the weights) and ``p = p - lr*update`` in the same
         order and dtypes as a per-tensor loop would, so the result is bit
-        for bit that of the formula.
+        for bit that of the formula.  The operations run over one range of
+        the flat arrays per worker (:func:`workers.run`).
         """
         cfg = self.cfg
         self.t += 1
@@ -351,27 +356,32 @@ class Adam:
         bc2 = 1.0 - _BETA2 ** self.t
         for p, g in zip(self._params, self._grads):
             np.copyto(g, p.grad)
-        m, v, tmp, data = self._m, self._v, self._tmp, self._data
-        g = update = self._update  # update overwrites g once g is no longer read
-        np.multiply(g, 1.0 - _BETA1, out=tmp)
-        m *= _BETA1
-        m += tmp
-        np.multiply(g, 1.0 - _BETA2, out=tmp)
-        tmp *= g
-        v *= _BETA2
-        v += tmp
-        np.divide(v, bc2, out=tmp)
-        np.sqrt(tmp, out=tmp)
-        tmp += _EPS
-        np.divide(m, bc1, out=update)
-        update /= tmp
-        if cfg.weight_decay:
-            n = self._n_weights
-            update[:n] += cfg.weight_decay * data[:n]  # product in the parameters' dtype
-        update[:self._n_gcn] *= cfg.gcn_lr
-        update[self._n_gcn:] *= cfg.lr
-        np.subtract(data, update, out=update)
-        data[...] = update
+
+        def share(lo, hi):
+            m, v, tmp, data = self._m[lo:hi], self._v[lo:hi], self._tmp[lo:hi], self._data[lo:hi]
+            g = update = self._update[lo:hi]  # update overwrites g once g is no longer read
+            np.multiply(g, 1.0 - _BETA1, out=tmp)
+            m *= _BETA1
+            m += tmp
+            np.multiply(g, 1.0 - _BETA2, out=tmp)
+            tmp *= g
+            v *= _BETA2
+            v += tmp
+            np.divide(v, bc2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += _EPS
+            np.divide(m, bc1, out=update)
+            update /= tmp
+            if cfg.weight_decay:
+                n = max(0, self._n_weights - lo)
+                update[:n] += cfg.weight_decay * data[:n]  # product in the parameters' dtype
+            n = max(0, self._n_gcn - lo)
+            update[:n] *= cfg.gcn_lr
+            update[n:] *= cfg.lr
+            np.subtract(data, update, out=update)
+            data[...] = update
+
+        workers.run(share, self._data.size, _ADAM_SHARE)
 
 
 def train_toy(

@@ -14,6 +14,11 @@ that only tests reach passes it.  This test traces the lines of
   tied scores with a class that has no positives, at ``top_k:0`` and at
   ``top_k`` >= the label count.
 
+The traffic starts with no worker pool and OpenBLAS at two threads, so its
+first kernel builds a two-worker pool (``kssnet.workers``), whatever test
+built one before; the earlier pool and thread count are put back
+afterwards.  The threads the traffic starts are traced too.
+
 A line of a function-body statement that holds code and never ran fails
 the test, so the untaken arm of a conditional expression split over lines
 fails it too.  Of a compound statement only the header counts; ``try`` has
@@ -26,13 +31,14 @@ in ``test_no_dead_code.ALLOWED``.
 import ast
 import os
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import kssnet
-from kssnet import cli, storage
+from kssnet import cli, storage, workers
 from test_no_dead_code import ALLOWED
 from test_toy_run_parity import workloads
 
@@ -128,12 +134,14 @@ def traced_lines(run) -> set[tuple[str, int]]:
             in_package[filename] = Path(os.path.realpath(filename)).parent == PACKAGE
         return local if in_package[filename] else None
 
-    previous = sys.gettrace()
+    previous = sys.gettrace(), threading.gettrace()
     sys.settrace(on_call)
+    threading.settrace(on_call)  # the threads that ``run()`` starts
     try:
         run()
     finally:
-        sys.settrace(previous)
+        sys.settrace(previous[0])
+        threading.settrace(previous[1])
     return {(str(Path(os.path.realpath(f))), line) for f, line in executed}
 
 
@@ -202,12 +210,22 @@ def _run_cli(d: Path) -> None:
 
 
 @pytest.mark.filterwarnings("ignore:.* without positives excluded from mAP")
-def test_the_program_runs_every_line_it_has(tmp_path, capsys):
+def test_the_program_runs_every_line_it_has(tmp_path, capsys, monkeypatch):
+    get_threads, set_threads = workers._openblas()
+    blas_threads = get_threads()
+
     def traffic():
+        # The first kernel builds the worker pool, two workers strong, whatever
+        # test built one before.
+        monkeypatch.setattr(workers, "_pool", None)
+        set_threads(2)
         _run_workloads(tmp_path)
         _run_cli(tmp_path)
 
-    executed = traced_lines(traffic)
+    try:
+        executed = traced_lines(traffic)
+    finally:
+        set_threads(blas_threads)
     capsys.readouterr()
     unrun = []
     for path in sorted(PACKAGE.glob("*.py")):
