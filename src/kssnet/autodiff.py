@@ -28,12 +28,12 @@ LeakyReLU slope lies in (0, 1]; another is rejected with ``ValueError``.
 
 The convolution and the pooling split their work across the process's
 workers (:mod:`kssnet.workers`), in shares of whole samples, of the conv
-forward's sample blocks, of the nine kernel taps, or of a GEMM's output
-columns; no sum is split.  A share makes the numpy calls the whole makes
-for its part, or, for a GEMM split by columns, calls that OpenBLAS computes
-column for column alike (see ``_COLUMN_GRAIN``), so outputs and gradients
-are bit for bit the same with any number of workers.  The other ops run on
-the calling thread only.
+forward's sample blocks, or of the dense forward GEMM's output columns; no
+sum is split.  A share makes the numpy calls the whole makes for its part,
+or, for the GEMM split by columns, calls that OpenBLAS computes column for
+column alike (see ``_COLUMN_GRAIN``), so outputs and gradients are bit for
+bit the same with any number of workers.  The convolution's backward and
+the other ops run on the calling thread only.
 """
 
 from __future__ import annotations
@@ -328,13 +328,14 @@ def _conv_im2col(x, w, bias):
     blocks it was about 1 MB, and the blocked forward no slower.
 
     It retains the padded input, not the columns.  The weight gradient
-    rebuilds them and multiplies them by ``g`` (:func:`_column_shares`), so
-    the sum over samples and positions is never split.  The input gradient
-    is 9 GEMMs into tap-major (B*H*W, C) slabs, a share of the taps per
-    worker, whose slabs are then added into a zeroed padded buffer, a share
-    of the samples per worker (col2im: contiguous runs W*C long), and
-    cropped.  The backward is not blocked: it runs on training minibatches
-    only.
+    rebuilds them (one GEMM); the input gradient is one batched GEMM into
+    9 tap-major (B*H*W, C) slabs that are added into a zeroed padded
+    buffer (col2im: contiguous runs W*C long), then cropped.  Neither is
+    blocked, since backward runs on training minibatches only, nor split
+    across the workers: at the toy trainer's 50 samples, toy epochs with the
+    input gradient split (its tap GEMMs by taps, its col2im by samples)
+    were no faster, and the weight gradient's GEMM is too small for a
+    column split (``_COLUMN_SHARE_MACS``).
     """
     bs, h, wd, c = x.shape
     o = w.shape[0]
@@ -354,28 +355,35 @@ def _conv_im2col(x, w, bias):
     workers.run(forward, -(-bs // step))
 
     def input_grad(g):
-        wtaps = wmat.reshape(_K * _K, c, o).transpose(0, 2, 1)
-        taps = np.empty((_K * _K, bs * h * wd, c), dtype=np.result_type(g, wtaps))
+        taps = np.matmul(g.reshape(-1, o), wmat.reshape(_K * _K, c, o).transpose(0, 2, 1))
         gxp = np.zeros(xp.shape, dtype=taps.dtype)
-
-        def products(lo, hi):  # taps lo to hi
-            np.matmul(g.reshape(-1, o), wtaps[lo:hi], out=taps[lo:hi])
-
-        def col2im(lo, hi):  # samples lo to hi
-            for u in range(_K):
-                for v in range(_K):
-                    tap = taps[u * _K + v].reshape(bs, h, wd, c)
-                    gxp[lo:hi, u:u + h, v:v + wd] += tap[lo:hi]
-
-        workers.run(products, _K * _K)
-        workers.run(col2im, bs)
+        for u in range(_K):
+            for v in range(_K):
+                gxp[:, u:u + h, v:v + wd] += taps[u * _K + v].reshape(bs, h, wd, c)
         return gxp[:, 1:1 + h, 1:1 + wd]
 
     def weight_grad(g):
-        gmat = _column_shares(win.reshape(-1, _K * _K * c).T, g.reshape(-1, o))
+        gmat = win.reshape(-1, _K * _K * c).T @ g.reshape(-1, o)
         return gmat.reshape(_K, _K, c, o).transpose(3, 2, 0, 1)
 
     return out, input_grad, weight_grad
+
+
+# The dense forward GEMM is split by columns, and cut only where the whole and
+# every share take the same OpenBLAS kernel, one whose columns do not depend on
+# the others:
+# - on multiples of _COLUMN_GRAIN columns, where the kernel's column tiles end
+#   too (a cut elsewhere changed some float64 products' last bits);
+# - into shares of at least _COLUMN_SHARE_MACS multiply-adds, above the sizes
+#   that OpenBLAS computes with its small-matrix kernels (cut below them, a
+#   2 x 512 by 512 x 1024 product changed its last bits).
+# The share size also repays the thread handoff.  Float32, two workers against
+# one: column shares of 7.4M multiply-adds (the B = 50 conv weight gradients of
+# stages 1 and 2) took 1.27x and 1.08x the time, those of the 256-sample GEMMs
+# (67M and more a share) 0.6x to 0.7x.  The backward GEMMs run only at the toy
+# trainer's B = 50, where no share would reach the minimum, so they stay whole.
+_COLUMN_GRAIN = 16
+_COLUMN_SHARE_MACS = 2 ** 24
 
 
 def _conv_dense(x, w, bias):
@@ -386,11 +394,11 @@ def _conv_dense(x, w, bias):
     (input position, output position) pair within reach of each other, the
     (C, O) kernel tap that joins them, and zeros elsewhere: no padding and
     no window copy.  The input gradient is ``g @ t.T``; the weight gradient
-    folds the blocks of ``x.T @ g`` back onto their taps.  Each of the three
-    GEMMs is split into shares of its output columns (:func:`_column_shares`),
-    so no sum is split.  A zero of ``t`` times an infinite input is NaN, where
-    im2col would add nothing, so a non-finite input reaches outputs out of
-    its reach.
+    folds the blocks of ``x.T @ g`` back onto their taps.  The forward GEMM
+    is split into shares of its output columns, one per worker, so no sum
+    is split (see ``_COLUMN_GRAIN``); the backward's two GEMMs are not.  A
+    zero of ``t`` times an infinite input is NaN, where im2col would add
+    nothing, so a non-finite input reaches outputs out of its reach.
     """
     bs, h, wd, c = x.shape
     o = w.shape[0]
@@ -403,53 +411,29 @@ def _conv_dense(x, w, bias):
         t[i, j, :, p, q] = taps[u, v]
     t = t.reshape(h * wd * c, h * wd * o)
     xmat = x.reshape(bs, h * wd * c)
-    out = _column_shares(xmat, t).reshape(bs, h, wd, o)
+    n = h * wd * o
+    out = np.empty((bs, n), dtype=np.result_type(xmat, t))
+
+    def forward(lo, hi):  # column units lo to hi
+        cols = slice(lo * _COLUMN_GRAIN, min(hi * _COLUMN_GRAIN, n))
+        np.matmul(xmat, t[:, cols], out=out[:, cols])
+
+    min_share = -(-_COLUMN_SHARE_MACS // max(1, bs * h * wd * c * _COLUMN_GRAIN))
+    workers.run(forward, -(-n // _COLUMN_GRAIN), min_share)
+    out = out.reshape(bs, h, wd, o)
     out += bias
 
     def input_grad(g):
-        return _column_shares(g.reshape(bs, -1), t.T).reshape(x.shape)
+        return (g.reshape(bs, -1) @ t.T).reshape(x.shape)
 
     def weight_grad(g):
-        full = _column_shares(xmat.T, g.reshape(bs, -1)).reshape(h, wd, c, h, wd, o)
+        full = (xmat.T @ g.reshape(bs, -1)).reshape(h, wd, c, h, wd, o)
         gtaps = np.zeros((_K, _K, c, o), dtype=full.dtype)
         for i, j, p, q, u, v in pairs:
             gtaps[u, v] += full[i, j, :, p, q]
         return gtaps.transpose(3, 2, 0, 1)
 
     return out, input_grad, weight_grad
-
-
-# A GEMM split by columns is cut only where the whole and every share take the
-# same OpenBLAS kernel, one whose columns do not depend on the others:
-# - on multiples of _COLUMN_GRAIN columns, where the kernel's column tiles end
-#   too (a cut elsewhere changed some float64 products' last bits);
-# - into shares of at least _COLUMN_SHARE_MACS multiply-adds, above the sizes
-#   that OpenBLAS computes with its small-matrix kernels (cut below them, a
-#   2 x 512 by 512 x 1024 product changed its last bits).
-# The share size also repays the thread handoff.  Float32, two workers: at
-# B = 50 the weight gradients of stages 1 and 2 (7.4M multiply-adds a share)
-# took 1.27x and 1.08x the time of one worker, while the 256-sample GEMMs of
-# stages 1 to 3 (67M and more a share) took 0.6x to 0.7x.
-_COLUMN_GRAIN = 16
-_COLUMN_SHARE_MACS = 2 ** 24
-
-
-def _column_shares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` for 2-D ``a`` and ``b``, computed in shares of its columns, one per worker.
-
-    Each share is at least ``_COLUMN_SHARE_MACS`` multiply-adds.
-    """
-    m, k = a.shape
-    n = b.shape[1]
-    out = np.empty((m, n), dtype=np.result_type(a, b))
-
-    def share(lo, hi):  # column units lo to hi
-        cols = slice(lo * _COLUMN_GRAIN, min(hi * _COLUMN_GRAIN, n))
-        np.matmul(a, b[:, cols], out=out[:, cols])
-
-    min_share = -(-_COLUMN_SHARE_MACS // max(1, m * k * _COLUMN_GRAIN))
-    workers.run(share, -(-n // _COLUMN_GRAIN), min_share)
-    return out
 
 
 # Elements of x per block of ``avg_pool2d``: a block of x and the buffers

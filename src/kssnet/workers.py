@@ -109,18 +109,32 @@ def run(share, n: int, min_share: int = 1) -> None:
     there too.  Once every share has finished, the first exception raised
     is re-raised, the caller's before any pool thread's.  A share must not
     call ``run``.
+
+    An exception that breaks off starting the pool threads or waiting for
+    them, such as a ``KeyboardInterrupt``, leaves a pool thread's locks out
+    of step with its shares.  Every pool thread not yet waited for is then
+    replaced by a new one before the exception propagates.
     """
+    global _pool
     with _lock:
         pool = _build() if _pool is None else _pool
         count = max(1, min(len(pool) + 1, n // min_share))
         cuts = [n * k // count for k in range(count + 1)]
         helpers = pool[:count - 1]
-        for worker, lo, hi in zip(helpers, cuts[1:-1], cuts[2:]):
-            worker.start(share, lo, hi)
+        errors = []
         try:
-            share(cuts[0], cuts[1])
-        finally:
-            errors = [worker.join() for worker in helpers]
+            for worker, lo, hi in zip(helpers, cuts[1:-1], cuts[2:]):
+                worker.start(share, lo, hi)
+            try:
+                share(cuts[0], cuts[1])
+            finally:
+                for worker in helpers:
+                    errors.append(worker.join())
+        except BaseException:
+            if len(errors) < len(helpers):
+                fresh = [_Worker() for _ in helpers[len(errors):]]
+                _pool = helpers[:len(errors)] + fresh + pool[len(helpers):]
+            raise
         for error in errors:
             if error is not None:
                 raise error

@@ -17,7 +17,9 @@ that only tests reach passes it.  This test traces the lines of
 The traffic starts with no worker pool and OpenBLAS at two threads, so its
 first kernel builds a two-worker pool (``kssnet.workers``), whatever test
 built one before; the earlier pool and thread count are put back
-afterwards.  The threads the traffic starts are traced too.
+afterwards.  Where numpy bundles no OpenBLAS, a stand-in thread count of two
+takes its place, so the traffic still builds the pool.  The threads the
+traffic starts are traced too.
 
 A line of a function-body statement that holds code and never ran fails
 the test, so the untaken arm of a conditional expression split over lines
@@ -211,7 +213,12 @@ def _run_cli(d: Path) -> None:
 
 @pytest.mark.filterwarnings("ignore:.* without positives excluded from mAP")
 def test_the_program_runs_every_line_it_has(tmp_path, capsys, monkeypatch):
-    get_threads, set_threads = workers._openblas()
+    try:
+        get_threads, set_threads = workers._openblas()
+    except LookupError:  # a numpy without bundled OpenBLAS: a stand-in thread count
+        threads = [2]
+        get_threads, set_threads = (lambda: threads[0]), (lambda n: threads.__setitem__(0, n))
+        monkeypatch.setattr(workers, "_openblas", lambda: (get_threads, set_threads))
     blas_threads = get_threads()
 
     def traffic():

@@ -9,6 +9,7 @@ a process first splits a kernel, so it is tested in fresh subprocesses.
 
 import json
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -107,6 +108,60 @@ def test_a_share_that_raises_reaches_the_caller_after_every_share(raising, helpe
     with pytest.raises(KeyError):
         workers.run(share, 2)
     assert finished == [1 - raising]
+
+
+class _Interrupt(Exception):
+    pass
+
+
+def test_an_interrupted_wait_replaces_the_pool_thread(monkeypatch):
+    # The pool thread's share sends SIGINT to the caller while the caller
+    # waits for it; that wait is broken off, so the thread's locks are out of
+    # step and must not be used again.
+    stale = workers._Worker()
+    monkeypatch.setattr(workers, "_pool", [stale])
+    finished = threading.Event()
+
+    def share(lo, hi):
+        if lo:
+            time.sleep(0.05)  # the caller is waiting by now
+            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+            time.sleep(0.2)
+            finished.set()
+
+    def interrupt(signum, frame):
+        raise _Interrupt
+
+    previous = signal.signal(signal.SIGINT, interrupt)
+    try:
+        with pytest.raises(_Interrupt):
+            workers.run(share, 2)
+    finally:
+        signal.signal(signal.SIGINT, previous)
+    assert not finished.is_set()
+    assert len(workers._pool) == 1 and workers._pool[0] is not stale
+    assert finished.wait(5)
+    spans = []
+    workers.run(lambda lo, hi: (time.sleep(0.05 * lo), spans.append((lo, hi))), 2)
+    assert sorted(spans) == [(0, 1), (1, 2)]  # the new thread's share is waited for
+
+
+def test_an_interrupted_start_replaces_the_pool_threads_not_waited_for(monkeypatch):
+    class Broken(workers._Worker):
+        def start(self, share, lo, hi):
+            raise _Interrupt
+
+    started = workers._Worker()
+    monkeypatch.setattr(workers, "_pool", [started, Broken()])
+    done = []
+    with pytest.raises(_Interrupt):
+        workers.run(lambda lo, hi: done.append(lo), 3)
+    assert len(workers._pool) == 2
+    assert not {id(w) for w in workers._pool} & {id(started)}
+    assert type(workers._pool[1]) is workers._Worker
+    spans = []
+    workers.run(lambda lo, hi: spans.append((lo, hi)), 3)
+    assert sorted(spans) == [(0, 1), (1, 2), (2, 3)]
 
 
 def test_shares_cover_the_range_at_most_one_apart(n_workers):
