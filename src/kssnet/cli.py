@@ -329,10 +329,13 @@ def _cmd_evaluate(args) -> int:
             raise CliError("evaluate needs either --scores/--targets or --checkpoint/--config")
         scores = storage.load_matrix_text(_positive_file(args.scores, "--scores"))
         targets = storage.load_matrix_text(_positive_file(args.targets, "--targets"))
+        if not np.all(np.isfinite(scores)):
+            raise CliError(f"{args.scores}: scores must be finite")
         if scores.shape != targets.shape:
-            raise CliError(f"shape mismatch: scores {scores.shape} vs targets {targets.shape}")
+            raise CliError(f"shape mismatch: scores {scores.shape} in {args.scores} "
+                           f"vs targets {targets.shape} in {args.targets}")
         if not np.all((targets == 0) | (targets == 1)):
-            raise CliError("--targets: entries must be 0 or 1")
+            raise CliError(f"{args.targets}: entries must be 0 or 1")
     map_value = metrics.map_score(scores, targets)
     prf = metrics.prf_suite(scores, targets, decision)
     print(metrics.format_metric_table(map_value, prf))
@@ -342,7 +345,10 @@ def _cmd_evaluate(args) -> int:
 def _cmd_embed(args) -> int:
     vocab = ingest.load_vocabulary(_positive_file(args.vocab, "--vocab"))
     table = ingest.load_embedding_table(_positive_file(args.table, "--table"))
-    e0 = ingest.build_initial_embeddings(table, vocab)
+    try:
+        e0 = ingest.build_initial_embeddings(table, vocab)
+    except ingest.UnresolvedLabelError as exc:
+        raise CliError(f"{args.table}: {exc}") from None
     storage.save_matrix_text(e0, args.out)
     _print_kv({"labels": e0.shape[0], "dim": e0.shape[1], "out": args.out})
     return 0

@@ -11,59 +11,48 @@ set once, not per call, because an idle OpenBLAS thread keeps spinning on
 its core for a while after each GEMM.
 
 :func:`run` splits an index range into one contiguous share per worker and
-runs the same function on each.  The kernels that use it (the backbone's
-convolution and pooling in :mod:`kssnet.autodiff`, the Adam step in
-:mod:`kssnet.model`) split their work so that their results are bit for bit
-the same with any number of workers.  A pool thread that has idled for a
-few milliseconds takes 0.05 to 0.2 ms to start its share, so a kernel split
-after other work gains less than one timed back to back.
+runs the same function on each: the caller runs the first share, and the
+pool threads take the others from one shared job queue.  The kernels that
+use it (the backbone's convolution and pooling in :mod:`kssnet.autodiff`,
+the Adam step in :mod:`kssnet.model`) split their work so that their
+results are bit for bit the same with any number of workers.  A pool
+thread that has idled for a few milliseconds takes 0.05 to 0.2 ms to start
+its share, so a kernel split after other work gains less than one timed
+back to back.
+
+A run broken off by an exception, such as a ``KeyboardInterrupt`` in the
+caller, leaves no pool state behind: the shares it queued finish on their
+threads, and any idle pool thread takes the next run's shares.
 """
 
 from __future__ import annotations
 
 import contextvars
 import ctypes
+import queue
 import threading
 from pathlib import Path
 
 import numpy as np
 
 
-class _Worker:
-    """One pool thread.  It runs one share per :meth:`start`; :meth:`join` waits for it."""
-
-    def __init__(self):
-        self._go, self._done = threading.Lock(), threading.Lock()
-        self._go.acquire()
-        self._done.acquire()
-        self._job = self._error = None
-        threading.Thread(target=self._serve, name="kssnet-worker", daemon=True).start()
-
-    def _serve(self):
-        while True:
-            self._go.acquire()
-            context, share, lo, hi = self._job
-            try:
-                context.run(share, lo, hi)
-            except BaseException as exc:  # join() hands it to run(), which re-raises it
-                self._error = exc
-            self._done.release()
-
-    def start(self, share, lo: int, hi: int) -> None:
-        self._job = contextvars.copy_context(), share, lo, hi
-        self._go.release()
-
-    def join(self) -> BaseException | None:
-        """Wait for the share; return what it raised, or None."""
-        self._done.acquire()
-        error, self._error = self._error, None
-        return error
-
-
-# The pool threads beside the caller, made by the first run(); [] for one worker.
-_pool: list[_Worker] | None = None
+# The pool threads' one job queue: (context, share, lo, hi, ticket) per pool share.
+_jobs = queue.SimpleQueue()
+# The workers, the caller included; 0 until the first run() reads the budget.
+_size = 0
 # Held by run() while its shares run, so callers in two threads take turns.
 _lock = threading.Lock()
+
+
+def _serve(jobs) -> None:
+    """A pool thread: run each share taken from ``jobs``, then release its ticket."""
+    while True:
+        context, share, lo, hi, ticket = jobs.get()
+        try:
+            context.run(share, lo, hi)
+        except BaseException as exc:  # run() re-raises it once every share has finished
+            ticket[1] = exc
+        ticket[0].release()
 
 
 def _openblas():
@@ -84,18 +73,19 @@ def _openblas():
     raise LookupError(f"no bundled OpenBLAS in {libs}")
 
 
-def _build() -> list[_Worker]:
-    """Read the BLAS thread budget, set OpenBLAS to one thread and start the pool."""
-    global _pool
+def _build() -> None:
+    """Read the BLAS thread budget, set OpenBLAS to one thread and start the pool threads."""
+    global _size
     try:
         get, set_threads = _openblas()
     except LookupError:
-        _pool = []
-        return _pool
+        _size = 1
+        return
     budget = get()
     set_threads(1)
-    _pool = [_Worker() for _ in range(budget - 1)]
-    return _pool
+    for _ in range(budget - 1):
+        threading.Thread(target=_serve, args=(_jobs,), name="kssnet-worker", daemon=True).start()
+    _size = budget
 
 
 def run(share, n: int, min_share: int = 1) -> None:
@@ -104,37 +94,35 @@ def run(share, n: int, min_share: int = 1) -> None:
     There are as many ranges as workers, but no more than ``n //
     min_share`` and at least one, so a kernel too small to repay a thread
     handoff runs whole on the caller.  Their lengths differ by at most one.
-    The caller runs the first range; each pool thread runs one more in a
-    copy of the caller's context, so the caller's ``np.errstate`` holds
-    there too.  Once every share has finished, the first exception raised
-    is re-raised, the caller's before any pool thread's.  A share must not
+    The caller queues every range but the first, each with a ticket (a
+    held lock and a slot for its exception) that the pool thread running
+    it releases, and runs the first itself.  A pool share runs in a copy
+    of the caller's context, so the caller's ``np.errstate`` holds there
+    too.  Once every ticket is back, the first exception raised is
+    re-raised, the caller's before any pool thread's.  A share must not
     call ``run``.
 
-    An exception that breaks off starting the pool threads or waiting for
-    them, such as a ``KeyboardInterrupt``, leaves a pool thread's locks out
-    of step with its shares.  Every pool thread not yet waited for is then
-    replaced by a new one before the exception propagates.
+    An exception that breaks off queueing the shares or waiting for them,
+    such as a ``KeyboardInterrupt``, leaves the shares it did not wait for
+    running: they finish on their threads and release tickets that nobody
+    waits for, and the next run's shares queue behind them.
     """
-    global _pool
     with _lock:
-        pool = _build() if _pool is None else _pool
-        count = max(1, min(len(pool) + 1, n // min_share))
+        if not _size:
+            _build()
+        count = max(1, min(_size, n // min_share))
         cuts = [n * k // count for k in range(count + 1)]
-        helpers = pool[:count - 1]
-        errors = []
+        tickets = []
         try:
-            for worker, lo, hi in zip(helpers, cuts[1:-1], cuts[2:]):
-                worker.start(share, lo, hi)
-            try:
-                share(cuts[0], cuts[1])
-            finally:
-                for worker in helpers:
-                    errors.append(worker.join())
-        except BaseException:
-            if len(errors) < len(helpers):
-                fresh = [_Worker() for _ in helpers[len(errors):]]
-                _pool = helpers[:len(errors)] + fresh + pool[len(helpers):]
-            raise
-        for error in errors:
+            for lo, hi in zip(cuts[1:-1], cuts[2:]):
+                ticket = [threading.Lock(), None]
+                ticket[0].acquire()
+                _jobs.put((contextvars.copy_context(), share, lo, hi, ticket))
+                tickets.append(ticket)
+            share(cuts[0], cuts[1])
+        finally:
+            for done, _ in tickets:
+                done.acquire()
+        for _, error in tickets:
             if error is not None:
                 raise error

@@ -1,6 +1,7 @@
 """The code names that ``tools/bench_pairs.py`` writes into a BENCH file, and its benchmark check."""
 
 import hashlib
+import json
 import importlib.util
 from pathlib import Path
 
@@ -59,3 +60,25 @@ def test_different_benchmarks_exit_2_before_any_run(tmp_path, monkeypatch, capsy
                              "--workload", "toy-train", "--seeds", "1", "--out", str(out)]) == 2
     assert "different bench or BENCHMARK.json" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_host_records_the_thread_limit_set_before_the_run(tmp_path, monkeypatch):
+    # bench/run.py reads blas_threads after the run, when the worker pool has
+    # set OpenBLAS to one thread; thread_limit is the budget the run started with.
+    spec = b'{"end_to_end": [{"name": "fastest_step_s", "better": "lower"}]}'
+    files = {"bench/run.py": b"r", "BENCHMARK.json": spec, "src/a.py": b"a"}
+    parent = _checkout(tmp_path / "parent", files)
+    change = _checkout(tmp_path / "change", files)
+    env = {"nproc": 2, "python": "3.11", "numpy": "2.4", "blas": "scipy-openblas 0.3",
+           "blas_threads": 1, "thread_limit": 2}
+
+    def stub(checkout, workload, seed, seconds):
+        return {"env": env, "correct": True, "metrics": {"fastest_step_s": seed / 100}}
+
+    monkeypatch.setattr(bench_pairs, "run", stub)
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                             "--workload", "toy-train", "--seeds", "1-2", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["host"] == {"nproc": 2, "python": "3.11", "numpy": "2.4",
+                              "blas": "scipy-openblas 0.3", "thread_limit": 2}

@@ -203,12 +203,26 @@ class TestEvaluate:
         row = capsys.readouterr().out.splitlines()[1].split()
         assert row == ["100.0"] * 7
 
-    def test_shape_mismatch_rejected(self, tmp_path, capsys):
-        storage.save_matrix_text(np.zeros((2, 3)), tmp_path / "s.txt")
-        storage.save_matrix_text(np.zeros((3, 2)), tmp_path / "t.txt")
+    def _matrix_error(self, tmp_path, capsys, scores, targets) -> str:
+        storage.save_matrix_text(np.array(scores), tmp_path / "s.txt")
+        storage.save_matrix_text(np.array(targets), tmp_path / "t.txt")
         assert run(["evaluate", "--scores", str(tmp_path / "s.txt"),
                     "--targets", str(tmp_path / "t.txt")]) == 1
-        assert "mismatch" in capsys.readouterr().err
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_name_the_scores_file(self, tmp_path, capsys, bad):
+        err = self._matrix_error(tmp_path, capsys, [[bad, 0.0], [1.0, 0.0]], [[1, 0], [0, 1]])
+        assert f"{tmp_path / 's.txt'}: scores must be finite" in err
+
+    def test_shape_mismatch_rejected(self, tmp_path, capsys):
+        err = self._matrix_error(tmp_path, capsys, np.zeros((3, 2)), np.zeros((2, 2)))
+        assert f"scores (3, 2) in {tmp_path / 's.txt'} vs targets (2, 2) in " \
+               f"{tmp_path / 't.txt'}" in err
+
+    def test_non_binary_targets_name_the_targets_file(self, tmp_path, capsys):
+        err = self._matrix_error(tmp_path, capsys, [[0.0, 1.0]], [[0.3, 1.0]])
+        assert f"{tmp_path / 't.txt'}: entries must be 0 or 1" in err
 
     def test_missing_checkpoint_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
@@ -410,11 +424,14 @@ class TestEmbed:
 
     def test_unresolved_label_is_validation_error(self, tmp_path, capsys):
         vocab = tmp_path / "v.txt"
-        vocab.write_text("unicorn\n")
+        vocab.write_text("dog\nunicorn\n")
         table = tmp_path / "emb.txt"
         table.write_text("dog 1.0\n")
         assert run(["embed", "--table", str(table), "--vocab", str(vocab),
                     "--out", str(tmp_path / "e.txt")]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {table}: label 'unicorn': no word found" in err
+        assert not (tmp_path / "e.txt").exists()
 
 
 class TestHelp:

@@ -14,10 +14,11 @@ that only tests reach passes it.  This test traces the lines of
   tied scores with a class that has no positives, at ``top_k:0`` and at
   ``top_k`` >= the label count.
 
-The traffic starts with no worker pool and OpenBLAS at two threads, so its
-first kernel builds a two-worker pool (``kssnet.workers``), whatever test
-built one before; the earlier pool and thread count are put back
-afterwards.  Where numpy bundles no OpenBLAS, a stand-in thread count of two
+The traffic starts with no worker pool, a fresh job queue and OpenBLAS at
+two threads, so its first kernel builds a two-worker pool
+(``kssnet.workers``) whose thread alone takes the traffic's shares,
+whatever test built one before; the earlier pool, queue and thread count
+are put back afterwards.  Where numpy bundles no OpenBLAS, a stand-in thread count of two
 takes its place, so the traffic still builds the pool.  The threads the
 traffic starts are traced too.
 
@@ -32,6 +33,7 @@ in ``test_no_dead_code.ALLOWED``.
 
 import ast
 import os
+import queue
 import sys
 import threading
 from pathlib import Path
@@ -223,8 +225,10 @@ def test_the_program_runs_every_line_it_has(tmp_path, capsys, monkeypatch):
 
     def traffic():
         # The first kernel builds the worker pool, two workers strong, whatever
-        # test built one before.
-        monkeypatch.setattr(workers, "_pool", None)
+        # test built one before.  Its thread serves a fresh job queue, so no
+        # untraced pool thread of an earlier test takes the traffic's shares.
+        monkeypatch.setattr(workers, "_size", 0)
+        monkeypatch.setattr(workers, "_jobs", queue.SimpleQueue())
         set_threads(2)
         _run_workloads(tmp_path)
         _run_cli(tmp_path)

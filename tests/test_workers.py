@@ -1,7 +1,8 @@
 """The worker pool: split kernels give the same bits with one worker as with two.
 
-The worker count is forced by patching ``workers._pool``: ``[]`` is one
-worker (the caller), one pool thread beside it makes two.  Shapes are those
+The worker count is forced by patching ``workers._size``: 1 is the caller
+alone; 2 adds one pool thread, a ``_serve`` loop on a job queue patched in
+for ``workers._jobs``.  Shapes are those
 of the toy trainer (B = 50), of ``wide-infer`` (B = 256) and a batch smaller
 than the worker count.  The thread budget itself is read from OpenBLAS when
 a process first splits a kernel, so it is tested in fresh subprocesses.
@@ -9,6 +10,7 @@ a process first splits a kernel, so it is tested in fresh subprocesses.
 
 import json
 import os
+import queue
 import signal
 import subprocess
 import sys
@@ -30,20 +32,32 @@ BACKBONES = [(50, (16, 32, 64, 128)), (256, (32, 64, 128, 256)), (1, (16, 32, 64
              (3, (16, 32, 64, 128))]
 
 
+def _serving() -> queue.SimpleQueue:
+    """A fresh job queue with one pool thread serving it."""
+    jobs = queue.SimpleQueue()
+    threading.Thread(target=workers._serve, args=(jobs,), daemon=True).start()
+    return jobs
+
+
 @pytest.fixture(scope="module")
 def helper():
-    """One pool thread, shared by the tests that force two workers."""
-    return workers._Worker()
+    """One pool thread's job queue, shared by the tests that force two workers."""
+    return _serving()
+
+
+def _use(monkeypatch, jobs, n):
+    monkeypatch.setattr(workers, "_jobs", jobs)
+    monkeypatch.setattr(workers, "_size", n)
 
 
 @pytest.fixture(params=[1, 2], ids=["one_worker", "two_workers"])
 def n_workers(request, helper, monkeypatch):
-    monkeypatch.setattr(workers, "_pool", [helper][:request.param - 1])
+    _use(monkeypatch, helper, request.param)
     return request.param
 
 
 def _with_workers(monkeypatch, helper, n, fn):
-    monkeypatch.setattr(workers, "_pool", [helper][:n - 1])
+    _use(monkeypatch, helper, n)
     return fn()
 
 
@@ -96,7 +110,7 @@ def test_adam_step_gives_the_same_bits_with_one_or_two_workers(dtype, helper, mo
 
 @pytest.mark.parametrize("raising", [0, 1], ids=["caller", "pool_thread"])
 def test_a_share_that_raises_reaches_the_caller_after_every_share(raising, helper, monkeypatch):
-    monkeypatch.setattr(workers, "_pool", [helper])
+    _use(monkeypatch, helper, 2)
     finished = []
 
     def share(lo, hi):
@@ -114,12 +128,10 @@ class _Interrupt(Exception):
     pass
 
 
-def test_an_interrupted_wait_replaces_the_pool_thread(monkeypatch):
+def test_an_interrupted_wait_leaves_the_share_to_finish_before_the_next_run(monkeypatch):
     # The pool thread's share sends SIGINT to the caller while the caller
-    # waits for it; that wait is broken off, so the thread's locks are out of
-    # step and must not be used again.
-    stale = workers._Worker()
-    monkeypatch.setattr(workers, "_pool", [stale])
+    # waits for it; the caller stops waiting, the share runs on.
+    _use(monkeypatch, _serving(), 2)
     finished = threading.Event()
 
     def share(lo, hi):
@@ -139,26 +151,33 @@ def test_an_interrupted_wait_replaces_the_pool_thread(monkeypatch):
     finally:
         signal.signal(signal.SIGINT, previous)
     assert not finished.is_set()
-    assert len(workers._pool) == 1 and workers._pool[0] is not stale
-    assert finished.wait(5)
     spans = []
     workers.run(lambda lo, hi: (time.sleep(0.05 * lo), spans.append((lo, hi))), 2)
-    assert sorted(spans) == [(0, 1), (1, 2)]  # the new thread's share is waited for
+    assert finished.is_set()  # the next run's share queued behind the stale one
+    assert sorted(spans) == [(0, 1), (1, 2)]  # and was waited for
 
 
-def test_an_interrupted_start_replaces_the_pool_threads_not_waited_for(monkeypatch):
-    class Broken(workers._Worker):
-        def start(self, share, lo, hi):
-            raise _Interrupt
+def test_an_interrupted_queueing_leaves_the_pool_serving(monkeypatch):
+    # The second put raises: the first pool share is queued and waited for,
+    # the caller's share never runs, and the same thread serves the next run.
+    jobs = _serving()
 
-    started = workers._Worker()
-    monkeypatch.setattr(workers, "_pool", [started, Broken()])
+    class Breaking:
+        def __init__(self):
+            self.puts = 0
+
+        def put(self, job):
+            self.puts += 1
+            if self.puts == 2:
+                raise _Interrupt
+            jobs.put(job)
+
+    _use(monkeypatch, Breaking(), 3)
     done = []
     with pytest.raises(_Interrupt):
-        workers.run(lambda lo, hi: done.append(lo), 3)
-    assert len(workers._pool) == 2
-    assert not {id(w) for w in workers._pool} & {id(started)}
-    assert type(workers._pool[1]) is workers._Worker
+        workers.run(lambda lo, hi: (time.sleep(0.05), done.append(lo)), 3)
+    assert done == [1]
+    monkeypatch.setattr(workers, "_jobs", jobs)
     spans = []
     workers.run(lambda lo, hi: spans.append((lo, hi)), 3)
     assert sorted(spans) == [(0, 1), (1, 2), (2, 3)]
@@ -178,7 +197,7 @@ def test_shares_cover_the_range_at_most_one_apart(n_workers):
 def test_callers_in_several_threads_take_turns(helper, monkeypatch):
     # Each call records its shares under its own key; a share run twice, lost
     # or run for another call breaks the cover of its range.
-    monkeypatch.setattr(workers, "_pool", [helper])
+    _use(monkeypatch, helper, 2)
     covered = {}
 
     def caller(key):
@@ -244,7 +263,7 @@ opt.step()
 digest = hashlib.sha256()
 for a in (out.data, x.grad, w.grad, b.grad, opt._data, opt._m, opt._v):
     digest.update(a.tobytes())
-print(json.dumps({"threads": threading.active_count() - before, "workers": len(workers._pool) + 1,
+print(json.dumps({"threads": threading.active_count() - before, "workers": workers._size,
                   "blas": workers._openblas()[0](), "sha": digest.hexdigest()}))
 """
 
@@ -258,7 +277,7 @@ graph.build_ks_graph(data.annotations, data.knowledge_edges)
 rng = np.random.default_rng(0)
 targets = (rng.random((300, 8)) < 0.3).astype(float)
 metrics.prf_suite(rng.normal(size=(300, 8)), targets, ("top_k", 3))
-print(json.dumps({"blas": workers._openblas()[0](), "pool": workers._pool is None}))
+print(json.dumps({"blas": workers._openblas()[0](), "pool": workers._size == 0}))
 """
 
 

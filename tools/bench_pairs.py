@@ -11,6 +11,11 @@ whether the gap between the medians exceeds the parent's interquartile
 range.  Both checkouts must hold the same ``bench/`` and ``BENCHMARK.json``;
 when their digests differ it exits with status 2 before the first run.
 
+``host`` is the change's first run's environment line.  Its thread count
+is ``thread_limit``, the budget ``bench/run.py`` sets before numpy loads:
+the line's ``blas_threads`` is read after the run, when a run that split a
+kernel has set OpenBLAS to one thread.
+
 Each side's code is named twice: by ``git rev-parse HEAD`` in its checkout,
 when that is a git work tree of its own, and by ``source_digest`` of its
 ``src/`` files, which also names a copied checkout or uncommitted changes.
@@ -138,7 +143,7 @@ def main(argv=None) -> int:
         "parent_src_sha256": source_digest(args.parent),
         "change_src_sha256": source_digest(args.change),
         "host": {key: first["change"]["env"][key]
-                 for key in ("nproc", "python", "numpy", "blas", "blas_threads")},
+                 for key in ("nproc", "python", "numpy", "blas", "thread_limit")},
         "summary": summarise(pairs, better),
         "pairs": [{"seed": q["seed"], "first": q["first"],
                    "parent": q["parent"]["metrics"], "change": q["change"]["metrics"],
