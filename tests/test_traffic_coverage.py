@@ -18,9 +18,9 @@ The traffic starts with no worker pool, a fresh job queue and OpenBLAS at
 two threads, so its first kernel builds a two-worker pool
 (``kssnet.workers``) whose thread alone takes the traffic's shares,
 whatever test built one before; the earlier pool, queue and thread count
-are put back afterwards.  Where numpy bundles no OpenBLAS, a stand-in thread count of two
-takes its place, so the traffic still builds the pool.  The threads the
-traffic starts are traced too.
+are put back afterwards.  Where numpy bundles no OpenBLAS, a stand-in
+thread count of two takes its place, so the traffic still builds the pool.
+The threads the traffic starts are traced too.
 
 A line of a function-body statement that holds code and never ran fails
 the test, so the untaken arm of a conditional expression split over lines

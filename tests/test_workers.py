@@ -1,8 +1,7 @@
 """The worker pool: split kernels give the same bits with one worker as with two.
 
-The worker count is forced by patching ``workers._size``: 1 is the caller
-alone; 2 adds one pool thread, a ``_serve`` loop on a job queue patched in
-for ``workers._jobs``.  Shapes are those
+The worker count is forced by patching ``workers._size``; for two, the job
+queue ``workers._jobs`` becomes one that a pool thread serves.  Shapes are those
 of the toy trainer (B = 50), of ``wide-infer`` (B = 256) and a batch smaller
 than the worker count.  The thread budget itself is read from OpenBLAS when
 a process first splits a kernel, so it is tested in fresh subprocesses.
@@ -16,6 +15,7 @@ import subprocess
 import sys
 import threading
 import time
+import types
 from pathlib import Path
 
 import numpy as np
@@ -32,32 +32,19 @@ BACKBONES = [(50, (16, 32, 64, 128)), (256, (32, 64, 128, 256)), (1, (16, 32, 64
              (3, (16, 32, 64, 128))]
 
 
-def _serving() -> queue.SimpleQueue:
-    """A fresh job queue with one pool thread serving it."""
-    jobs = queue.SimpleQueue()
-    threading.Thread(target=workers._serve, args=(jobs,), daemon=True).start()
-    return jobs
-
-
-@pytest.fixture(scope="module")
-def helper():
-    """One pool thread's job queue, shared by the tests that force two workers."""
-    return _serving()
-
-
-def _use(monkeypatch, jobs, n):
-    monkeypatch.setattr(workers, "_jobs", jobs)
-    monkeypatch.setattr(workers, "_size", n)
+# The job queue of the one pool thread beside the caller when two workers are forced.
+HELPER = queue.SimpleQueue()
+threading.Thread(target=workers._serve, args=(HELPER,), daemon=True).start()
 
 
 @pytest.fixture(params=[1, 2], ids=["one_worker", "two_workers"])
-def n_workers(request, helper, monkeypatch):
-    _use(monkeypatch, helper, request.param)
-    return request.param
+def n_workers(request, monkeypatch):
+    return _with_workers(monkeypatch, request.param, lambda: request.param)
 
 
-def _with_workers(monkeypatch, helper, n, fn):
-    _use(monkeypatch, helper, n)
+def _with_workers(monkeypatch, n, fn=lambda: None):
+    monkeypatch.setattr(workers, "_jobs", HELPER)
+    monkeypatch.setattr(workers, "_size", n)
     return fn()
 
 
@@ -73,7 +60,7 @@ def _stage(x, w, b, slope, g):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("batch,widths", BACKBONES, ids=["toy", "wide", "one", "three"])
 def test_backbone_stages_give_the_same_bits_with_one_or_two_workers(
-        batch, widths, dtype, helper, monkeypatch):
+        batch, widths, dtype, monkeypatch):
     rng = np.random.default_rng(batch)
     side, c_in = 16, 3
     for c_out in widths:  # 16x16, 8x8 and 4x4 through im2col, 2x2 through the dense GEMM
@@ -81,7 +68,7 @@ def test_backbone_stages_give_the_same_bits_with_one_or_two_workers(
         w = rng.normal(0, 0.3, size=(c_out, c_in, 3, 3)).astype(dtype)
         b = rng.normal(size=c_out).astype(dtype)
         g = rng.normal(size=(batch, side // 2, side // 2, c_out)).astype(dtype)
-        one, two = (_with_workers(monkeypatch, helper, n, lambda: _stage(x, w, b, 0.2, g))
+        one, two = (_with_workers(monkeypatch, n, lambda: _stage(x, w, b, 0.2, g))
                     for n in (1, 2))
         for name, a, c in zip(["conv", "pool", "conv grad", "x grad", "w grad", "b grad"],
                               one, two):
@@ -91,7 +78,7 @@ def test_backbone_stages_give_the_same_bits_with_one_or_two_workers(
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
-def test_adam_step_gives_the_same_bits_with_one_or_two_workers(dtype, helper, monkeypatch):
+def test_adam_step_gives_the_same_bits_with_one_or_two_workers(dtype, monkeypatch):
     def step():
         net = model.KssModel(np.eye(8), 8, 16, seed=3, dtype=dtype)
         opt = model.Adam(net.named_parameters(), model.TrainConfig(gcn_lr=0.003))
@@ -103,14 +90,14 @@ def test_adam_step_gives_the_same_bits_with_one_or_two_workers(dtype, helper, mo
         assert opt._data.size >= 2 * model._ADAM_SHARE  # two shares
         return [opt._data, opt._m, opt._v]
 
-    one, two = (_with_workers(monkeypatch, helper, n, step) for n in (1, 2))
+    one, two = (_with_workers(monkeypatch, n, step) for n in (1, 2))
     for a, c in zip(one, two):
         assert np.array_equal(a, c)
 
 
 @pytest.mark.parametrize("raising", [0, 1], ids=["caller", "pool_thread"])
-def test_a_share_that_raises_reaches_the_caller_after_every_share(raising, helper, monkeypatch):
-    _use(monkeypatch, helper, 2)
+def test_a_share_that_raises_reaches_the_caller_after_every_share(raising, monkeypatch):
+    _with_workers(monkeypatch, 2)
     finished = []
 
     def share(lo, hi):
@@ -128,10 +115,10 @@ class _Interrupt(Exception):
     pass
 
 
-def test_an_interrupted_wait_leaves_the_share_to_finish_before_the_next_run(monkeypatch):
+def test_an_interrupted_wait_lets_the_share_finish_before_the_next_run(monkeypatch):
     # The pool thread's share sends SIGINT to the caller while the caller
     # waits for it; the caller stops waiting, the share runs on.
-    _use(monkeypatch, _serving(), 2)
+    _with_workers(monkeypatch, 2)
     finished = threading.Event()
 
     def share(lo, hi):
@@ -159,26 +146,19 @@ def test_an_interrupted_wait_leaves_the_share_to_finish_before_the_next_run(monk
 
 def test_an_interrupted_queueing_leaves_the_pool_serving(monkeypatch):
     # The second put raises: the first pool share is queued and waited for,
-    # the caller's share never runs, and the same thread serves the next run.
-    jobs = _serving()
+    # the caller's share never runs, and the thread serves the next run.
+    def put(job):
+        puts.append(job)
+        if len(puts) == 2:
+            raise _Interrupt
+        HELPER.put(job)
 
-    class Breaking:
-        def __init__(self):
-            self.puts = 0
-
-        def put(self, job):
-            self.puts += 1
-            if self.puts == 2:
-                raise _Interrupt
-            jobs.put(job)
-
-    _use(monkeypatch, Breaking(), 3)
-    done = []
+    puts, done, spans = [], [], []
+    _with_workers(monkeypatch, 3)
+    monkeypatch.setattr(workers, "_jobs", types.SimpleNamespace(put=put))
     with pytest.raises(_Interrupt):
         workers.run(lambda lo, hi: (time.sleep(0.05), done.append(lo)), 3)
     assert done == [1]
-    monkeypatch.setattr(workers, "_jobs", jobs)
-    spans = []
     workers.run(lambda lo, hi: spans.append((lo, hi)), 3)
     assert sorted(spans) == [(0, 1), (1, 2), (2, 3)]
 
@@ -194,10 +174,10 @@ def test_shares_cover_the_range_at_most_one_apart(n_workers):
         assert max(hi - lo for lo, hi in ranges) - min(hi - lo for lo, hi in ranges) <= 1
 
 
-def test_callers_in_several_threads_take_turns(helper, monkeypatch):
+def test_callers_in_several_threads_take_turns(monkeypatch):
     # Each call records its shares under its own key; a share run twice, lost
     # or run for another call breaks the cover of its range.
-    _use(monkeypatch, helper, 2)
+    _with_workers(monkeypatch, 2)
     covered = {}
 
     def caller(key):

@@ -11,10 +11,10 @@ whether the gap between the medians exceeds the parent's interquartile
 range.  Both checkouts must hold the same ``bench/`` and ``BENCHMARK.json``;
 when their digests differ it exits with status 2 before the first run.
 
-``host`` is the change's first run's environment line.  Its thread count
-is ``thread_limit``, the budget ``bench/run.py`` sets before numpy loads:
-the line's ``blas_threads`` is read after the run, when a run that split a
-kernel has set OpenBLAS to one thread.
+``host`` comes from the environment line of the change's first run.  Its
+thread count is ``thread_limit``, the budget ``bench/run.py`` sets before
+numpy loads: the line's ``blas_threads`` is read after the run, when a run
+that split a kernel has set OpenBLAS to one thread.
 
 Each side's code is named twice: by ``git rev-parse HEAD`` in its checkout,
 when that is a git work tree of its own, and by ``source_digest`` of its
