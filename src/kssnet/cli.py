@@ -167,6 +167,13 @@ def _lc_stages(text: str) -> tuple[()] | None:
     return None if text.lower() in ("true", "1", "yes") else ()  # None: the model's default
 
 
+def _split_size(text: str) -> int:
+    size = int(text)
+    if size < 1:
+        raise ValueError("a split needs at least one sample")
+    return size
+
+
 def _graph_variant(text: str) -> str:
     if text not in ("ks", "statistical", "knowledge", "identity"):
         raise ValueError("expected ks|statistical|knowledge|identity")
@@ -177,8 +184,8 @@ def _graph_variant(text: str) -> str:
 # ``synthetic.make_dataset``, ``graph.GraphPipelineConfig``, ``KssModel`` and
 # ``TrainConfig``; the graph ``variant`` is the CLI's own choice of graph source.
 _TOY_KEYS = {
-    "n_train": ("data", "n_train", int),
-    "n_val": ("data", "n_val", int),
+    "n_train": ("data", "n_train", _split_size),
+    "n_val": ("data", "n_val", _split_size),
     "n_labels": ("data", "n_labels", int),
     "image_size": ("data", "size", int),
     "embed_dim": ("data", "embed_dim", int),
@@ -220,10 +227,10 @@ def _load_toy_setup(config_path, **overrides):
     before anything is read.  A key the config leaves out is not passed on, so
     the library's default applies; the CLI owns only ``graph = ks``,
     ``lc = true`` and ``dtype = float32``.  An unknown key, a value that does
-    not parse, or a graph key that the chosen graph variant ignores fails
-    before any work starts; a value a constructor rejects, or an image side
-    that the backbone stages cannot halve, fails during set-up, before
-    training.  Every error names the file.
+    not parse, a split size below 1, or a graph key that the chosen graph
+    variant ignores fails before any work starts; a value a constructor
+    rejects, or an image side that the backbone stages cannot halve, fails
+    during set-up, before training.  Every error names the file.
     """
     path = _positive_file(config_path, "--config")
     cfg = {**_CLI_DEFAULTS, **storage.load_config(path), **overrides}

@@ -2,14 +2,13 @@
 
 The operation cross-correlates every spatial feature vector with the
 tanh-activated label embeddings, maps the resulting per-label correlation
-map back to feature channels with a pointwise (1x1 or 1x1x1) convolution,
-and adds the input back; per position, with ``x`` the C-vector there,
+map back to feature channels with a pointwise (1x1) convolution, and adds
+the input back; per position, with ``x`` the C-vector there,
 
     y = W tanh(E) x + b + x
 
-Features are channels-last: a 2D map is (H, W, C), a 3D one (T, H, W, C).
-Both flatten their positions to (S, C), so a single core handles both,
-plus the batched form used inside the model.
+Features are channels-last, (H, W, C), with their positions flattened to
+(S, C); the model's batched (B, S, C) form runs through the same core.
 """
 
 from __future__ import annotations

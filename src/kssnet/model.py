@@ -20,6 +20,8 @@ from . import lateral, metrics, storage, workers
 from .synthetic import LabeledImages
 
 _DTYPES = {"float32": np.float32, "float64": np.float64}
+# The LeakyReLU slope below zero of every GCN layer and backbone stage.
+_SLOPE = 0.2
 
 # Adam's moment decay rates and denominator guard.
 _BETA1 = 0.9
@@ -66,6 +68,9 @@ class TrainConfig:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         if not (self.weight_decay >= 0 and math.isfinite(self.weight_decay)):
             raise ValueError(f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
+        stop = self.stop_at_train_map
+        if stop is not None and not 0.0 <= stop <= 1.0:  # NaN fails too
+            raise ValueError(f"stop_at_train_map must lie in [0, 1], got {stop}")
 
 
 class KssModel:
@@ -79,7 +84,7 @@ class KssModel:
     the GCN channel schedule.
 
     The activations are fixed: every GCN layer and backbone stage applies
-    LeakyReLU with slope ``slope`` below zero, and every lateral connection
+    LeakyReLU with slope ``_SLOPE`` below zero, and every lateral connection
     applies tanh to its embeddings (:func:`lateral.lc_core`).  Every
     parameter, lateral biases included, is trainable.
     """
@@ -93,7 +98,6 @@ class KssModel:
         gcn_depth: int = 4,
         in_channels: int = 3,
         lc_stages: tuple[int, ...] | None = None,
-        slope: float = 0.2,
         dropout_rate: float = 0.5,
         seed: int = 0,
         dtype: str = "float64",
@@ -106,6 +110,8 @@ class KssModel:
             raise ValueError(f"gcn_depth must lie in [2, {n_stages}], got {gcn_depth}")
         if not 0.0 <= dropout_rate < 1.0:
             raise ValueError(f"dropout_rate must lie in [0, 1), got {dropout_rate}")
+        if min(stage_channels) < 1:
+            raise ValueError(f"stage_channels must all be >= 1, got {tuple(stage_channels)}")
         if dtype not in _DTYPES:
             raise ValueError(f"dtype must be one of {sorted(_DTYPES)}, got {dtype!r}")
         offset = n_stages - gcn_depth
@@ -122,7 +128,6 @@ class KssModel:
         self.gcn_depth = gcn_depth
         self.in_channels = in_channels
         self.lc_stages = lc_stages
-        self.slope = slope
         self.dropout_rate = dropout_rate
         self.dtype = dtype
         np_dtype = _DTYPES[dtype]
@@ -161,9 +166,6 @@ class KssModel:
     def named_parameters(self) -> list[tuple[str, ad.Tensor]]:
         return list(self._params.items())
 
-    def param(self, name: str) -> ad.Tensor:
-        return self._params[name]
-
     def zero_grad(self) -> None:
         for p in self._params.values():
             p.grad = None
@@ -182,7 +184,7 @@ class KssModel:
             h = ad.matmul(ad.matmul(self.adjacency, e), self._params[f"gcn.layer{layer}.W"])
             if on_preactivation is not None:
                 on_preactivation(h.data)
-            e = ad.leaky_relu(h, self.slope)
+            e = ad.leaky_relu(h, _SLOPE)
             outs.append(e)
         return outs
 
@@ -201,7 +203,7 @@ class KssModel:
         (B, H, W, C_in) layout the backbone computes in.  Conv weights stay
         (O, C, 3, 3), so checkpoints do not depend on the layout.
 
-        Each backbone stage is ``conv2d`` then ``avg_pool2d(·, slope)``,
+        Each backbone stage is ``conv2d`` then ``avg_pool2d(·, _SLOPE)``,
         which applies the LeakyReLU inside its pooling pass, so no
         full-size activation is made.
 
@@ -225,7 +227,7 @@ class KssModel:
             )
             if on_preactivation is not None:
                 on_preactivation(h.data)
-            h = ad.avg_pool2d(h, self.slope)
+            h = ad.avg_pool2d(h, _SLOPE)
             if s in self.lc_stages:
                 h = self._inject(h, embeds[s - self.stage_offset], s)
 

@@ -132,7 +132,7 @@ def load_matrix_text(path) -> np.ndarray:
     if len(rows) != r or any(len(row) != c for row in rows):
         raise ValueError(f"{path}: expected {r}x{c} entries")
     try:
-        return np.array([[float(v) for v in row] for row in rows], dtype=np.float64)
+        return np.array([[float(v) for v in row] for row in rows], dtype=np.float64).reshape(r, c)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

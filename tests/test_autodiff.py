@@ -9,16 +9,12 @@ import kssnet.autodiff as ad
 from kssnet.checks import grad_check
 
 
-def scalar_handle(build):
-    """Wrap an engine computation into a grad_check handle over one array."""
-    def make(shape):
-        def fn(params):
-            t = ad.Tensor(params.reshape(shape), requires_grad=True)
-            loss = build(t)
-            loss.backward()
-            return float(loss.data), t.grad.reshape(-1)
-        return fn
-    return make
+def leaf(a):
+    return ad.Tensor(a, requires_grad=True)
+
+
+def squared_norm(out):
+    return ad.tsum(ad.mul(out, out))
 
 
 # (B, C, H, W, O) of 3x3 convolutions on maps with at least 9 positions
@@ -273,104 +269,59 @@ class TestGradients:
     ])
     def test_elementwise_ops(self, build, shape):
         rng = np.random.default_rng(2)
-        fn = scalar_handle(build)(shape)
-        params = rng.normal(size=int(np.prod(shape)))
-        assert grad_check(fn, params) < 1e-8
+        t = leaf(rng.normal(size=shape))
+        assert grad_check([t], lambda: build(t)) < 1e-8
 
     def test_leaky_relu_away_from_kink(self):
         rng = np.random.default_rng(3)
         params = rng.normal(size=12)
         params[np.abs(params) < 0.1] += 0.3
-        fn = scalar_handle(lambda t: ad.tsum(ad.leaky_relu(t, 0.2)))((12,))
-        assert grad_check(fn, params) < 1e-8
+        t = leaf(params)
+        assert grad_check([t], lambda: ad.tsum(ad.leaky_relu(t, 0.2))) < 1e-8
 
     def test_matmul_both_sides(self):
         rng = np.random.default_rng(4)
         b_const = ad.Tensor(rng.normal(size=(4, 3)))
-
-        def fn(params):
-            a = ad.Tensor(params.reshape(2, 4), requires_grad=True)
-            loss = ad.tsum(ad.mul(ad.matmul(a, b_const), ad.matmul(a, b_const)))
-            loss.backward()
-            return float(loss.data), a.grad.reshape(-1)
-
-        assert grad_check(fn, rng.normal(size=8)) < 1e-8
+        a = leaf(rng.normal(size=(2, 4)))
+        assert grad_check([a], lambda: ad.tsum(ad.mul(ad.matmul(a, b_const),
+                                                     ad.matmul(a, b_const)))) < 1e-8
 
     def test_matmul_broadcast_batch_gradient(self):
         rng = np.random.default_rng(5)
         a_const = ad.Tensor(rng.normal(size=(3, 2, 4)))
-
-        def fn(params):
-            b = ad.Tensor(params.reshape(4, 2), requires_grad=True)
-            out = ad.matmul(a_const, b)
-            loss = ad.tsum(ad.mul(out, out))
-            loss.backward()
-            return float(loss.data), b.grad.reshape(-1)
-
-        assert grad_check(fn, rng.normal(size=8)) < 1e-8
+        b = leaf(rng.normal(size=(4, 2)))
+        assert grad_check([b], lambda: squared_norm(ad.matmul(a_const, b))) < 1e-8
 
     def test_conv_and_pool_gradients(self):
         rng = np.random.default_rng(6)
-        x_const = channels_last(rng.normal(size=(2, 2, 4, 4)))
-
-        def fn(params):
-            w = ad.Tensor(params[:36].reshape(2, 2, 3, 3), requires_grad=True)
-            b = ad.Tensor(params[36:].reshape(2), requires_grad=True)
-            out = ad.avg_pool2d(ad.conv2d(ad.Tensor(x_const), w, b), 1.0)
-            loss = ad.tsum(ad.mul(out, out))
-            loss.backward()
-            return float(loss.data), np.concatenate([w.grad.ravel(), b.grad.ravel()])
-
-        assert grad_check(fn, rng.normal(size=38)) < 1e-7
+        x_const = ad.Tensor(channels_last(rng.normal(size=(2, 2, 4, 4))))
+        params = rng.normal(size=38)
+        w, b = leaf(params[:36].reshape(2, 2, 3, 3)), leaf(params[36:])
+        assert grad_check([w, b], lambda: squared_norm(
+            ad.avg_pool2d(ad.conv2d(x_const, w, b), 1.0))) < 1e-7
 
     def test_conv_input_gradient(self):
         rng = np.random.default_rng(7)
         w_const = ad.Tensor(rng.normal(size=(3, 2, 3, 3)))
         b_const = ad.Tensor(rng.normal(size=3))
-
-        def fn(params):
-            x = ad.Tensor(params.reshape(1, 4, 4, 2), requires_grad=True)
-            out = ad.conv2d(x, w_const, b_const)
-            loss = ad.tsum(ad.mul(out, out))
-            loss.backward()
-            return float(loss.data), x.grad.reshape(-1)
-
-        assert grad_check(fn, rng.normal(size=32)) < 1e-7
+        x = leaf(rng.normal(size=(1, 4, 4, 2)))
+        assert grad_check([x], lambda: squared_norm(ad.conv2d(x, w_const, b_const))) < 1e-7
 
     @pytest.mark.parametrize("h,w", [(2, 2), (2, 3), (1, 2)])
     def test_conv_dense_path_gradients(self, h, w):
         rng = np.random.default_rng(18)
         x0, w0, b0 = conv_inputs(rng, (2, 3, h, w, 2))
-        x0 = channels_last(x0)
-
-        def input_fn(params):
-            x = ad.Tensor(params.reshape(x0.shape), requires_grad=True)
-            out = ad.conv2d(x, ad.Tensor(w0), ad.Tensor(b0))
-            loss = ad.tsum(ad.mul(out, out))
-            loss.backward()
-            return float(loss.data), x.grad.reshape(-1)
-
-        def weight_fn(params):
-            w = ad.Tensor(params.reshape(w0.shape), requires_grad=True)
-            out = ad.conv2d(ad.Tensor(x0), w, ad.Tensor(b0))
-            loss = ad.tsum(ad.mul(out, out))
-            loss.backward()
-            return float(loss.data), w.grad.reshape(-1)
-
-        assert grad_check(input_fn, x0.ravel()) < 1e-7
-        assert grad_check(weight_fn, w0.ravel()) < 1e-7
+        x0, b = channels_last(x0), ad.Tensor(b0)
+        x, w_const = leaf(x0), ad.Tensor(w0)
+        assert grad_check([x], lambda: squared_norm(ad.conv2d(x, w_const, b))) < 1e-7
+        x_const, wt = ad.Tensor(x0), leaf(w0)
+        assert grad_check([wt], lambda: squared_norm(ad.conv2d(x_const, wt, b))) < 1e-7
 
     def test_bce_gradient(self):
         rng = np.random.default_rng(8)
         y = (rng.random((3, 4)) < 0.5).astype(float)
-
-        def fn(params):
-            z = ad.Tensor(params.reshape(3, 4), requires_grad=True)
-            loss = ad.bce_with_logits(z, y)
-            loss.backward()
-            return float(loss.data), z.grad.reshape(-1)
-
-        assert grad_check(fn, rng.normal(size=12)) < 1e-9
+        z = leaf(rng.normal(size=(3, 4)))
+        assert grad_check([z], lambda: ad.bce_with_logits(z, y)) < 1e-9
 
     def test_gradient_accumulates_over_reuse(self):
         t = ad.Tensor(np.array([2.0, 3.0]), requires_grad=True)

@@ -9,6 +9,7 @@ import numpy.testing as npt
 import pytest
 
 import kssnet
+import kssnet.autodiff as ad
 from kssnet import checks, cli, storage
 
 
@@ -165,20 +166,21 @@ class TestGradcheck:
     def test_default_seed_passes(self, capsys):
         assert run(["gradcheck", "--seed", "0"]) == 0
         out = capsys.readouterr().out
-        assert out.count("ok") == 4
+        assert [line.split()[0] for line in out.splitlines()] == ["gcn_layer", "lc", "full_model"]
+        assert out.count("ok") == 3
 
     def test_corrupted_backward_fails(self, capsys, monkeypatch):
         # a negative control: a perturbed reverse-mode gradient must fail the check
         build = checks.gcn_layer_check
 
         def corrupted(seed):
-            fn, params = build(seed)
+            tensors, loss = build(seed)
 
-            def perturbed(p):
-                value, grad = fn(p)
-                return value, grad * 1.01 + 1e-3
+            def perturbed():  # the loss itself, with every gradient scaled by 1.01
+                out = loss()
+                return ad._node(out.data, (out,), lambda g: (g * 1.01,))
 
-            return perturbed, params
+            return tensors, perturbed
 
         monkeypatch.setattr(checks, "gcn_layer_check", corrupted)
         assert run(["gradcheck", "--seed", "0"]) == 1
@@ -353,10 +355,15 @@ class TestTrainAndEvaluate:
         ({"weight_decay": "-5"}, "weight_decay must be >= 0 and finite, got -5.0"),
         ({"noise": "nan"}, "noise must be finite, got nan"),
         ({"image_size": "24"}, "image_size = 24 is not divisible by 2 ** 4"),
+        ({"stage_channels": "0,0,0,0"}, "stage_channels must all be >= 1, got (0, 0, 0, 0)"),
+        ({"n_train": "0"}, "n_train = '0': a split needs at least one sample"),
+        ({"n_val": "0"}, "n_val = '0': a split needs at least one sample"),
+        ({"stop_at_train_map": "nan"}, "stop_at_train_map must lie in [0, 1], got nan"),
     ], ids=["dtype", "lc", "n_train", "stage_channels", "dropout", "statistical-lambda",
             "knowledge-binarize_t", "knowledge-both", "identity-eta", "identity-all",
             "lr-nan", "gcn_lr-inf", "weight_decay-nan", "weight_decay-negative", "noise-nan",
-            "image_size-24"])
+            "image_size-24", "stage_channels-zero", "n_train-zero", "n_val-zero",
+            "stop_at_train_map-nan"])
     def test_unknown_dtype_is_validation_error(self, tmp_path, capsys, extra, message):
         cfg = tmp_path / "c.cfg"
         settings = {"epochs": "0", "n_train": "16", "n_val": "8", **extra}

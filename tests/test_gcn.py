@@ -4,7 +4,7 @@ import pytest
 
 import kssnet.autodiff as ad
 from kssnet import graph
-from kssnet.checks import gcn_layer_check, grad_check, lc_2d_check
+from kssnet.checks import gcn_layer_check, grad_check, lc_check
 from kssnet.model import KssModel
 
 import oracles
@@ -16,7 +16,7 @@ def random_normalized_adj(rng, n):
     return graph.normalize(graph.identity_mix(a, 0.6))
 
 
-def gcn_model(adj, weights, slope=0.2):
+def gcn_model(adj, weights):
     """A lateral-connection-free model whose GCN layers carry ``weights``.
 
     The model needs at least two layers, so a single weight is followed by an
@@ -32,17 +32,17 @@ def gcn_model(adj, weights, slope=0.2):
         stage_channels=tuple(w.shape[1] for w in weights),
         gcn_depth=len(weights),
         lc_stages=(),
-        slope=slope,
         dtype="float64",
     )
+    params = dict(m.named_parameters())
     for layer, w in enumerate(weights):
-        m.param(f"gcn.layer{layer}.W").data = w
+        params[f"gcn.layer{layer}.W"].data = w
     return m
 
 
-def gcn_forward(adj, e, weights, slope=0.2):
+def gcn_forward(adj, e, weights):
     """Every GCN layer's output of ``KssModel.embeddings`` as plain arrays."""
-    outs = gcn_model(adj, weights, slope).embeddings(e)
+    outs = gcn_model(adj, weights).embeddings(e)
     return [o.data for o in outs[:len(weights)]]
 
 
@@ -77,7 +77,7 @@ class TestLayerForward:
 
     def test_hand_case(self):
         adj = np.array([[0.6, 0.4], [0.4, 0.6]])
-        (out,) = gcn_forward(adj, np.array([[1.0], [0.0]]), [np.array([[1.0]])], slope=0.2)
+        (out,) = gcn_forward(adj, np.array([[1.0], [0.0]]), [np.array([[1.0]])])
         npt.assert_allclose(out, [[0.6], [0.4]], rtol=0, atol=1e-15)
 
     def test_shape_mismatch_rejected(self):
@@ -164,33 +164,37 @@ class TestStackForward:
 
 class TestGradCheck:
     def test_quadratic(self):
-        def fn(params):
-            w = float(params[0])
-            return w * w, np.array([2.0 * w])
-
-        assert grad_check(fn, np.array([3.0])) <= 1e-8
+        w = ad.Tensor(np.array([3.0]), requires_grad=True)
+        assert grad_check([w], lambda: ad.tsum(ad.mul(w, w))) <= 1e-8
 
     def test_gcn_layer_gradients(self):
-        fn, params = gcn_layer_check(seed=0)
-        assert grad_check(fn, params) <= 1e-5
+        assert grad_check(*gcn_layer_check(seed=0)) <= 1e-5
 
     def test_lateral_gradients(self):
-        fn, params = lc_2d_check(seed=0)
-        assert grad_check(fn, params) <= 1e-5
+        assert grad_check(*lc_check(seed=0)) <= 1e-5
 
     def test_detects_wrong_gradient(self):
-        def fn(params):
-            w = float(params[0])
-            return w * w, np.array([2.0 * w + 0.5])
+        # w * w with a backward of 2w + 0.5
+        w = ad.Tensor(np.array([3.0]), requires_grad=True)
 
-        assert grad_check(fn, np.array([3.0])) > 1e-2
+        def loss():
+            square = ad._node(w.data * w.data, (w,), lambda g: (g * (2.0 * w.data + 0.5),))
+            return ad.tsum(square)
+
+        assert grad_check([w], loss) > 1e-2
 
     def test_non_finite_rejected(self):
-        def fn(params):
-            return float("nan"), np.zeros_like(params)
-
+        w = ad.Tensor(np.array([1.0]), requires_grad=True)
+        nan = ad.Tensor(np.array([np.nan]))
         with pytest.raises(ValueError, match="non-finite"):
-            grad_check(fn, np.array([1.0]))
+            grad_check([w], lambda: ad.tsum(ad.mul(w, nan)))
+
+    def test_base_point_is_left_in_place(self):
+        tensors, loss = gcn_layer_check(seed=0)
+        before = [t.data.copy() for t in tensors]
+        grad_check(tensors, loss)
+        for t, b in zip(tensors, before):
+            npt.assert_array_equal(t.data, b)
 
 
 class TestValidation:

@@ -4,7 +4,7 @@ import pytest
 
 import kssnet.autodiff as ad
 from kssnet import lateral
-from kssnet.checks import grad_check, lc_2d_check, lc_3d_check
+from kssnet.checks import grad_check, lc_check
 
 import oracles
 
@@ -143,13 +143,8 @@ class TestBackward:
         grads = lc_grads(x, e, np.zeros((3, 4)), np.zeros(3), upstream)
         npt.assert_array_equal(grads[0], upstream)
 
-    def test_matches_finite_differences_2d(self):
-        fn, params = lc_2d_check(seed=1)
-        assert grad_check(fn, params) <= 1e-5
-
-    def test_matches_finite_differences_3d(self):
-        fn, params = lc_3d_check(seed=1)
-        assert grad_check(fn, params) <= 1e-5
+    def test_matches_finite_differences(self):
+        assert grad_check(*lc_check(seed=1)) <= 1e-5
 
     def test_backward_against_hand_formulas(self):
         # y[:, p] = (W s + I) x[:, p] + b with s = tanh(E), so the four

@@ -23,6 +23,10 @@ def tiny_adjacency(n, seed=0):
     return graph.normalize(graph.identity_mix(a, 0.6))
 
 
+def param(m, name):
+    return dict(m.named_parameters())[name]
+
+
 def tiny_model(n_labels=8, seed=0, **kwargs):
     defaults = dict(
         adjacency=tiny_adjacency(n_labels, seed),
@@ -55,7 +59,7 @@ class TestForward:
             if name.startswith("lc."):
                 p.data = np.zeros_like(p.data)
             else:
-                npt.assert_array_equal(p.data, without_lc.param(name).data)
+                npt.assert_array_equal(p.data, param(without_lc, name).data)
         for _ in range(3):
             x = rng.normal(size=(2, 3, 8, 8))
             e0 = rng.normal(size=(8, 4))
@@ -65,7 +69,7 @@ class TestForward:
 
     def test_zero_final_embeddings_zero_logits(self):
         m = tiny_model()
-        m.param("gcn.layer1.W").data = np.zeros_like(m.param("gcn.layer1.W").data)
+        param(m, "gcn.layer1.W").data = np.zeros_like(param(m, "gcn.layer1.W").data)
         rng = np.random.default_rng(3)
         logits = km.predict(m, rng.normal(size=(2, 3, 8, 8)), rng.normal(size=(8, 4)))
         npt.assert_array_equal(logits, np.zeros((2, 8)))
@@ -77,7 +81,7 @@ class TestForward:
 
     def test_predict_builds_no_graph_and_matches_forward(self):
         m = tiny_model()
-        m.param("lc.0.g.bias").requires_grad = False  # predict must restore a False flag too
+        param(m, "lc.0.g.bias").requires_grad = False  # predict must restore a False flag too
         rng = np.random.default_rng(5)
         x, e0 = rng.normal(size=(5, 3, 8, 8)), rng.normal(size=(8, 4))
         with_graph = [m.forward(x[i:i + 2], e0) for i in range(0, 5, 2)]
@@ -130,17 +134,18 @@ class TestForward:
         logits_perm = km.predict(permuted, x, e0[perm])
         npt.assert_allclose(logits_perm[:, np.argsort(perm)], logits, rtol=0, atol=1e-12)
 
-    def test_label_permutation_commutes_exact_on_dyadic_model(self):
+    def test_label_permutation_commutes_exact_on_dyadic_model(self, monkeypatch):
         # dyadic inputs, slope 1/4, and one-nonzero-per-row lateral weights keep
         # every label-dimension contraction rounding-free, so the permutation
         # identity holds bitwise
+        monkeypatch.setattr(km, "_SLOPE", 0.25)
         rng = np.random.default_rng(5)
         n = 6
         adj = oracles.dyadic_nonneg(rng, (n, n), scale=1)
         adj = (adj + adj.T) / 2
         perm = rng.permutation(n)
-        base = tiny_model(n_labels=n, adjacency=adj, seed=11, slope=0.25)
-        permuted = tiny_model(n_labels=n, adjacency=adj[np.ix_(perm, perm)], seed=11, slope=0.25)
+        base = tiny_model(n_labels=n, adjacency=adj, seed=11)
+        permuted = tiny_model(n_labels=n, adjacency=adj[np.ix_(perm, perm)], seed=11)
         state = base.state_dict()
         for name in state:
             if name.startswith("lc.") and name.endswith("weight"):
@@ -163,14 +168,13 @@ class TestForward:
         npt.assert_array_equal(logits_perm[:, np.argsort(perm)], logits)
 
     def test_full_model_gradient_check(self):
-        fn, params = full_model_check(seed=0)
-        assert grad_check(fn, params) <= 1e-4
+        assert grad_check(*full_model_check(seed=0)) <= 1e-4
 
     def test_forward_matches_reference_on_the_weight_layout(self):
         # the model is a fixed function of its (O, C, 3, 3) conv weights and
         # (C, N) lateral weights, whatever layout the backbone computes in
         n, slope = 5, 0.2
-        m = tiny_model(n_labels=n, stage_channels=(4, 6, 8), gcn_depth=3, slope=slope, seed=3)
+        m = tiny_model(n_labels=n, stage_channels=(4, 6, 8), gcn_depth=3, seed=3)
         rng = np.random.default_rng(17)
         for _, p in m.named_parameters():
             p.data = rng.normal(0.0, 0.5, size=p.data.shape)
@@ -196,12 +200,12 @@ def reference_forward(m, x, e0, slope, on_preactivation):
 
     embeds, e = [], e0
     for layer in range(m.gcn_depth):
-        e = leaky(m.adjacency.data @ e @ m.param(f"gcn.layer{layer}.W").data)
+        e = leaky(m.adjacency.data @ e @ param(m, f"gcn.layer{layer}.W").data)
         embeds.append(e)
     h = x
     for s in range(len(m.stage_channels)):
-        h = leaky(conv_loops(h, m.param(f"backbone.stage{s}.conv.weight").data,
-                             m.param(f"backbone.stage{s}.conv.bias").data))
+        h = leaky(conv_loops(h, param(m, f"backbone.stage{s}.conv.weight").data,
+                             param(m, f"backbone.stage{s}.conv.bias").data))
         bs, c, hh, ww = h.shape
         pooled = np.empty((bs, c, hh // 2, ww // 2))
         for i, j in np.ndindex(hh // 2, ww // 2):
@@ -209,7 +213,7 @@ def reference_forward(m, x, e0, slope, on_preactivation):
         h = pooled
         if s in m.lc_stages:
             sig = np.tanh(embeds[s - m.stage_offset])  # (N, C)
-            w, b = m.param(f"lc.{s}.g.weight").data, m.param(f"lc.{s}.g.bias").data
+            w, b = param(m, f"lc.{s}.g.weight").data, param(m, f"lc.{s}.g.bias").data
             out = np.empty_like(h)
             for bi, i, j in np.ndindex(bs, hh // 2, ww // 2):
                 v = h[bi, :, i, j]
@@ -323,11 +327,16 @@ class TestTraining:
             km.TrainConfig(epochs=-1)
         with pytest.raises(ValueError):
             km.TrainConfig(lr=0.0)
+        for stop in (float("nan"), float("inf"), -0.1, 1.5):
+            with pytest.raises(ValueError, match="stop_at_train_map"):
+                km.TrainConfig(stop_at_train_map=stop)
         # dropout and dtype are model settings, validated where they are read
         with pytest.raises(ValueError, match="dropout_rate"):
             tiny_model(dropout_rate=1.0)
         with pytest.raises(ValueError, match="dtype"):
             tiny_model(dtype="float16")
+        with pytest.raises(ValueError, match="stage_channels"):
+            tiny_model(stage_channels=(4, 0))
 
 
 def adam_reference_step(cfg, t, name, p, g, m, v):
@@ -508,10 +517,10 @@ class TestStorage:
 
     def test_matrix_round_trip(self, tmp_path):
         rng = np.random.default_rng(8)
-        a = rng.normal(size=(5, 7))
         path = tmp_path / "m.txt"
-        storage.save_matrix_text(a, path)
-        npt.assert_array_equal(storage.load_matrix_text(path), a)
+        for a in (rng.normal(size=(5, 7)), np.zeros((0, 3))):
+            storage.save_matrix_text(a, path)
+            npt.assert_array_equal(storage.load_matrix_text(path), a, strict=True)
 
     def test_config_round_trip(self, tmp_path):
         cfg = {"epochs": "12", "lr": "0.01", "graph": "ks"}

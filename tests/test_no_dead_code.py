@@ -55,8 +55,6 @@ ALLOWED = {
 ALLOWED_PARAMS = {
     "cli.main.argv": "tests drive the command line through main(argv); the entry point "
                      "reads sys.argv",
-    "model.KssModel.slope": "the dyadic label-permutation test needs slope 1/4 to stay "
-                            "bitwise exact",
 }
 
 
