@@ -1,8 +1,8 @@
 """Command-line surface: build and inspect label graphs, run gradient checks,
 train the toy model, evaluate scores, and build initial embeddings.
 
-Exit codes: 0 on success, 1 on validation errors (bad flags, bad files),
-2 on unexpected runtime failures.
+Exit codes: 0 on success, 1 on validation errors (bad flags, bad files) and
+on a diverged ``train-toy`` run, 2 on unexpected runtime failures.
 
 OPENBLAS_NUM_THREADS sets how many cores a run uses (by default, one per
 core).  The model's convolution, pooling and optimizer step split their work
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -23,9 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checks, graph, ingest, metrics, storage, synthetic
-from .model import KssModel, TrainConfig, predict, train_toy
-
-_BASE_SCHEDULE = (256, 512, 1024, 2048)
+from .model import KssModel, TrainConfig, TrainingDiverged, predict, train_toy
 
 
 class CliError(Exception):
@@ -87,9 +84,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--config", required=True, help="flat key = value training config")
     p.add_argument("--checkpoint", required=True, help="output checkpoint path")
     p.add_argument("--history", required=True, help="append-only CSV (epoch, loss, mAP)")
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument("--channel-divisor", type=int, default=None,
-                   help="scale the 256/512/1024/2048 stage schedule")
 
     p = sub.add_parser("evaluate", help="print the seven-metric table")
     p.add_argument("--scores", default=None, help="score matrix (text, 'rows cols' header)")
@@ -174,15 +168,9 @@ def _split_size(text: str) -> int:
     return size
 
 
-def _graph_variant(text: str) -> str:
-    if text not in ("ks", "statistical", "knowledge", "identity"):
-        raise ValueError("expected ks|statistical|knowledge|identity")
-    return text
-
-
 # Config key -> (the parts it sets, that part's parameter, parser).  The parts are
 # ``synthetic.make_dataset``, ``graph.GraphPipelineConfig``, ``KssModel`` and
-# ``TrainConfig``; the graph ``variant`` is the CLI's own choice of graph source.
+# ``TrainConfig``.
 _TOY_KEYS = {
     "n_train": ("data", "n_train", _split_size),
     "n_val": ("data", "n_val", _split_size),
@@ -192,7 +180,6 @@ _TOY_KEYS = {
     "data_seed": ("data", "seed", int),
     "weak_amp": ("data", "weak_amp", float),
     "noise": ("data", "noise", float),
-    "graph": ("graph", "variant", _graph_variant),
     "lambda": ("graph", "lam", float),
     "tau": ("graph", "tau", float),
     "eta": ("graph", "eta", float),
@@ -210,30 +197,23 @@ _TOY_KEYS = {
     "weight_decay": ("train", "weight_decay", float),
     "stop_at_train_map": ("train", "stop_at_train_map", float),
 }
-_CLI_DEFAULTS = {"graph": "ks", "lc": "true", "dtype": "float32"}
-# Graph variant -> the config keys that cannot change its adjacency.
-_IGNORED_GRAPH_KEYS = {
-    "ks": (),
-    "statistical": ("lambda",),
-    "knowledge": ("lambda", "binarize_t"),
-    "identity": ("lambda", "tau", "eta", "binarize_t"),
-}
+_CLI_DEFAULTS = {"dtype": "float32"}
 
 
-def _load_toy_setup(config_path, **overrides):
+def _load_toy_setup(config_path):
     """Rebuild dataset, graph, and model deterministically from a config file.
 
-    A flag overrides a key by writing it into the parsed config (``overrides``)
-    before anything is read.  A key the config leaves out is not passed on, so
-    the library's default applies; the CLI owns only ``graph = ks``,
-    ``lc = true`` and ``dtype = float32``.  An unknown key, a value that does
-    not parse, a split size below 1, or a graph key that the chosen graph
-    variant ignores fails before any work starts; a value a constructor
-    rejects, or an image side that the backbone stages cannot halve, fails
-    during set-up, before training.  Every error names the file.
+    The file alone sets the run.  A key it leaves out is not passed on, so the
+    library's default applies; the CLI owns only ``dtype = float32``.  The
+    graph is ``graph.build_ks_graph``'s: ``lambda = 1`` or ``0`` keeps only the
+    statistical or knowledge graph, ``eta = 0`` leaves the identity.  An
+    unknown key, a value that does not parse or a split size below 1 fails
+    before any work starts; a value a constructor rejects, or an image side
+    the backbone stages cannot halve, fails during set-up.  Every error names
+    the file.
     """
     path = _positive_file(config_path, "--config")
-    cfg = {**_CLI_DEFAULTS, **storage.load_config(path), **overrides}
+    cfg = {**_CLI_DEFAULTS, **storage.load_config(path)}
     unknown = set(cfg) - set(_TOY_KEYS)
     if unknown:
         raise CliError(f"{path}: unknown config key(s): {', '.join(sorted(unknown))}")
@@ -246,21 +226,11 @@ def _load_toy_setup(config_path, **overrides):
             raise ValueError(f"{path}: {key} = {text!r}: {exc}") from None
         for name in names.split():
             parts[name][param] = value
-
-    variant = parts["graph"].pop("variant")
-    ignored = [key for key in _IGNORED_GRAPH_KEYS[variant] if key in cfg]
-    if ignored:
-        raise CliError(f"{path}: {', '.join(ignored)} has no effect with graph = {variant}")
     try:
         gcfg = graph.GraphPipelineConfig(**parts["graph"])
-        if variant in ("statistical", "knowledge"):
-            gcfg = dataclasses.replace(gcfg, lam=1.0 if variant == "statistical" else 0.0)
         train_cfg = TrainConfig(**parts["train"])
         data = synthetic.make_dataset(**parts["data"])
-        if variant == "identity":
-            adjacency = np.eye(data.n_labels)
-        else:
-            _, adjacency = graph.build_ks_graph(data.annotations, data.knowledge_edges, gcfg)
+        _, adjacency = graph.build_ks_graph(data.annotations, data.knowledge_edges, gcfg)
         model = KssModel(adjacency, data.n_labels, data.train.e0.shape[1], **parts["model"])
         side, n_stages = data.train.x.shape[-1], len(model.stage_channels)
         if side % 2 ** n_stages:
@@ -272,12 +242,7 @@ def _load_toy_setup(config_path, **overrides):
 
 
 def _cmd_train_toy(args) -> int:
-    overrides = {} if args.seed is None else {"seed": str(args.seed)}
-    if (divisor := args.channel_divisor) is not None:
-        if divisor < 1 or any(c % divisor for c in _BASE_SCHEDULE):
-            raise CliError(f"--channel-divisor must divide {_BASE_SCHEDULE}, got {divisor}")
-        overrides["stage_channels"] = ",".join(str(c // divisor) for c in _BASE_SCHEDULE)
-    data, model, cfg = _load_toy_setup(args.config, **overrides)
+    data, model, cfg = _load_toy_setup(args.config)
     print(f"stage_channels={','.join(str(c) for c in model.stage_channels)}")
     print(f"seed={cfg.seed}")
 
@@ -292,7 +257,10 @@ def _cmd_train_toy(args) -> int:
             writer.writerow([record["epoch"], f"{record['loss']:.6f}", f"{record['train_map']:.6f}"])
             fh.flush()
 
-        history = train_toy(model, data.train, cfg, val=data.val, on_epoch=on_epoch)
+        try:
+            history = train_toy(model, data.train, cfg, val=data.val, on_epoch=on_epoch)
+        except TrainingDiverged as exc:
+            raise CliError(f"{args.config}: training diverged: {exc}") from None
 
     model.save(args.checkpoint)
     if history:

@@ -20,7 +20,8 @@ vocabulary       one label per line, UTF-8
 annotations      whitespace-separated ``sample_id label...`` lines; spaces
                  inside a label name are written as underscores
 knowledge edges  TSV ``head <TAB> relation <TAB> tail <TAB> weight``
-embedding table  text, ``token v1 v2 ... vF`` per line (GloVe-style)
+embedding table  text, ``token v1 v2 ... vF`` per line (GloVe-style), finite
+                 values
 """
 
 from __future__ import annotations
@@ -357,6 +358,8 @@ def load_embedding_table(path) -> EmbeddingTable:
             rows[token] = np.array([float(v) for v in values], dtype=np.float64)
         except ValueError:
             raise FormatError(f"{path}:{lineno}: non-numeric vector component") from None
+        if not np.isfinite(rows[token]).all():
+            raise FormatError(f"{path}:{lineno}: non-finite vector component")
     if dim is None:
         raise FormatError(f"{path}: empty embedding table")
     return EmbeddingTable(dim, rows)

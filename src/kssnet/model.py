@@ -34,7 +34,7 @@ _ADAM_SHARE = 2 ** 14
 
 
 class TrainingDiverged(RuntimeError):
-    """Training hit a non-finite loss."""
+    """Training hit a non-finite loss or evaluation score."""
 
 
 @dataclass
@@ -386,6 +386,13 @@ class Adam:
         workers.run(share, self._data.size, _ADAM_SHARE)
 
 
+def _epoch_map(model: KssModel, split: LabeledImages, epoch: int) -> float:
+    scores = predict(model, split.x, split.e0)
+    if not np.isfinite(scores).all():
+        raise TrainingDiverged(f"non-finite scores after epoch {epoch}")
+    return metrics.map_score(scores, split.y)
+
+
 def train_toy(
     model: KssModel,
     data: LabeledImages,
@@ -398,7 +405,7 @@ def train_toy(
     Each record carries epoch number, mean minibatch loss, training mAP
     (evaluation-mode, recomputed after the epoch), and validation mAP when a
     validation split is given.  Raises :class:`TrainingDiverged` on a
-    non-finite loss.
+    non-finite loss or evaluation score.
     """
     if len(data) == 0:
         raise ValueError("training split is empty")
@@ -425,10 +432,10 @@ def train_toy(
         record = {
             "epoch": epoch,
             "loss": float(np.mean(losses)),
-            "train_map": metrics.map_score(predict(model, data.x, data.e0), data.y),
+            "train_map": _epoch_map(model, data, epoch),
         }
         if val is not None:
-            record["val_map"] = metrics.map_score(predict(model, val.x, val.e0), val.y)
+            record["val_map"] = _epoch_map(model, val, epoch)
         history.append(record)
         if on_epoch is not None:
             on_epoch(record)

@@ -25,7 +25,8 @@ numpy cannot hold are each a ``ValueError`` naming the file.
 Text matrix, used for adjacencies, score and target matrices and initial
 embeddings: a ``rows cols`` header line, then one line per row of
 space-separated values, written with 17 significant digits so float64
-round-trips exactly.
+round-trips exactly.  Blank lines are skipped, except in a matrix with no
+columns, whose rows are blank.
 
 Config: flat ``key = value`` lines; ``#`` starts a comment; keys are unique;
 no nesting.
@@ -127,8 +128,10 @@ def load_matrix_text(path) -> np.ndarray:
     try:
         r, c = (int(v) for v in lines[0].split())
     except ValueError:
-        raise ValueError(f"{path}: bad header {lines[0]!r}") from None
-    rows = [line.split() for line in lines[1:] if line.strip()]
+        r = c = -1
+    if min(r, c) < 0:
+        raise ValueError(f"{path}: bad header {lines[0]!r}")
+    rows = [line.split() for line in lines[1:] if line.strip() or c == 0]
     if len(rows) != r or any(len(row) != c for row in rows):
         raise ValueError(f"{path}: expected {r}x{c} entries")
     try:

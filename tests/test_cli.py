@@ -326,13 +326,16 @@ class TestTrainAndEvaluate:
         header = capsys.readouterr().out.splitlines()[0].split()
         assert header == ["mAP", "CP", "CR", "CF1", "OP", "OR", "OF1"]
 
-    def test_channel_divisor_scales_schedule(self, tmp_path, capsys):
+    def test_config_alone_sets_training_and_evaluation(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
-        cfg.write_text("epochs = 0\nn_train = 16\nn_val = 8\nembed_dim = 8\n")
-        assert run(["train-toy", "--config", str(cfg), "--checkpoint",
-                    str(tmp_path / "m.ckpt"), "--history", str(tmp_path / "h.csv"),
-                    "--channel-divisor", "32"]) == 0
-        assert "stage_channels=8,16,32,64" in capsys.readouterr().out
+        cfg.write_text("epochs = 0\nn_train = 16\nn_val = 8\nembed_dim = 8\n"
+                       "seed = 5\nstage_channels = 8,16,32,64\n")
+        ckpt = tmp_path / "m.ckpt"
+        assert run(["train-toy", "--config", str(cfg), "--checkpoint", str(ckpt),
+                    "--history", str(tmp_path / "h.csv")]) == 0
+        out = capsys.readouterr().out
+        assert "stage_channels=8,16,32,64" in out and "seed=5" in out
+        assert run(["evaluate", "--checkpoint", str(ckpt), "--config", str(cfg)]) == 0
 
     @pytest.mark.parametrize("extra, message", [
         ({"dtype": "float16"}, "dtype"),
@@ -340,15 +343,6 @@ class TestTrainAndEvaluate:
         ({"n_train": "abc"}, "n_train"),
         ({"stage_channels": "16,x"}, "stage_channels"),
         ({"dropout": "1.5"}, "dropout"),
-        ({"graph": "statistical", "lambda": "0.2"},
-         "lambda has no effect with graph = statistical"),
-        ({"graph": "knowledge", "binarize_t": "0.05"},
-         "binarize_t has no effect with graph = knowledge"),
-        ({"graph": "knowledge", "lambda": "0.9", "binarize_t": "0.95"},
-         "lambda, binarize_t has no effect with graph = knowledge"),
-        ({"graph": "identity", "eta": "0.5"}, "eta has no effect with graph = identity"),
-        ({"graph": "identity", "lambda": "0.2", "tau": "0.1", "eta": "0.5", "binarize_t": "0.3"},
-         "lambda, tau, eta, binarize_t has no effect with graph = identity"),
         ({"lr": "nan"}, "lr must be positive and finite, got nan"),
         ({"gcn_lr": "inf"}, "gcn_lr must be positive and finite, got inf"),
         ({"weight_decay": "nan"}, "weight_decay must be >= 0 and finite, got nan"),
@@ -359,11 +353,9 @@ class TestTrainAndEvaluate:
         ({"n_train": "0"}, "n_train = '0': a split needs at least one sample"),
         ({"n_val": "0"}, "n_val = '0': a split needs at least one sample"),
         ({"stop_at_train_map": "nan"}, "stop_at_train_map must lie in [0, 1], got nan"),
-    ], ids=["dtype", "lc", "n_train", "stage_channels", "dropout", "statistical-lambda",
-            "knowledge-binarize_t", "knowledge-both", "identity-eta", "identity-all",
-            "lr-nan", "gcn_lr-inf", "weight_decay-nan", "weight_decay-negative", "noise-nan",
-            "image_size-24", "stage_channels-zero", "n_train-zero", "n_val-zero",
-            "stop_at_train_map-nan"])
+    ], ids=["dtype", "lc", "n_train", "stage_channels", "dropout", "lr-nan", "gcn_lr-inf",
+            "weight_decay-nan", "weight_decay-negative", "noise-nan", "image_size-24",
+            "stage_channels-zero", "n_train-zero", "n_val-zero", "stop_at_train_map-nan"])
     def test_unknown_dtype_is_validation_error(self, tmp_path, capsys, extra, message):
         cfg = tmp_path / "c.cfg"
         settings = {"epochs": "0", "n_train": "16", "n_val": "8", **extra}
@@ -398,22 +390,32 @@ class TestTrainAndEvaluate:
         assert f"error: {cfg}: unknown config key(s): epoch, lamda" in capsys.readouterr().err
         assert not (tmp_path / "h.csv").exists()
 
-    def test_overridden_keys_count_as_read(self, tmp_path, capsys):
+    @pytest.mark.parametrize("extra_key, flags, message", [
+        ("", ["--seed", "5"], "unrecognized arguments: --seed 5"),
+        ("", ["--channel-divisor", "32"], "unrecognized arguments: --channel-divisor 32"),
+        ("graph = identity\n", [], "unknown config key(s): graph"),
+    ], ids=["seed-flag", "channel-divisor-flag", "graph-key"])
+    def test_removed_spellings_rejected(self, tmp_path, capsys, extra_key, flags, message):
         cfg = tmp_path / "c.cfg"
-        cfg.write_text("epochs = 0\nn_train = 16\nn_val = 8\nseed = 3\nstage_channels = 8,16\n")
+        cfg.write_text("epochs = 0\nn_train = 16\nn_val = 8\n" + extra_key)
         assert run(["train-toy", "--config", str(cfg), "--checkpoint",
                     str(tmp_path / "m.ckpt"), "--history", str(tmp_path / "h.csv"),
-                    "--seed", "5", "--channel-divisor", "32"]) == 0
-        out = capsys.readouterr().out
-        assert "seed=5" in out and "stage_channels=8,16,32,64" in out
+                    *flags]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists()
 
-    def test_bad_divisor_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize("extra, message", [
+        ("lr = 1e30", "non-finite scores after epoch 1"),
+        ("noise = 1e300", "non-finite loss nan at epoch 1, batch 0"),
+    ], ids=["lr", "noise"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_is_validation_error(self, tmp_path, capsys, extra, message):
         cfg = tmp_path / "c.cfg"
-        cfg.write_text("epochs = 0\n")
+        cfg.write_text(f"n_train = 20\nepochs = 1\nstage_channels = 4,4,4,4\n{extra}\n")
         assert run(["train-toy", "--config", str(cfg), "--checkpoint",
-                    str(tmp_path / "m.ckpt"), "--history", str(tmp_path / "h.csv"),
-                    "--channel-divisor", "7"]) == 1
-        assert "--channel-divisor" in capsys.readouterr().err
+                    str(tmp_path / "m.ckpt"), "--history", str(tmp_path / "h.csv")]) == 1
+        assert f"error: {cfg}: training diverged: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists()
 
 
 class TestEmbed:

@@ -251,10 +251,16 @@ class TestPipeline:
         npt.assert_array_equal(a_ks, expected)
 
     def test_identity_endpoint(self):
+        # eta = 0 is how a toy config asks for no graph, whatever the other knobs
         ann, edges = self._inputs()
-        cfg = graph.GraphPipelineConfig(lam=0.0, tau=0.0, eta=0.0)
-        a_ks, _ = graph.build_ks_graph(ann, edges, cfg)
-        npt.assert_array_equal(a_ks, np.eye(ann.n_labels))
+        eye = np.eye(ann.n_labels)
+        for lam, tau, binarize in [(0.0, 0.0, 0.4), (1.0, 0.02, 0.0), (0.4, 0.5, 1.0),
+                                   (0.7, 10.0, 0.2)]:
+            cfg = graph.GraphPipelineConfig(lam=lam, tau=tau, eta=0.0,
+                                            binarize_threshold=binarize)
+            a_ks, a_norm = graph.build_ks_graph(ann, edges, cfg)
+            npt.assert_array_equal(a_ks, eye, strict=True)
+            npt.assert_array_equal(a_norm, eye, strict=True)
 
     def test_five_label_pipeline_matches_oracle(self):
         ann, edges = self._inputs()

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -287,4 +288,12 @@ class TestEmbeddings:
         path = tmp_path / "emb.txt"
         path.write_text("dog 1.0 2.0\ncat 1.0\n", encoding="utf-8")
         with pytest.raises(ingest.FormatError, match="expected 2"):
+            ingest.load_embedding_table(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e400"])
+    def test_non_finite_component_rejected(self, tmp_path, value):
+        path = tmp_path / "emb.txt"
+        path.write_text(f"dog 1.0 2.0\nperson 1 {value}\n", encoding="utf-8")
+        with pytest.raises(ingest.FormatError,
+                           match=re.escape(f"{path}:2: non-finite vector component")):
             ingest.load_embedding_table(path)

@@ -518,9 +518,16 @@ class TestStorage:
     def test_matrix_round_trip(self, tmp_path):
         rng = np.random.default_rng(8)
         path = tmp_path / "m.txt"
-        for a in (rng.normal(size=(5, 7)), np.zeros((0, 3))):
+        for a in (rng.normal(size=(5, 7)), np.zeros((0, 3)), np.zeros((2, 0))):
             storage.save_matrix_text(a, path)
             npt.assert_array_equal(storage.load_matrix_text(path), a, strict=True)
+
+    @pytest.mark.parametrize("header", ["0 -1", "-1 0", "-2 3"])
+    def test_negative_matrix_header_rejected(self, tmp_path, header):
+        path = tmp_path / "m.txt"
+        path.write_text(f"{header}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: bad header {header!r}")):
+            storage.load_matrix_text(path)
 
     def test_config_round_trip(self, tmp_path):
         cfg = {"epochs": "12", "lr": "0.01", "graph": "ks"}

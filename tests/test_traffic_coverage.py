@@ -7,12 +7,13 @@ that only tests reach passes it.  This test traces the lines of
 - the three benchmark workloads through ``bench/workloads.py``, at small
   sizes and without the benchmark's layer tracer, for about 0.3 s each;
 - every CLI command through ``cli.main`` on valid input, with the paths that
-  depend on the input: ``--channel-divisor``, the three graph variants other
-  than ``ks`` without lateral connections and with ``stop_at_train_map``, a
-  config with a comment line, non-ASCII labels and annotations broken by
-  NBSP and U+2028, blank knowledge and embedding lines, and ``evaluate`` on
-  tied scores with a class that has no positives, at ``top_k:0`` and at
-  ``top_k`` >= the label count.
+  depend on the input: the statistical-only, knowledge-only and no-graph
+  configs (``lambda = 1``, ``lambda = 0``, ``eta = 0``) without lateral
+  connections and with ``stop_at_train_map``, a config with a comment line,
+  non-ASCII labels and annotations broken by NBSP and U+2028, blank
+  knowledge and embedding lines, and ``evaluate`` on tied scores with a
+  class that has no positives, at ``top_k:0`` and at ``top_k`` >= the label
+  count.
 
 The traffic starts with no worker pool, a fresh job queue and OpenBLAS at
 two threads, so its first kernel builds a two-worker pool
@@ -191,15 +192,13 @@ def _run_cli(d: Path) -> None:
     base = "n_train = 16\nn_val = 8\nembed_dim = 4\nepochs = 1\nstage_channels = 2,2,4,4\n"
     ks = d / "ks.cfg"
     ks.write_text("# the default graph\n" + base + "lambda = 0.5\n")
-    _cli("train-toy", "--config", ks, "--checkpoint", d / "ks.ckpt", "--history", d / "ks.csv",
-         "--seed", 2)
-    _cli("train-toy", "--config", ks, "--checkpoint", d / "wide.ckpt", "--history", d / "ks.csv",
-         "--channel-divisor", 256)
-    for variant in ("statistical", "knowledge", "identity"):
-        cfg = d / f"{variant}.cfg"
-        cfg.write_text(base + f"graph = {variant}\nlc = false\nstop_at_train_map = 0\n")
-        _cli("train-toy", "--config", cfg, "--checkpoint", d / f"{variant}.ckpt",
-             "--history", d / f"{variant}.csv")
+    _cli("train-toy", "--config", ks, "--checkpoint", d / "ks.ckpt", "--history", d / "ks.csv")
+    for name, graph in (("statistical", "lambda = 1"), ("knowledge", "lambda = 0"),
+                        ("identity", "eta = 0")):
+        cfg = d / f"{name}.cfg"
+        cfg.write_text(base + f"{graph}\nlc = false\nstop_at_train_map = 0\n")
+        _cli("train-toy", "--config", cfg, "--checkpoint", d / f"{name}.ckpt",
+             "--history", d / f"{name}.csv")
     _cli("evaluate", "--checkpoint", d / "ks.ckpt", "--config", ks)
 
     # ties within and across classes; the last class has no positives
