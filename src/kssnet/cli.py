@@ -1,6 +1,9 @@
 """Command-line surface: build and inspect label graphs, run gradient checks,
 train the toy model, evaluate scores, and build initial embeddings.
 
+``train-toy`` stores its run config and adjacency in its checkpoint, so the
+checkpoint sets the run that ``evaluate --checkpoint`` rebuilds.
+
 Exit codes: 0 on success, 1 on validation errors (bad flags, bad files) and
 on a diverged ``train-toy`` run, 2 on unexpected runtime failures.
 
@@ -88,8 +91,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("evaluate", help="print the seven-metric table")
     p.add_argument("--scores", default=None, help="score matrix (text, 'rows cols' header)")
     p.add_argument("--targets", default=None, help="binary target matrix, same format")
-    p.add_argument("--checkpoint", default=None, help="evaluate a trained checkpoint instead")
-    p.add_argument("--config", default=None, help="training config used with --checkpoint")
+    p.add_argument("--checkpoint", default=None,
+                   help="evaluate a train-toy checkpoint instead; it sets the run")
     p.add_argument("--decision", default="sigmoid:0.5",
                    help="decision rule: sigmoid:T, score:T, or top_k:K")
 
@@ -200,20 +203,18 @@ _TOY_KEYS = {
 _CLI_DEFAULTS = {"dtype": "float32"}
 
 
-def _load_toy_setup(config_path):
-    """Rebuild dataset, graph, and model deterministically from a config file.
+def _toy_setup(cfg: dict[str, str], path):
+    """Rebuild dataset, graph, and model deterministically from a run config.
 
-    The file alone sets the run.  A key it leaves out is not passed on, so the
-    library's default applies; the CLI owns only ``dtype = float32``.  The
-    graph is ``graph.build_ks_graph``'s: ``lambda = 1`` or ``0`` keeps only the
-    statistical or knowledge graph, ``eta = 0`` leaves the identity.  An
-    unknown key, a value that does not parse or a split size below 1 fails
-    before any work starts; a value a constructor rejects, or an image side
-    the backbone stages cannot halve, fails during set-up.  Every error names
-    the file.
+    ``cfg`` alone sets the run: ``train-toy``'s config file with ``dtype =
+    float32`` merged in, or the copy its checkpoint stores.  A key it leaves
+    out takes the library's default.  The graph is ``graph.build_ks_graph``'s
+    (``lambda = 1``, ``lambda = 0``, ``eta = 0``: statistical only, knowledge
+    only, identity).  An unknown key, a value that does not parse or a split
+    size below 1 fails at once; a value a constructor rejects, an image side
+    the backbone stages cannot halve, or images that overflow the model's
+    dtype fail during set-up.  Every error names ``path``, the file of ``cfg``.
     """
-    path = _positive_file(config_path, "--config")
-    cfg = {**_CLI_DEFAULTS, **storage.load_config(path)}
     unknown = set(cfg) - set(_TOY_KEYS)
     if unknown:
         raise CliError(f"{path}: unknown config key(s): {', '.join(sorted(unknown))}")
@@ -236,13 +237,20 @@ def _load_toy_setup(config_path):
         if side % 2 ** n_stages:
             raise ValueError(f"image_size = {side} is not divisible by 2 ** {n_stages}: "
                              "each backbone stage halves the image")
+        with np.errstate(over="ignore"):  # the cast of an overflowing peak warns
+            peak = max(np.abs(split.x).max() for split in (data.train, data.val))
+            if not np.isfinite(peak.astype(model.adjacency.data.dtype)):
+                raise ValueError(f"noise and weak_amp make images of magnitude {peak:.3g}, "
+                                 f"which overflow {model.dtype}")
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     return data, model, train_cfg
 
 
 def _cmd_train_toy(args) -> int:
-    data, model, cfg = _load_toy_setup(args.config)
+    config_path = _positive_file(args.config, "--config")
+    run_cfg = {**_CLI_DEFAULTS, **storage.load_config(config_path)}
+    data, model, cfg = _toy_setup(run_cfg, config_path)
     print(f"stage_channels={','.join(str(c) for c in model.stage_channels)}")
     print(f"seed={cfg.seed}")
 
@@ -262,7 +270,8 @@ def _cmd_train_toy(args) -> int:
         except TrainingDiverged as exc:
             raise CliError(f"{args.config}: training diverged: {exc}") from None
 
-    model.save(args.checkpoint)
+    storage.save_checkpoint(args.checkpoint, run_cfg,
+                            {**model.state_dict(), "adjacency": model.adjacency.data})
     if history:
         last = history[-1]
         print(f"epochs_run={last['epoch']}")
@@ -285,23 +294,23 @@ def _parse_decision(spec: str):
 
 def _cmd_evaluate(args) -> int:
     decision = _parse_decision(args.decision)
-    model_flags = [flag for flag, value in (("--checkpoint", args.checkpoint),
-                                            ("--config", args.config)) if value is not None]
-    matrix_flags = [flag for flag, value in (("--scores", args.scores),
-                                             ("--targets", args.targets)) if value is not None]
-    if model_flags and matrix_flags:
-        raise CliError(f"evaluate: {', '.join(matrix_flags)} cannot be combined with "
-                       f"{', '.join(model_flags)}")
     if args.checkpoint is not None:
-        if args.config is None:
-            raise CliError("--checkpoint requires --config to rebuild the model")
-        data, model, _ = _load_toy_setup(args.config)
-        model.load(_positive_file(args.checkpoint, "--checkpoint"))
+        if args.scores is not None or args.targets is not None:
+            raise CliError("evaluate: --scores/--targets cannot be combined with --checkpoint")
+        path = _positive_file(args.checkpoint, "--checkpoint")
+        run_cfg, state = storage.load_checkpoint(path)
+        data, model, _ = _toy_setup(run_cfg, path)
+        try:
+            if not np.array_equal(state.pop("adjacency", None), model.adjacency.data):
+                raise ValueError("its config no longer builds the adjacency it trained with")
+            model.load_state_dict(state)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         scores = predict(model, data.val.x, data.val.e0)
         targets = data.val.y
     else:
         if args.scores is None or args.targets is None:
-            raise CliError("evaluate needs either --scores/--targets or --checkpoint/--config")
+            raise CliError("evaluate needs either --scores/--targets or --checkpoint")
         scores = storage.load_matrix_text(_positive_file(args.scores, "--scores"))
         targets = storage.load_matrix_text(_positive_file(args.targets, "--targets"))
         if not np.all(np.isfinite(scores)):

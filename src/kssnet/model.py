@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from . import lateral, metrics, storage, workers
+from . import lateral, metrics, workers
 from .synthetic import LabeledImages
 
 _DTYPES = {"float32": np.float32, "float64": np.float64}
@@ -265,16 +265,6 @@ class KssModel:
                 raise ValueError(f"{name}: shape {shape} != {p.data.shape}")
         for name, p in self._params.items():
             p.data[...] = state[name]
-
-    def save(self, path) -> None:
-        storage.save_named_tensors(path, self.state_dict())
-
-    def load(self, path) -> None:
-        state = storage.load_named_tensors(path)
-        try:
-            self.load_state_dict(state)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
 
 
 def predict(model: KssModel, x: np.ndarray, e0: np.ndarray, batch_size: int = 256) -> np.ndarray:

@@ -6,21 +6,25 @@ embedding tables) are parsed in :mod:`kssnet.ingest`.  Every text file,
 those and the two below, is read through :func:`read_text`, so a file that
 is not UTF-8 fails as a :class:`FormatError` that names it.
 
-Named-tensor file (magic ``KSNTCKPT``), used for model checkpoints.  Integers
+Checkpoint (magic ``KSNTCKPT``): a run config and named tensors.  Integers
 are little-endian::
 
     magic      8 bytes   b"KSNTCKPT"
-    version    uint32    1
+    version    uint32    2
+    config_len uint32
+    config     config_len bytes: the run config in the config format below
     count      uint32    number of tensors, then per tensor:
       name_len uint16
       name     name_len bytes, UTF-8
       ndim     uint8
       shape    ndim x uint32
       data     prod(shape) x float64, row-major (one value when ndim = 0)
+    crc        uint32    zlib.crc32 of every byte before it
 
-Names are unique.  Nothing follows the last tensor.  A field or payload that
-runs past the end of the file, any trailing byte, a repeated name and a shape
-numpy cannot hold are each a ``ValueError`` naming the file.
+Names are unique and the CRC follows the last tensor.  The magic and the
+version are checked before the CRC, so a file of another version fails as
+such.  Every violation, a shape numpy cannot hold included, is a
+``ValueError`` naming the file.
 
 Text matrix, used for adjacencies, score and target matrices and initial
 embeddings: a ``rows cols`` header line, then one line per row of
@@ -36,12 +40,13 @@ from __future__ import annotations
 
 import math
 import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
 
 _CKPT_MAGIC = b"KSNTCKPT"
-_CKPT_VERSION = 1
+_CKPT_VERSION = 2
 
 
 class FormatError(ValueError):
@@ -57,21 +62,21 @@ def read_text(path) -> str:
         raise FormatError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
-def save_named_tensors(path, tensors: dict[str, np.ndarray]) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<II", _CKPT_VERSION, len(tensors)))
-        for name, arr in tensors.items():
-            arr = np.asarray(arr, dtype="<f8")
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<B", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.tobytes())
+def save_checkpoint(path, config: dict[str, str], tensors: dict[str, np.ndarray]) -> None:
+    text = "".join(f"{key} = {value}\n" for key, value in config.items()).encode("utf-8")
+    parts = [_CKPT_MAGIC, struct.pack("<II", _CKPT_VERSION, len(text)), text,
+             struct.pack("<I", len(tensors))]
+    for name, arr in tensors.items():
+        arr = np.asarray(arr, dtype="<f8")
+        encoded = name.encode("utf-8")
+        parts += [struct.pack("<H", len(encoded)), encoded, struct.pack("<B", arr.ndim),
+                  struct.pack(f"<{arr.ndim}I", *arr.shape), arr.tobytes()]
+    blob = b"".join(parts)
+    Path(path).write_bytes(blob + struct.pack("<I", zlib.crc32(blob)))
 
 
-def load_named_tensors(path) -> dict[str, np.ndarray]:
+def load_checkpoint(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
+    """The run config and the named tensors of a checkpoint; every error names the file."""
     blob = Path(path).read_bytes()
     offset = 0
 
@@ -87,9 +92,18 @@ def load_named_tensors(path) -> dict[str, np.ndarray]:
 
     if take(8, "magic") != _CKPT_MAGIC:
         raise ValueError(f"{path}: bad checkpoint magic")
-    version, count = struct.unpack("<II", take(8, "header"))
+    version, config_len = struct.unpack("<II", take(8, "header"))
     if version != _CKPT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
+    blob, (crc,) = blob[:-4], struct.unpack("<I", blob[-4:])  # from here take stops at the CRC
+    if zlib.crc32(blob) != crc:
+        raise ValueError(f"{path}: CRC mismatch: the file is damaged or truncated")
+    text = take(config_len, "config")
+    try:
+        config = parse_config_text(text.decode("utf-8"))
+    except ValueError as exc:  # a UnicodeDecodeError too
+        raise ValueError(f"{path}: config: {exc}") from None
+    (count,) = struct.unpack("<I", take(4, "tensor count"))
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2, "name length"))
@@ -108,7 +122,7 @@ def load_named_tensors(path) -> dict[str, np.ndarray]:
             raise ValueError(f"{path}: tensor {name!r} of shape {shape}: {exc}") from None
     if offset != len(blob):
         raise ValueError(f"{path}: {len(blob) - offset} trailing bytes after the last tensor")
-    return tensors
+    return config, tensors
 
 
 def save_matrix_text(a: np.ndarray, path) -> None:

@@ -12,6 +12,8 @@ import kssnet
 import kssnet.autodiff as ad
 from kssnet import checks, cli, storage
 
+from test_model import v2_checkpoint
+
 
 @pytest.fixture
 def toy_files(tmp_path):
@@ -33,6 +35,15 @@ def toy_files(tmp_path):
 
 def run(argv):
     return cli.main(argv)
+
+
+def train(tmp_path, text, name="m"):
+    """Run ``train-toy`` on a config holding ``text``; returns the config and checkpoint paths."""
+    cfg, ckpt = tmp_path / f"{name}.cfg", tmp_path / f"{name}.ckpt"
+    cfg.write_text(text)
+    assert run(["train-toy", "--config", str(cfg), "--checkpoint", str(ckpt),
+                "--history", str(tmp_path / f"{name}.csv")]) == 0
+    return cfg, ckpt
 
 
 class TestBuildGraph:
@@ -227,45 +238,48 @@ class TestEvaluate:
         assert f"{tmp_path / 't.txt'}: entries must be 0 or 1" in err
 
     def test_missing_checkpoint_rejected(self, tmp_path, capsys):
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text("epochs = 1\nn_train = 40\nn_val = 20\n")
-        assert run(["evaluate", "--checkpoint", str(tmp_path / "none.ckpt"),
-                    "--config", str(cfg)]) == 1
-        assert "checkpoint" in capsys.readouterr().err
+        assert run(["evaluate", "--checkpoint", str(tmp_path / "none.ckpt")]) == 1
+        assert f"--checkpoint: no such file: {tmp_path / 'none.ckpt'}" in capsys.readouterr().err
 
     def test_truncated_checkpoint_is_validation_error(self, tmp_path, capsys):
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text("epochs = 0\nn_train = 16\nn_val = 8\n")
         path = tmp_path / "m.ckpt"
-        storage.save_named_tensors(path, {"adjacency": np.eye(3)})
+        storage.save_checkpoint(path, {"epochs": "0"}, {"adjacency": np.eye(3)})
         path.write_bytes(path.read_bytes()[:-30])
-        assert run(["evaluate", "--checkpoint", str(path), "--config", str(cfg)]) == 1
-        assert f"error: {path}: truncated" in capsys.readouterr().err
+        assert run(["evaluate", "--checkpoint", str(path)]) == 1
+        assert (f"error: {path}: CRC mismatch: the file is damaged or truncated"
+                in capsys.readouterr().err)
 
     def test_unrepresentable_checkpoint_shape_is_validation_error(self, tmp_path, capsys):
         # an empty tensor whose other two dimensions overflow numpy's size
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text("epochs = 0\nn_train = 16\nn_val = 8\n")
         path = tmp_path / "m.ckpt"
-        path.write_bytes(b"KSNTCKPT" + struct.pack("<IIH", 1, 1, 1) + b"a"
-                         + struct.pack("<B3I", 3, 0, 2 ** 32 - 1, 2 ** 32 - 1))
-        assert run(["evaluate", "--checkpoint", str(path), "--config", str(cfg)]) == 1
+        path.write_bytes(v2_checkpoint(b"", struct.pack("<IH", 1, 1) + b"a"
+                                       + struct.pack("<B3I", 3, 0, 2 ** 32 - 1, 2 ** 32 - 1)))
+        assert run(["evaluate", "--checkpoint", str(path)]) == 1
         assert f"error: {path}: tensor 'a'" in capsys.readouterr().err
 
+    def test_version_1_checkpoint_rejected(self, tmp_path, capsys):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(b"KSNTCKPT" + struct.pack("<IIH", 1, 1, 1) + b"a"
+                         + struct.pack("<Bd", 0, 1.0))
+        assert run(["evaluate", "--checkpoint", str(path)]) == 1
+        assert f"error: {path}: unsupported checkpoint version 1\n" in capsys.readouterr().err
+
     def test_invalid_utf8_config_names_file(self, tmp_path, capsys):
-        cfg = tmp_path / "c.cfg"
-        cfg.write_bytes(b"epochs = 1\nn_train = 4\xff0\n")
-        assert run(["evaluate", "--checkpoint", str(tmp_path / "none.ckpt"),
-                    "--config", str(cfg)]) == 1
+        # the checkpoint's config section
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(v2_checkpoint(b"epochs = 1\nn_train = 4\xff0\n", struct.pack("<I", 0)))
+        assert run(["evaluate", "--checkpoint", str(path)]) == 1
         err = capsys.readouterr().err
-        assert f"error: {cfg}: not UTF-8 text" in err and "byte 22" in err
+        assert f"error: {path}: config: 'utf-8' codec can't decode byte 0xff in position 22" \
+            in err
 
     def test_config_parse_error_names_file(self, tmp_path, capsys):
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text("epochs = 1\nnonsense\n")
-        assert run(["evaluate", "--checkpoint", str(tmp_path / "none.ckpt"),
-                    "--config", str(cfg)]) == 1
-        assert f"error: {cfg}: line 2: expected 'key = value'" in capsys.readouterr().err
+        # the checkpoint's config section
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(v2_checkpoint(b"epochs = 1\nnonsense\n", struct.pack("<I", 0)))
+        assert run(["evaluate", "--checkpoint", str(path)]) == 1
+        assert (f"error: {path}: config: line 2: expected 'key = value'"
+                in capsys.readouterr().err)
 
     def test_top_k_decision_flag(self, tmp_path, capsys):
         targets = np.array([[1, 0], [0, 1]], dtype=float)
@@ -279,18 +293,14 @@ class TestEvaluate:
         targets = np.array([[1, 0], [0, 1]], dtype=float)
         storage.save_matrix_text(targets, tmp_path / "s.txt")
         storage.save_matrix_text(targets, tmp_path / "t.txt")
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text("epochs = 0\nn_train = 16\nn_val = 8\n")
-        matrices = ["--scores", str(tmp_path / "s.txt"), "--targets", str(tmp_path / "t.txt")]
-        for model_args, flags in [
-            (["--checkpoint", str(tmp_path / "m.ckpt"), "--config", str(cfg)],
-             "--checkpoint, --config"),
-            (["--config", str(cfg)], "--config"),
+        for matrices in [
+            ["--scores", str(tmp_path / "s.txt"), "--targets", str(tmp_path / "t.txt")],
+            ["--targets", str(tmp_path / "t.txt")],
         ]:
-            assert run(["evaluate", *matrices, *model_args]) == 1
+            assert run(["evaluate", *matrices, "--checkpoint", str(tmp_path / "m.ckpt")]) == 1
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert (f"error: evaluate: --scores, --targets cannot be combined with {flags}"
+            assert ("error: evaluate: --scores/--targets cannot be combined with --checkpoint"
                     in captured.err)
 
     def test_bad_decision_flag(self, tmp_path):
@@ -322,9 +332,18 @@ class TestTrainAndEvaluate:
         assert len(hist.read_text().splitlines()) == 5
 
         capsys.readouterr()
-        assert run(["evaluate", "--checkpoint", str(ckpt), "--config", str(cfg)]) == 0
+        assert run(["evaluate", "--checkpoint", str(ckpt)]) == 0
         header = capsys.readouterr().out.splitlines()[0].split()
         assert header == ["mAP", "CP", "CR", "CF1", "OP", "OR", "OF1"]
+
+    def test_checkpoint_stores_the_run(self, tmp_path, capsys):
+        text = "epochs = 1\nn_train = 16\nn_val = 8\nembed_dim = 4\nstage_channels = 2,2,4,4\n"
+        _, ckpt = train(tmp_path, "# a comment\n" + text + "lc = no # no lateral connections\n")
+        config, tensors = storage.load_checkpoint(ckpt)
+        assert config == {"dtype": "float32", **storage.parse_config_text(text), "lc": "no"}
+        _, model, _ = cli._toy_setup(config, ckpt)
+        assert set(tensors) == set(model.state_dict()) | {"adjacency"}
+        npt.assert_array_equal(tensors["adjacency"], model.adjacency.data)
 
     def test_config_alone_sets_training_and_evaluation(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
@@ -335,7 +354,19 @@ class TestTrainAndEvaluate:
                     "--history", str(tmp_path / "h.csv")]) == 0
         out = capsys.readouterr().out
         assert "stage_channels=8,16,32,64" in out and "seed=5" in out
-        assert run(["evaluate", "--checkpoint", str(ckpt), "--config", str(cfg)]) == 0
+        assert run(["evaluate", "--checkpoint", str(ckpt)]) == 0
+
+    def test_config_flag_of_evaluate_rejected(self, tmp_path, capsys):
+        # the weights of a KS-graph run cannot be scored on the identity graph
+        cfg, ckpt = train(tmp_path, "epochs = 1\nn_train = 16\nn_val = 8\nembed_dim = 4\n"
+                                    "stage_channels = 2,2,4,4\n")
+        identity = tmp_path / "identity.cfg"
+        identity.write_text(cfg.read_text() + "eta = 0\n")
+        capsys.readouterr()
+        assert run(["evaluate", "--checkpoint", str(ckpt), "--config", str(identity)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: --config {identity}" in captured.err
 
     @pytest.mark.parametrize("extra, message", [
         ({"dtype": "float16"}, "dtype"),
@@ -348,13 +379,18 @@ class TestTrainAndEvaluate:
         ({"weight_decay": "nan"}, "weight_decay must be >= 0 and finite, got nan"),
         ({"weight_decay": "-5"}, "weight_decay must be >= 0 and finite, got -5.0"),
         ({"noise": "nan"}, "noise must be finite, got nan"),
+        ({"noise": "1e300"}, "noise and weak_amp make images of magnitude 4.02e+300, "
+                             "which overflow float32"),
+        ({"weak_amp": "1e300"}, "noise and weak_amp make images of magnitude 1e+300, "
+                                "which overflow float32"),
         ({"image_size": "24"}, "image_size = 24 is not divisible by 2 ** 4"),
         ({"stage_channels": "0,0,0,0"}, "stage_channels must all be >= 1, got (0, 0, 0, 0)"),
         ({"n_train": "0"}, "n_train = '0': a split needs at least one sample"),
         ({"n_val": "0"}, "n_val = '0': a split needs at least one sample"),
         ({"stop_at_train_map": "nan"}, "stop_at_train_map must lie in [0, 1], got nan"),
     ], ids=["dtype", "lc", "n_train", "stage_channels", "dropout", "lr-nan", "gcn_lr-inf",
-            "weight_decay-nan", "weight_decay-negative", "noise-nan", "image_size-24",
+            "weight_decay-nan", "weight_decay-negative", "noise-nan", "noise-overflow",
+            "weak_amp-overflow", "image_size-24",
             "stage_channels-zero", "n_train-zero", "n_val-zero", "stop_at_train_map-nan"])
     def test_unknown_dtype_is_validation_error(self, tmp_path, capsys, extra, message):
         cfg = tmp_path / "c.cfg"
@@ -363,31 +399,79 @@ class TestTrainAndEvaluate:
         assert run(["train-toy", "--config", str(cfg), "--checkpoint",
                     str(tmp_path / "m.ckpt"), "--history", str(tmp_path / "h.csv")]) == 1
         assert f"error: {cfg}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists()
+
+    def test_invalid_utf8_config_names_file(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_bytes(b"epochs = 1\nn_train = 4\xff0\n")
+        assert run(["train-toy", "--config", str(cfg), "--checkpoint", str(tmp_path / "m.ckpt"),
+                    "--history", str(tmp_path / "h.csv")]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {cfg}: not UTF-8 text" in err and "byte 22" in err
+
+    def test_config_parse_error_names_file(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("epochs = 1\nnonsense\n")
+        assert run(["train-toy", "--config", str(cfg), "--checkpoint", str(tmp_path / "m.ckpt"),
+                    "--history", str(tmp_path / "h.csv")]) == 1
+        assert f"error: {cfg}: line 2: expected 'key = value'" in capsys.readouterr().err
 
     def test_checkpoint_state_error_names_checkpoint(self, tmp_path, capsys):
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text("epochs = 0\nn_train = 16\nn_val = 8\n")
-        ckpt = tmp_path / "m.ckpt"
-        assert run(["train-toy", "--config", str(cfg), "--checkpoint", str(ckpt),
-                    "--history", str(tmp_path / "h.csv")]) == 0
+        # checkpoints rewritten with a config key that changes the model, not the graph
+        _, ckpt = train(tmp_path, "epochs = 0\nn_train = 16\nn_val = 8\n")
+        config, tensors = storage.load_checkpoint(ckpt)
         capsys.readouterr()
-        for extra, message in [
-            ("stage_channels = 8,16,32,64", "backbone.stage0.conv.weight: shape"),
-            ("lc = false", "state mismatch: missing [], unexpected ['lc."),
+        for key, value, message in [
+            ("stage_channels", "8,16,32,64", "backbone.stage0.conv.weight: shape"),
+            ("lc", "false", "state mismatch: missing [], unexpected ['lc."),
         ]:
-            other = tmp_path / "other.cfg"
-            other.write_text(cfg.read_text() + extra + "\n")
-            assert run(["evaluate", "--checkpoint", str(ckpt), "--config", str(other)]) == 1
+            storage.save_checkpoint(ckpt, {**config, key: value}, tensors)
+            assert run(["evaluate", "--checkpoint", str(ckpt)]) == 1
             assert f"error: {ckpt}: {message}" in capsys.readouterr().err
+
+    def test_graph_drift_is_validation_error(self, tmp_path, capsys):
+        _, ckpt = train(tmp_path, "epochs = 0\nn_train = 16\nn_val = 8\nembed_dim = 4\n"
+                                  "stage_channels = 2,2,4,4\n")
+        config, tensors = storage.load_checkpoint(ckpt)
+        assert run(["evaluate", "--checkpoint", str(ckpt)]) == 0
+        doctored = tensors["adjacency"].copy()
+        doctored[0, 1] += 2.0 ** -20
+        capsys.readouterr()
+        for stored_config, stored in [
+            (config, {**tensors, "adjacency": doctored}),  # a doctored adjacency
+            ({**config, "eta": "0"}, tensors),  # a config that builds another graph
+            (config, {name: t for name, t in tensors.items() if name != "adjacency"}),
+        ]:
+            storage.save_checkpoint(ckpt, stored_config, stored)
+            assert run(["evaluate", "--checkpoint", str(ckpt)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert (f"error: {ckpt}: its config no longer builds the adjacency it trained with"
+                    in captured.err)
+
+    def test_every_byte_change_is_validation_error(self, tmp_path, capsys):
+        # the first 140 bytes (header, config, first tensor name), then every 61st
+        _, ckpt = train(tmp_path, "epochs = 0\nn_train = 16\nn_val = 8\nembed_dim = 4\n"
+                                  "stage_channels = 2,2,4,4\n")
+        blob = ckpt.read_bytes()
+        capsys.readouterr()
+        for pos in sorted({*range(140), *range(140, len(blob), 61), len(blob) - 1}):
+            ckpt.write_bytes(blob[:pos] + bytes([blob[pos] ^ 0x5A]) + blob[pos + 1:])
+            assert run(["evaluate", "--checkpoint", str(ckpt)]) == 1, pos
+            assert capsys.readouterr().err.startswith(f"error: {ckpt}: "), pos
 
     @pytest.mark.parametrize("command", ["train-toy", "evaluate"])
     def test_unknown_config_key_names_file_and_key(self, tmp_path, capsys, command):
-        cfg = tmp_path / "c.cfg"
+        # evaluate reads the config a checkpoint stores
+        cfg, ckpt = tmp_path / "c.cfg", tmp_path / "m.ckpt"
         cfg.write_text("epochs = 1\nepoch = 1\nn_train = 16\nn_val = 8\nlamda = 0.5\n")
-        args = {"train-toy": ["--history", str(tmp_path / "h.csv")], "evaluate": []}[command]
-        assert run([command, "--config", str(cfg), "--checkpoint", str(tmp_path / "m.ckpt"),
-                    *args]) == 1
-        assert f"error: {cfg}: unknown config key(s): epoch, lamda" in capsys.readouterr().err
+        if command == "train-toy":
+            argv, path = ["--config", str(cfg), "--history", str(tmp_path / "h.csv")], cfg
+        else:
+            storage.save_checkpoint(ckpt, storage.load_config(cfg), {})
+            argv, path = [], ckpt
+        assert run([command, "--checkpoint", str(ckpt), *argv]) == 1
+        assert f"error: {path}: unknown config key(s): epoch, lamda" in capsys.readouterr().err
         assert not (tmp_path / "h.csv").exists()
 
     @pytest.mark.parametrize("extra_key, flags, message", [
@@ -406,8 +490,7 @@ class TestTrainAndEvaluate:
 
     @pytest.mark.parametrize("extra, message", [
         ("lr = 1e30", "non-finite scores after epoch 1"),
-        ("noise = 1e300", "non-finite loss nan at epoch 1, batch 0"),
-    ], ids=["lr", "noise"])
+    ], ids=["lr"])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_is_validation_error(self, tmp_path, capsys, extra, message):
         cfg = tmp_path / "c.cfg"

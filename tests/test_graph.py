@@ -357,8 +357,8 @@ class TestConfig:
 
 
 class TestSerialization:
-    # adjacencies are stored as storage text matrices or one-tensor
-    # named-tensor files, and checked on load
+    # adjacencies are stored as storage text matrices or as a checkpoint's
+    # tensor, and checked on load
     def test_text_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(15)
         a = rng.random((7, 7))
@@ -370,14 +370,14 @@ class TestSerialization:
         rng = np.random.default_rng(16)
         a = rng.random((9, 9))
         path = tmp_path / "a.bin"
-        storage.save_named_tensors(path, {"adjacency": a})
-        npt.assert_array_equal(storage.load_named_tensors(path)["adjacency"], a)
+        storage.save_checkpoint(path, {}, {"adjacency": a})
+        npt.assert_array_equal(storage.load_checkpoint(path)[1]["adjacency"], a)
 
     def test_binary_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
         with pytest.raises(ValueError, match="magic"):
-            storage.load_named_tensors(path)
+            storage.load_checkpoint(path)
 
     def test_text_rejects_ragged(self, tmp_path):
         path = tmp_path / "a.txt"

@@ -8,7 +8,8 @@ that small inputs still cross their boundaries.  The
 annotation loader is checked against a line-by-line reference on ASCII and
 non-ASCII text with every kind of whitespace and line break.  Every file
 loader is fuzzed with truncated and flipped bytes, the checkpoint reader
-with flipped bytes only (``test_model.py`` tries every truncation of one).
+with flipped bytes only (``test_model.py`` tries every truncation of one and
+every single-byte change).
 """
 
 import math
@@ -28,6 +29,7 @@ from kssnet.ingest import AnnotationSet, FormatError
 import oracles
 from test_ingest import annotation_set
 from test_metrics import top_k_reference
+from test_model import v2_checkpoint
 
 SETTINGS = settings(max_examples=200, deadline=None, database=None)
 TIED_VALUES = st.sampled_from([-1.5, -0.0, 0.0, 0.25, 1.0, 3.0])
@@ -256,11 +258,12 @@ INPUT_FILES = {
     "embedding": (ingest.load_embedding_table,
                   "dog 1.0 -2.5 3e-1\ncat 0 0.5 1e300\n\ncafé 1 2 3\n".encode("utf-8")),
 }
-# A checkpoint of a scalar and a 2x3 matrix, in the documented layout.
-CHECKPOINT = (b"KSNTCKPT" + struct.pack("<II", 1, 2)
-              + struct.pack("<H", 5) + b"scale" + struct.pack("<Bd", 0, 2.5)
-              + struct.pack("<H", 1) + b"w" + struct.pack("<B2I", 2, 2, 3)
-              + np.arange(6.0).astype("<f8").tobytes())
+# A checkpoint of a two-key config, a scalar and a 2x3 matrix, in the documented layout.
+CHECKPOINT = v2_checkpoint("epochs = 3\nname = café\n".encode("utf-8"),
+                           struct.pack("<I", 2)
+                           + struct.pack("<H", 5) + b"scale" + struct.pack("<Bd", 0, 2.5)
+                           + struct.pack("<H", 1) + b"w" + struct.pack("<B2I", 2, 2, 3)
+                           + np.arange(6.0).astype("<f8").tobytes())
 
 
 def damaged(valid: bytes, truncate: bool = True):
@@ -327,8 +330,16 @@ def test_damaged_input_file_fails_only_as_validation_error(case):
 
 @SETTINGS
 @given(damaged(CHECKPOINT, truncate=False))
-# the scalar's ndim byte (offset 23) turned to 9: its shape takes in the bytes
-# after it, an empty tensor whose other dimensions overflow numpy's size
-@example(_damage(CHECKPOINT, len(CHECKPOINT), [(23, 9)]))
+@example(_damage(CHECKPOINT, len(CHECKPOINT), [(8, 3)]))  # version 2 turned to 1
+@example(_damage(CHECKPOINT, len(CHECKPOINT), [(40, 9), (40, 9)]))  # flips that cancel
 def test_flipped_checkpoint_fails_only_as_validation_error(data):
-    _load_damaged(storage.load_named_tensors, "model.ckpt", data)
+    # every copy with a changed byte fails as a ValueError naming the file
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.ckpt"
+        path.write_bytes(data)
+        try:
+            storage.load_checkpoint(path)
+        except ValueError as exc:
+            assert data != CHECKPOINT and str(exc).startswith(f"{path}: "), exc
+            return
+    assert data == CHECKPOINT

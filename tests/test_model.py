@@ -1,5 +1,6 @@
 import re
 import struct
+import zlib
 from unittest import mock
 
 import mpmath
@@ -21,6 +22,13 @@ def tiny_adjacency(n, seed=0):
     a = rng.random((n, n))
     a = (a + a.T) / 2
     return graph.normalize(graph.identity_mix(a, 0.6))
+
+
+def v2_checkpoint(config: bytes, body: bytes) -> bytes:
+    """A version-2 checkpoint, built by hand: ``config``, then ``body`` from the
+    tensor count on, then the CRC of both and the header."""
+    blob = b"KSNTCKPT" + struct.pack("<II", 2, len(config)) + config + body
+    return blob + struct.pack("<I", zlib.crc32(blob))
 
 
 def param(m, name):
@@ -414,9 +422,9 @@ class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
         m = tiny_model(seed=13)
         path = tmp_path / "model.ckpt"
-        m.save(path)
+        storage.save_checkpoint(path, {}, m.state_dict())
         other = tiny_model(seed=14)
-        other.load(path)
+        other.load_state_dict(storage.load_checkpoint(path)[1])
         for name, arr in m.state_dict().items():
             npt.assert_array_equal(other.state_dict()[name], arr)
 
@@ -433,10 +441,10 @@ class TestCheckpoint:
     def test_shape_mismatch_rejected(self, tmp_path):
         m = tiny_model()
         path = tmp_path / "model.ckpt"
-        m.save(path)
+        storage.save_checkpoint(path, {}, m.state_dict())
         other = tiny_model(stage_channels=(4, 12))
-        with pytest.raises(ValueError, match="shape"):
-            other.load(path)
+        with pytest.raises(ValueError, match=re.escape("backbone.stage1.conv.weight: shape")):
+            other.load_state_dict(storage.load_checkpoint(path)[1])
 
     def test_bad_last_shape_rejected_before_any_write(self):
         m = tiny_model(seed=13)
@@ -467,22 +475,25 @@ class TestCheckpoint:
         state = m.state_dict()
         state.pop("gcn.layer0.W")
         path = tmp_path / "partial.ckpt"
-        storage.save_named_tensors(path, state)
-        with pytest.raises(ValueError, match="missing"):
-            m.load(path)
+        storage.save_checkpoint(path, {}, state)
+        with pytest.raises(ValueError, match=re.escape("missing ['gcn.layer0.W']")):
+            m.load_state_dict(storage.load_checkpoint(path)[1])
 
 
 class TestStorage:
-    @staticmethod
-    def small_checkpoint(path):
+    CONFIG = {"epochs": "3", "stage_channels": "4,8", "name": "café"}
+
+    @classmethod
+    def small_checkpoint(cls, path):
         tensors = {"scale": np.array(2.5), "w": np.arange(6.0).reshape(2, 3)}
-        storage.save_named_tensors(path, tensors)
+        storage.save_checkpoint(path, cls.CONFIG, tensors)
         return tensors
 
     def test_named_tensors_round_trip(self, tmp_path):
         path = tmp_path / "t.ckpt"
         tensors = self.small_checkpoint(path)
-        loaded = storage.load_named_tensors(path)
+        config, loaded = storage.load_checkpoint(path)
+        assert config == self.CONFIG and list(config) == list(self.CONFIG)
         assert list(loaded) == list(tensors)
         for name, arr in tensors.items():
             npt.assert_array_equal(loaded[name], arr)
@@ -496,7 +507,7 @@ class TestStorage:
         for size in range(len(blob)):
             cut.write_bytes(blob[:size])
             with pytest.raises(ValueError, match=str(cut)):
-                storage.load_named_tensors(cut)
+                storage.load_checkpoint(cut)
 
     def test_repeated_name_rejected(self, tmp_path):
         # the writer takes a dict, so a file with two tensors named "a" is built by hand
@@ -504,16 +515,42 @@ class TestStorage:
             return struct.pack("<H", 1) + b"a" + struct.pack("<Bd", 0, value)
 
         path = tmp_path / "t.ckpt"
-        path.write_bytes(b"KSNTCKPT" + struct.pack("<II", 1, 2) + scalar_a(1.0) + scalar_a(2.0))
+        path.write_bytes(v2_checkpoint(b"", struct.pack("<I", 2) + scalar_a(1.0) + scalar_a(2.0)))
         with pytest.raises(ValueError, match=f"{re.escape(str(path))}: repeated tensor name 'a'"):
-            storage.load_named_tensors(path)
+            storage.load_checkpoint(path)
 
     def test_trailing_byte_rejected(self, tmp_path):
         path = tmp_path / "t.ckpt"
         self.small_checkpoint(path)
-        path.write_bytes(path.read_bytes() + b"\x00")
-        with pytest.raises(ValueError, match="trailing"):
-            storage.load_named_tensors(path)
+        blob = path.read_bytes()
+        path.write_bytes(blob + b"\x00")  # the last four bytes are no longer the CRC
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: CRC mismatch"):
+            storage.load_checkpoint(path)
+        body = blob[:-4] + b"\x00"  # a byte after the last tensor, under a valid CRC
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: 1 trailing bytes"):
+            storage.load_checkpoint(path)
+
+    def test_every_byte_change_is_a_value_error_naming_the_file(self, tmp_path):
+        full = tmp_path / "full.ckpt"
+        self.small_checkpoint(full)
+        blob = full.read_bytes()
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(blob)
+        loaded = []
+        with open(bad, "r+b", buffering=0) as fh:  # rewrites one byte in place per case
+            for pos in range(len(blob)):
+                for value in range(256):
+                    fh.seek(pos)
+                    fh.write(bytes([value]))
+                    try:
+                        storage.load_checkpoint(bad)
+                        loaded.append((pos, value))
+                    except ValueError as exc:
+                        assert str(exc).startswith(f"{bad}: "), exc
+                fh.seek(pos)
+                fh.write(blob[pos:pos + 1])
+        assert loaded == [(pos, byte) for pos, byte in enumerate(blob)]
 
     def test_matrix_round_trip(self, tmp_path):
         rng = np.random.default_rng(8)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from kssnet import cli
+from kssnet import cli, storage
 from kssnet.model import TrainConfig
 
 _BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -29,7 +29,8 @@ def _same_array(a, b):
 def test_cli_config_builds_the_benchmark_run(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("epochs = 2\ndata_seed = 5\nseed = 7\n")
-    data, model, train_cfg = cli._load_toy_setup(cfg)
+    run_cfg = {**cli._CLI_DEFAULTS, **storage.load_config(cfg)}
+    data, model, train_cfg = cli._toy_setup(run_cfg, cfg)
     bench_data, adjacency = workloads.toy_setup(5)
     bench_model = workloads.toy_model(bench_data, adjacency, 7, (16, 32, 64, 128))
 

@@ -199,7 +199,7 @@ def _run_cli(d: Path) -> None:
         cfg.write_text(base + f"{graph}\nlc = false\nstop_at_train_map = 0\n")
         _cli("train-toy", "--config", cfg, "--checkpoint", d / f"{name}.ckpt",
              "--history", d / f"{name}.csv")
-    _cli("evaluate", "--checkpoint", d / "ks.ckpt", "--config", ks)
+    _cli("evaluate", "--checkpoint", d / "ks.ckpt")
 
     # ties within and across classes; the last class has no positives
     scores = np.array([[0.0, 2.0, 2.0, 1.0], [1.0, 2.0, 0.5, -1.0],
