@@ -17,23 +17,24 @@ deterministic.  Feature maps are channels-last, (B, H, W, C), the one
 layout of the convolution and the pooling: a copy of a window tap or a
 pooled slice then moves runs of C (or W*C) floats rather than rows W floats
 long, so its cost follows the bytes, not the row count.  Kernels stay
-(O, C, 3, 3).  The convolution is im2col followed by GEMM in sample blocks;
-its backward is one GEMM for the weight gradient and a GEMM followed by
-col2im for the input gradient, rebuilding the column matrix from the padded
-input it retains.  A map with fewer positions than the kernel has taps is
-instead one dense GEMM against a matrix of the taps (see :func:`conv2d`).
-The backbone's LeakyReLU runs inside the pooling pass, block by block, so
-its full-size activation is never made (see :func:`avg_pool2d`).  Every
-LeakyReLU slope lies in (0, 1]; another is rejected with ``ValueError``.
+(O, C, 3, 3).  The convolution's forward is one GEMM per block of
+samples, rows times a kernel matrix: the rows are the block's im2col
+windows, or, for a map with fewer positions than the kernel has taps, the
+block's flattened input against a dense matrix of the taps (see
+:func:`conv2d`).  The im2col backward is one GEMM for the weight gradient
+and a GEMM followed by col2im for the input gradient, rebuilding the column
+matrix from the padded input it retains.  The backbone's LeakyReLU runs
+inside the pooling pass, block by block, so its full-size activation is
+never made (see :func:`avg_pool2d`).  Every LeakyReLU slope lies in
+(0, 1]; another is rejected with ``ValueError``.
 
-The convolution and the pooling split their work across the process's
-workers (:mod:`kssnet.workers`), in shares of whole samples, of the conv
-forward's sample blocks, or of the dense forward GEMM's output columns; no
-sum is split.  A share makes the numpy calls the whole makes for its part,
-or, for the GEMM split by columns, calls that OpenBLAS computes column for
-column alike (see ``_COLUMN_GRAIN``), so outputs and gradients are bit for
-bit the same with any number of workers.  The convolution's backward and
-the other ops run on the calling thread only.
+The convolution's forward and the pooling split their work across the
+process's workers (:mod:`kssnet.workers`) by whole samples, and no sum is
+split.  The convolution deals out fixed blocks of samples whose size
+follows the shapes alone, one GEMM each; the pooling is elementwise per
+sample.  So outputs and gradients are bit for bit the same with any number
+of workers.  The convolution's backward and the other ops run on the
+calling thread only.
 """
 
 from __future__ import annotations
@@ -267,6 +268,10 @@ def tmean(a: Tensor) -> Tensor:
 _K = 3
 # Rows (samples x output positions) per im2col block of the conv forward.
 _CONV_BLOCK_ROWS = 1024
+# Samples per dense block of the conv forward: a 256-sample ``predict`` chunk is
+# two blocks, one per worker, and the toy trainer's 50-sample batch is one.  On
+# a 2-core host, the 256-sample chunk as one block made ``predict`` 1-2 ms slower.
+_DENSE_BLOCK_SAMPLES = 128
 
 
 def _windows(xp: np.ndarray) -> np.ndarray:
@@ -287,11 +292,18 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     that is not 3x3, a bias that is not (O,) or a channel count that
     differs from the kernel's raises ``ValueError``.  A map with at least 9
     positions is convolved as im2col then GEMM (:func:`_conv_im2col`); a
-    smaller one, such as the 2x2 last stage, as one dense GEMM
+    smaller one, such as the 2x2 last stage, as a dense GEMM
     (:func:`_conv_dense`), which needs (H*W)**2 * C * O multiply-adds
     against im2col's H*W * 9 * C * O.  The two sum the products in
     different orders, so they agree to rounding, not bit for bit.
     Gradients nobody needs (the input of the first layer) are not computed.
+
+    Either path gives a rows function, a kernel matrix and a block size.
+    The forward deals the batch out in blocks of that many whole samples,
+    a share of the blocks per worker (:func:`workers.run`), and writes each
+    block's ``rows(first, last) @ mat``, bias added, straight into its
+    slice of the output.  The block size follows the shapes alone, so each
+    GEMM, and every bit, is the same with any number of workers.
     """
     o, c, kh, kw = w.shape
     if (kh, kw) != (_K, _K):
@@ -300,9 +312,18 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"channel mismatch: input {x.shape[3]}, kernel {c}")
     if b.shape != (o,):
         raise ValueError(f"bias shape {b.shape} != ({o},)")
-    _, h, wd, _ = x.shape
+    bs, h, wd, _ = x.shape
     conv = _conv_dense if h * wd < _K * _K else _conv_im2col
-    out, input_grad, weight_grad = conv(x.data, w.data, b.data)
+    rows, mat, step, input_grad, weight_grad = conv(x.data, w.data)
+    out = np.empty((bs, h, wd, o), dtype=np.result_type(x.data, mat))
+
+    def forward(lo, hi):  # blocks lo to hi
+        for first in range(lo * step, min(hi * step, bs), step):
+            block = out[first:first + step]
+            np.matmul(rows(first, first + step), mat, out=block.reshape(-1, mat.shape[1]))
+            block += b.data
+
+    workers.run(forward, -(-bs // step))
 
     def backward(g):
         gx = input_grad(g) if x.requires_grad else None
@@ -312,20 +333,20 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _node(out, (x, w, b), backward)
 
 
-def _conv_im2col(x, w, bias):
-    """Forward of :func:`conv2d` as im2col then GEMM, and its two gradient functions.
+def _conv_im2col(x, w):
+    """The im2col path of :func:`conv2d`: forward rows, kernel matrix, block size, gradients.
 
-    The forward runs over blocks of whole samples holding at most
-    ``_CONV_BLOCK_ROWS`` output positions (at least one sample), a share of
-    the blocks per worker (:func:`workers.run`).  A share pads its samples
-    into the zeroed padded input, then writes each block's (rows, 9*C)
-    window matrix times ``w`` as (9*C, O), bias added, straight into its
-    slice of the preallocated output, so no transpose follows.  The blocks
-    are there for memory: unblocked, tall GEMMs such as the (65536 x 27) @
-    (27 x 16) stage 0 of a 256-image ``predict`` chunk made two-thread
-    OpenBLAS, as the program ran it before it had workers, touch about
-    18 MB more work buffer (+19% peak RSS on the toy trainer); in 1024-row
-    blocks it was about 1 MB, and the blocked forward no slower.
+    A block's rows are its (samples*H*W, 9*C) window matrix, and the kernel
+    matrix is ``w`` as (9*C, O), so the product lands in the output's
+    (B, H, W, O) order and no transpose follows.  The rows function pads
+    its samples into the zeroed padded input before it reads their windows.
+    A block holds at most ``_CONV_BLOCK_ROWS`` output positions (at least
+    one sample).  The blocks are there for memory: unblocked, tall GEMMs
+    such as the (65536 x 27) @ (27 x 16) stage 0 of a 256-image ``predict``
+    chunk made two-thread OpenBLAS, as the program ran it before it had
+    workers, touch about 18 MB more work buffer (+19% peak RSS on the toy
+    trainer); in 1024-row blocks it was about 1 MB, and the blocked forward
+    no slower.
 
     It retains the padded input, not the columns.  The weight gradient
     rebuilds them (one GEMM); the input gradient is one batched GEMM into
@@ -334,25 +355,18 @@ def _conv_im2col(x, w, bias):
     blocked, since backward runs on training minibatches only, nor split
     across the workers: at the toy trainer's 50 samples, toy epochs with the
     input gradient split (its tap GEMMs by taps, its col2im by samples)
-    were no faster, and the weight gradient's GEMM is too small for a
-    column split (``_COLUMN_SHARE_MACS``).
+    were no faster, and the weight gradients of stages 1 and 2 split by
+    columns took 1.27x and 1.08x the time.
     """
     bs, h, wd, c = x.shape
     o = w.shape[0]
     xp = np.zeros((bs, h + 2, wd + 2, c), dtype=x.dtype)
     wmat = w.transpose(2, 3, 1, 0).reshape(_K * _K * c, o)
     win = _windows(xp)
-    out = np.empty((bs, h, wd, o), dtype=np.result_type(xp, wmat))
-    step = max(1, _CONV_BLOCK_ROWS // (h * wd))
 
-    def forward(lo, hi):  # blocks lo to hi
-        xp[lo * step:hi * step, 1:-1, 1:-1] = x[lo * step:hi * step]
-        for first in range(lo * step, min(hi * step, bs), step):
-            block = out[first:first + step].reshape(-1, o)
-            np.matmul(win[first:first + step].reshape(-1, _K * _K * c), wmat, out=block)
-            block += bias
-
-    workers.run(forward, -(-bs // step))
+    def rows(first, last):
+        xp[first:last, 1:-1, 1:-1] = x[first:last]
+        return win[first:last].reshape(-1, _K * _K * c)
 
     def input_grad(g):
         taps = np.matmul(g.reshape(-1, o), wmat.reshape(_K * _K, c, o).transpose(0, 2, 1))
@@ -366,39 +380,22 @@ def _conv_im2col(x, w, bias):
         gmat = win.reshape(-1, _K * _K * c).T @ g.reshape(-1, o)
         return gmat.reshape(_K, _K, c, o).transpose(3, 2, 0, 1)
 
-    return out, input_grad, weight_grad
+    return rows, wmat, max(1, _CONV_BLOCK_ROWS // (h * wd)), input_grad, weight_grad
 
 
-# The dense forward GEMM is split by columns, and cut only where the whole and
-# every share take the same OpenBLAS kernel, one whose columns do not depend on
-# the others:
-# - on multiples of _COLUMN_GRAIN columns, where the kernel's column tiles end
-#   too (a cut elsewhere changed some float64 products' last bits);
-# - into shares of at least _COLUMN_SHARE_MACS multiply-adds, above the sizes
-#   that OpenBLAS computes with its small-matrix kernels (cut below them, a
-#   2 x 512 by 512 x 1024 product changed its last bits).
-# The share size also repays the thread handoff.  Float32, two workers against
-# one: column shares of 7.4M multiply-adds (the B = 50 conv weight gradients of
-# stages 1 and 2) took 1.27x and 1.08x the time, those of the 256-sample GEMMs
-# (67M and more a share) 0.6x to 0.7x.  The backward GEMMs run only at the toy
-# trainer's B = 50, where no share would reach the minimum, so they stay whole.
-_COLUMN_GRAIN = 16
-_COLUMN_SHARE_MACS = 2 ** 24
+def _conv_dense(x, w):
+    """The dense path of :func:`conv2d`: forward rows, kernel matrix, block size, gradients.
 
-
-def _conv_dense(x, w, bias):
-    """Forward of :func:`conv2d` as one dense GEMM, and its two gradient functions.
-
-    For maps with fewer than 9 positions.  ``x`` as a (B, H*W*C) matrix is
-    multiplied by the (H*W*C, H*W*O) matrix ``t`` that holds, at each
-    (input position, output position) pair within reach of each other, the
-    (C, O) kernel tap that joins them, and zeros elsewhere: no padding and
-    no window copy.  The input gradient is ``g @ t.T``; the weight gradient
-    folds the blocks of ``x.T @ g`` back onto their taps.  The forward GEMM
-    is split into shares of its output columns, one per worker, so no sum
-    is split (see ``_COLUMN_GRAIN``); the backward's two GEMMs are not.  A
-    zero of ``t`` times an infinite input is NaN, where im2col would add
-    nothing, so a non-finite input reaches outputs out of its reach.
+    For maps with fewer than 9 positions.  A block's rows are its samples
+    as a (samples, H*W*C) matrix, and the kernel matrix is the
+    (H*W*C, H*W*O) matrix ``t`` that holds, at each (input position, output
+    position) pair within reach of each other, the (C, O) kernel tap that
+    joins them, and zeros elsewhere: no padding and no window copy.  A
+    block holds ``_DENSE_BLOCK_SAMPLES`` samples.  The input gradient is
+    ``g @ t.T``; the weight gradient folds the blocks of ``x.T @ g`` back
+    onto their taps; neither is split.  A zero of ``t`` times an infinite
+    input is NaN, where im2col would add nothing, so a non-finite input
+    reaches outputs out of its reach.
     """
     bs, h, wd, c = x.shape
     o = w.shape[0]
@@ -411,17 +408,6 @@ def _conv_dense(x, w, bias):
         t[i, j, :, p, q] = taps[u, v]
     t = t.reshape(h * wd * c, h * wd * o)
     xmat = x.reshape(bs, h * wd * c)
-    n = h * wd * o
-    out = np.empty((bs, n), dtype=np.result_type(xmat, t))
-
-    def forward(lo, hi):  # column units lo to hi
-        cols = slice(lo * _COLUMN_GRAIN, min(hi * _COLUMN_GRAIN, n))
-        np.matmul(xmat, t[:, cols], out=out[:, cols])
-
-    min_share = -(-_COLUMN_SHARE_MACS // max(1, bs * h * wd * c * _COLUMN_GRAIN))
-    workers.run(forward, -(-n // _COLUMN_GRAIN), min_share)
-    out = out.reshape(bs, h, wd, o)
-    out += bias
 
     def input_grad(g):
         return (g.reshape(bs, -1) @ t.T).reshape(x.shape)
@@ -433,7 +419,7 @@ def _conv_dense(x, w, bias):
             gtaps[u, v] += full[i, j, :, p, q]
         return gtaps.transpose(3, 2, 0, 1)
 
-    return out, input_grad, weight_grad
+    return (lambda first, last: xmat[first:last]), t, _DENSE_BLOCK_SAMPLES, input_grad, weight_grad
 
 
 # Elements of x per block of ``avg_pool2d``: a block of x and the buffers

@@ -211,9 +211,10 @@ def _toy_setup(cfg: dict[str, str], path):
     out takes the library's default.  The graph is ``graph.build_ks_graph``'s
     (``lambda = 1``, ``lambda = 0``, ``eta = 0``: statistical only, knowledge
     only, identity).  An unknown key, a value that does not parse or a split
-    size below 1 fails at once; a value a constructor rejects, an image side
-    the backbone stages cannot halve, or images that overflow the model's
-    dtype fail during set-up.  Every error names ``path``, the file of ``cfg``.
+    size below 1 fails at once; a value a constructor rejects, a split with
+    no positive label, an image side the backbone stages cannot halve, or
+    images that overflow the model's dtype fail during set-up, before any
+    epoch runs.  Every error names ``path``, the file of ``cfg``.
     """
     unknown = set(cfg) - set(_TOY_KEYS)
     if unknown:
@@ -231,6 +232,11 @@ def _toy_setup(cfg: dict[str, str], path):
         gcfg = graph.GraphPipelineConfig(**parts["graph"])
         train_cfg = TrainConfig(**parts["train"])
         data = synthetic.make_dataset(**parts["data"])
+        for name, key, split in (("training", "n_train", data.train),
+                                 ("validation", "n_val", data.val)):
+            if not split.y.any():
+                raise ValueError(f"the {name} split ({key} = {len(split.y)}) has no positive "
+                                 "label, so its mAP is undefined")
         _, adjacency = graph.build_ks_graph(data.annotations, data.knowledge_edges, gcfg)
         model = KssModel(adjacency, data.n_labels, data.train.e0.shape[1], **parts["model"])
         side, n_stages = data.train.x.shape[-1], len(model.stage_channels)
@@ -289,6 +295,12 @@ def _parse_decision(spec: str):
         value = int(arg) if kind == "top_k" else float(arg)
     except ValueError:
         raise CliError(f"--decision: bad argument in {spec!r}") from None
+    if kind == "sigmoid":
+        _in_unit(value, "--decision sigmoid:T")
+    elif kind == "score" and not np.isfinite(value):
+        raise CliError(f"--decision score:T must be finite, got {value}")
+    elif kind == "top_k" and value < 0:
+        raise CliError(f"--decision top_k:K must be >= 0, got {value}")
     return (kind, value)
 
 

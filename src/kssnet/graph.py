@@ -140,7 +140,9 @@ def normalize(a: np.ndarray) -> np.ndarray:
 
     Degrees are row sums.  Zero-degree nodes map to zero rows and columns
     (D_ii^{-1/2} is defined as 0 there); they regain a self-connection later
-    through identity mixing.
+    through identity mixing.  On a directed graph such as the statistical
+    one, where row i holds P(j|i), a label with no out-edge has degree 0, so
+    every edge into it is zeroed too, not only the edges of isolated labels.
     """
     a = check_adjacency(a)
     deg = a.sum(axis=1)

@@ -14,11 +14,14 @@ its core for a while after each GEMM.
 runs the same function on each: the caller runs the first share, and the
 pool threads take the others from one shared job queue.  The kernels that
 use it (the backbone's convolution and pooling in :mod:`kssnet.autodiff`,
-the Adam step in :mod:`kssnet.model`) split their work so that their
-results are bit for bit the same with any number of workers.  A pool
-thread that has idled for a few milliseconds takes 0.05 to 0.2 ms to start
-its share, so a kernel split after other work gains less than one timed
-back to back.
+the Adam step in :mod:`kssnet.model`) split no sum, and a share computes
+each of its outputs as the whole would.  The convolution deals out fixed
+blocks of whole samples, one GEMM each, whose size follows the shapes
+alone; the pooling splits by whole samples and Adam by ranges of its flat
+buffer, both elementwise.  So their results are bit for bit the same with
+any number of workers.  A pool thread that has idled for a few
+milliseconds takes 0.05 to 0.2 ms to start its share, so a kernel split
+after other work gains less than one timed back to back.
 
 A run broken off by an exception, such as a ``KeyboardInterrupt`` in the
 caller, leaves no pool state behind: the shares it queued finish on their

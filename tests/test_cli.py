@@ -303,9 +303,24 @@ class TestEvaluate:
             assert ("error: evaluate: --scores/--targets cannot be combined with --checkpoint"
                     in captured.err)
 
-    def test_bad_decision_flag(self, tmp_path):
-        assert run(["evaluate", "--scores", "x", "--targets", "y",
-                    "--decision", "argmax"]) == 1
+    def test_bad_decision_flag(self, tmp_path, capsys):
+        targets = np.array([[1, 0], [0, 1]], dtype=float)
+        storage.save_matrix_text(targets, tmp_path / "s.txt")
+        storage.save_matrix_text(targets, tmp_path / "t.txt")
+        for spec, message in [
+            ("argmax", "--decision must be sigmoid:T, score:T, or top_k:K, got 'argmax'"),
+            ("sigmoid:1.5", "--decision sigmoid:T must lie in [0, 1], got 1.5"),
+            ("sigmoid:-0.2", "--decision sigmoid:T must lie in [0, 1], got -0.2"),
+            ("sigmoid:nan", "--decision sigmoid:T must lie in [0, 1], got nan"),
+            ("score:nan", "--decision score:T must be finite, got nan"),
+            ("score:-inf", "--decision score:T must be finite, got -inf"),
+            ("top_k:-1", "--decision top_k:K must be >= 0, got -1"),
+        ]:
+            assert run(["evaluate", "--scores", str(tmp_path / "s.txt"),
+                        "--targets", str(tmp_path / "t.txt"), "--decision", spec]) == 1, spec
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"error: {message}\n" in captured.err
 
 
 class TestTrainAndEvaluate:
@@ -487,6 +502,25 @@ class TestTrainAndEvaluate:
                     *flags]) == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("sizes, split", [
+        ("n_train = 1\nn_val = 4\ndata_seed = 42\n", "training split (n_train = 1)"),
+        ("n_train = 4\nn_val = 1\ndata_seed = 2\n", "validation split (n_val = 1)"),
+    ], ids=["train", "val"])
+    def test_split_without_positive_label_fails_at_set_up(self, tmp_path, capsys, sizes,
+                                                          split):
+        text = sizes + "epochs = 1\nembed_dim = 4\nstage_channels = 2,2,4,4\n"
+        cfg, ckpt, hist = tmp_path / "c.cfg", tmp_path / "m.ckpt", tmp_path / "h.csv"
+        cfg.write_text(text)
+        assert run(["train-toy", "--config", str(cfg), "--checkpoint", str(ckpt),
+                    "--history", str(hist)]) == 1
+        message = f"the {split} has no positive label, so its mAP is undefined\n"
+        assert f"error: {cfg}: {message}" in capsys.readouterr().err
+        assert not hist.exists() and not ckpt.exists()
+        # evaluate rebuilds the same splits from the config a checkpoint stores
+        ckpt.write_bytes(v2_checkpoint(text.encode(), struct.pack("<I", 0)))
+        assert run(["evaluate", "--checkpoint", str(ckpt)]) == 1
+        assert f"error: {ckpt}: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("extra, message", [
         ("lr = 1e30", "non-finite scores after epoch 1"),

@@ -2,9 +2,10 @@
 
 The worker count is forced by patching ``workers._size``; for two, the job
 queue ``workers._jobs`` becomes one that a pool thread serves.  Shapes are those
-of the toy trainer (B = 50), of ``wide-infer`` (B = 256) and a batch smaller
-than the worker count.  The thread budget itself is read from OpenBLAS when
-a process first splits a kernel, so it is tested in fresh subprocesses.
+of the toy trainer (B = 50), of the last chunk of its ``train_map`` pass
+(B = 208), of ``wide-infer`` (B = 256) and a batch smaller than the worker
+count.  The thread budget itself is read from OpenBLAS when a process first
+splits a kernel, so it is tested in fresh subprocesses.
 """
 
 import json
@@ -26,10 +27,11 @@ from kssnet import model, workers
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# (B, widths of the four stages): the toy trainer, wide-infer, one sample, and
-# three samples, which two workers split unevenly.
+# (B, widths of the four stages): the toy trainer, wide-infer, one sample,
+# three samples, which two workers split unevenly, and the toy's 208-sample
+# train_map chunk, whose 2x2 stage is dense blocks of 128 and 80 samples.
 BACKBONES = [(50, (16, 32, 64, 128)), (256, (32, 64, 128, 256)), (1, (16, 32, 64, 128)),
-             (3, (16, 32, 64, 128))]
+             (3, (16, 32, 64, 128)), (208, (16, 32, 64, 128))]
 
 
 # The job queue of the one pool thread beside the caller when two workers are forced.
@@ -58,7 +60,8 @@ def _stage(x, w, b, slope, g):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("batch,widths", BACKBONES, ids=["toy", "wide", "one", "three"])
+@pytest.mark.parametrize("batch,widths", BACKBONES,
+                         ids=["toy", "wide", "one", "three", "toy_chunk"])
 def test_backbone_stages_give_the_same_bits_with_one_or_two_workers(
         batch, widths, dtype, monkeypatch):
     rng = np.random.default_rng(batch)
@@ -75,6 +78,26 @@ def test_backbone_stages_give_the_same_bits_with_one_or_two_workers(
             assert a.dtype == dtype
             assert np.array_equal(a, c), f"{name} differs at {x.shape} -> {c_out}"
         side, c_in = side // 2, c_out
+
+
+@pytest.mark.parametrize("batch,blocks", [(256, 2), (208, 2), (129, 2), (128, 1), (50, 1)])
+def test_the_2x2_forward_is_dealt_out_in_blocks_of_128_samples(batch, blocks, n_workers,
+                                                                monkeypatch):
+    # With two workers each of two blocks is one worker's, so the bit test
+    # above covers a real split of the dense GEMM at 256 and 208 samples.
+    run, calls = workers.run, []
+
+    def spy(share, n, min_share=1):
+        spans = []
+        run(lambda lo, hi: (spans.append((lo, hi)), share(lo, hi)), n, min_share)
+        calls.append((n, sorted(spans)))
+
+    monkeypatch.setattr(workers, "run", spy)
+    x = np.ones((batch, 2, 2, 128), np.float32)
+    w, b = np.ones((256, 128, 3, 3), np.float32), np.zeros(256, np.float32)
+    ad.conv2d(ad.Tensor(x), ad.Tensor(w), ad.Tensor(b))
+    shares = [(k, k + 1) for k in range(blocks)] if n_workers == 2 else [(0, blocks)]
+    assert calls == [(blocks, shares)]
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
