@@ -48,13 +48,20 @@ _lock = threading.Lock()
 
 
 def _serve(jobs) -> None:
-    """A pool thread: run each share taken from ``jobs``, then release its ticket."""
+    """A pool thread: run each share taken from ``jobs``, then release its ticket.
+
+    It drops the share before the release, so the arrays the share holds
+    are freed by the caller when :func:`run` and its caller let them go,
+    not by this thread when it takes the next job, at a moment that
+    depends on thread timing.
+    """
     while True:
         context, share, lo, hi, ticket = jobs.get()
         try:
             context.run(share, lo, hi)
         except BaseException as exc:  # run() re-raises it once every share has finished
             ticket[1] = exc
+        del context, share
         ticket[0].release()
 
 

@@ -17,6 +17,7 @@ import sys
 import threading
 import time
 import types
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -195,6 +196,18 @@ def test_shares_cover_the_range_at_most_one_apart(n_workers):
         assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
         assert len(ranges) == max(1, min(n_workers, n // min_share))
         assert max(hi - lo for lo, hi in ranges) - min(hi - lo for lo, hi in ranges) <= 1
+
+
+def test_the_pool_thread_lets_go_of_its_share_before_the_run_returns(monkeypatch):
+    # The share's array dies where the caller drops it, not when the pool
+    # thread takes its next job, at a moment that thread timing sets.
+    _with_workers(monkeypatch, 2)
+    block = np.zeros(8)
+    gone = weakref.ref(block)
+    sizes = []
+    workers.run(lambda lo, hi, block=block: sizes.append(block[lo:hi].size), 2)
+    del block
+    assert sizes == [1, 1] and gone() is None
 
 
 def test_callers_in_several_threads_take_turns(monkeypatch):
