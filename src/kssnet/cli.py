@@ -8,10 +8,17 @@ Exit codes: 0 on success, 1 on validation errors (bad flags, bad files) and
 on a diverged ``train-toy`` run, 2 on unexpected runtime failures.
 
 OPENBLAS_NUM_THREADS sets how many cores a run uses (by default, one per
-core).  The model's convolution, pooling and optimizer step split their work
-across that many threads, and from their first call OpenBLAS runs on one
-thread, so its own threads do not compete with them.  Commands that run no
-model leave OpenBLAS its threads.
+core).  The model's convolution, pooling and optimizer step, and the label
+kernels behind ``build-graph`` and ``evaluate`` (co-occurrence counts,
+per-class AP and decisions), split their work across that many threads, and
+from the first split OpenBLAS runs on one thread, so its own threads do not
+compete with them.  A label kernel whose input is one block (at most 8192
+annotated samples, 8 labels for AP, 4096 score rows for decisions) runs
+unsplit, so a command that runs no model and splits nothing leaves OpenBLAS
+its threads.
+
+A split or target matrix with a label that has no positive is noted once
+on stderr, since its mAP leaves that label out.
 """
 
 from __future__ import annotations
@@ -203,6 +210,17 @@ _TOY_KEYS = {
 _CLI_DEFAULTS = {"dtype": "float32"}
 
 
+def _note_unscored_labels(subject: str, targets) -> None:
+    """Say once on stderr how many labels ``targets`` has no positive for, if some.
+
+    ``metrics.map_score`` leaves those labels out of the mean.
+    """
+    missing = int(np.count_nonzero(~np.any(targets == 1, axis=0)))
+    if 0 < missing < targets.shape[1]:
+        print(f"{subject} has no positive for {missing} of {targets.shape[1]} labels; "
+              "its mAP leaves them out", file=sys.stderr)
+
+
 def _toy_setup(cfg: dict[str, str], path):
     """Rebuild dataset, graph, and model deterministically from a run config.
 
@@ -214,7 +232,8 @@ def _toy_setup(cfg: dict[str, str], path):
     size below 1 fails at once; a value a constructor rejects, a split with
     no positive label, an image side the backbone stages cannot halve, or
     images that overflow the model's dtype fail during set-up, before any
-    epoch runs.  Every error names ``path``, the file of ``cfg``.
+    epoch runs.  Every error names ``path``, the file of ``cfg``, and so
+    does the note on stderr for a split with a label that has no positive.
     """
     unknown = set(cfg) - set(_TOY_KEYS)
     if unknown:
@@ -237,6 +256,7 @@ def _toy_setup(cfg: dict[str, str], path):
             if not split.y.any():
                 raise ValueError(f"the {name} split ({key} = {len(split.y)}) has no positive "
                                  "label, so its mAP is undefined")
+            _note_unscored_labels(f"{path}: the {name} split ({key} = {len(split.y)})", split.y)
         _, adjacency = graph.build_ks_graph(data.annotations, data.knowledge_edges, gcfg)
         model = KssModel(adjacency, data.n_labels, data.train.e0.shape[1], **parts["model"])
         side, n_stages = data.train.x.shape[-1], len(model.stage_channels)
@@ -332,6 +352,7 @@ def _cmd_evaluate(args) -> int:
                            f"vs targets {targets.shape} in {args.targets}")
         if not np.all((targets == 0) | (targets == 1)):
             raise CliError(f"{args.targets}: entries must be 0 or 1")
+        _note_unscored_labels(f"{args.targets}: the target matrix", targets)
     map_value = metrics.map_score(scores, targets)
     prf = metrics.prf_suite(scores, targets, decision)
     print(metrics.format_metric_table(map_value, prf))

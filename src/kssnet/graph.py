@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import workers
 from .ingest import AnnotationSet, KnowledgeEdgeList
 
 # Rows of the 0/1 indicator block behind each co-occurrence GEMM.  The block
@@ -84,23 +85,40 @@ def cooccurrence_counts(ann: AnnotationSet):
     sample-by-label indicator ``Y`` holds the pair counts off its diagonal
     and the label counts on it.  It is summed in float64 over blocks of at
     most ``_COOC_BLOCK_ROWS`` samples, each scattered straight from the
-    annotation set's CSR arrays into one reused float32 buffer, so the
-    product runs in BLAS and ``Y`` is never in memory whole.  Every partial
-    sum of a block's float32 product is an integer of at most
-    ``_COOC_BLOCK_ROWS`` < 2**24, and every partial sum of the float64 total
-    one far below 2**53, so the result is exact.
+    annotation set's CSR arrays into a reused float32 buffer, so the
+    product runs in BLAS and ``Y`` is never in memory whole.  The blocks
+    are dealt out across the workers (:mod:`kssnet.workers`): each share
+    fills its own float32 buffer and sums its blocks into its own float64
+    (n, n) partial, both allocated by the caller, and the caller adds the
+    partials in share order.  Every partial sum of a block's float32
+    product is an integer of at most ``_COOC_BLOCK_ROWS`` < 2**24, and every
+    partial sum in float64 one far below 2**53, so the result is exact and
+    the same with any worker count.
+
+    An input of more than one block builds the worker pool, which sets
+    OpenBLAS to one thread for the rest of the process, so a label-only run
+    such as the benchmark's ``coco-labels`` now runs its GEMMs on one BLAS
+    thread each.  That costs nothing here: on the 82k x 80 ``coco-labels``
+    annotations (2 cores), the unsplit counts took a median 11.7 ms back to
+    back at two OpenBLAS threads and 10.7 ms at one, and 6.0 ms split.
     """
     n = ann.n_labels
-    m = np.zeros((n, n))
-    block = np.empty((min(_COOC_BLOCK_ROWS, len(ann)), n), dtype=np.float32)
-    for lo in range(0, len(ann), _COOC_BLOCK_ROWS):
-        bounds = ann.indptr[lo:lo + _COOC_BLOCK_ROWS + 1]
-        y = block[:bounds.size - 1]
-        y.fill(0.0)
-        rows = np.repeat(np.arange(y.shape[0]), np.diff(bounds))
-        y[rows, ann.indices[bounds[0]:bounds[-1]]] = 1.0
-        m += y.T @ y
-    m = m.astype(np.int64)
+
+    def share(first, last, buffers):  # blocks first to last
+        block, partial = buffers
+        for lo in range(first * _COOC_BLOCK_ROWS, min(last * _COOC_BLOCK_ROWS, len(ann)),
+                        _COOC_BLOCK_ROWS):
+            bounds = ann.indptr[lo:lo + _COOC_BLOCK_ROWS + 1]
+            y = block[:bounds.size - 1]
+            y.fill(0.0)
+            rows = np.repeat(np.arange(y.shape[0]), np.diff(bounds))
+            y[rows, ann.indices[bounds[0]:bounds[-1]]] = 1.0
+            partial += y.T @ y
+
+    partials = workers._deal(share, -(-len(ann) // _COOC_BLOCK_ROWS),
+                             lambda: (np.empty((min(_COOC_BLOCK_ROWS, len(ann)), n),
+                                               dtype=np.float32), np.zeros((n, n))))
+    m = sum(partial for _, partial in partials).astype(np.int64)
     counts = np.diag(m).copy()
     np.fill_diagonal(m, 0)
     return m, counts

@@ -18,6 +18,13 @@ of ``_AP_TILE_ROWS`` rows: a tile's source rows stay in cache while every
 column of the block is read from them, where one whole-column pass would
 fetch each cache line once per column.
 
+``per_class_ap`` deals its blocks of 8 columns out across the process's
+workers (:mod:`kssnet.workers`), each worker with its own block buffers, and
+``decide`` deals out its blocks of ``_DECIDE_BLOCK_ROWS`` rows.  Each
+class's AP and each row's decision is computed whole by one worker, so the
+results are bit for bit the same with any worker count.  A matrix of one
+block, such as the toy model's 8 labels, runs whole on the caller.
+
 Per-class (CP/CR/CF1) and overall (OP/OR/OF1) statistics follow the
 convention of computing CF1/OF1 from the averaged precision and recall, not
 from per-class F1 scores.  Their decisions cost what the output needs: the
@@ -30,12 +37,12 @@ rule; ``decide`` gives the argument.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
+from . import workers
 
 # Rows per block of ``decide``, to keep its temporaries small.
 _DECIDE_BLOCK_ROWS = 4096
@@ -109,41 +116,48 @@ def per_class_ap(scores: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Per-class AP column by column; classes without positives get NaN.
 
     Shapes, finite scores and 0/1 targets are checked once for the matrix.
-    Columns are taken ``_AP_BLOCK_COLS`` at a time into one reused row-major
+    Columns are taken ``_AP_BLOCK_COLS`` at a time into a reused row-major
     buffer, filled in tiles of ``_AP_TILE_ROWS`` rows so that each tile's
-    cache lines are read once for all the block's columns.  The buffer is
-    a block's size, not the matrix's: a transposed copy of the whole matrix
-    would add its full size to the peak memory.
+    cache lines are read once for all the block's columns.  Each worker
+    has one buffer of a block's size, not the matrix's: a transposed copy
+    of the whole matrix would add its full size to the peak memory.
     """
     scores, targets = _checked(scores, targets)
     if not np.all(np.isfinite(scores)):
         raise ValueError("scores must be finite")
     n, n_classes = scores.shape
     aps = np.full(n_classes, np.nan)
-    score_buf = np.empty((_AP_BLOCK_COLS, n), dtype=np.float64)
-    target_buf = np.empty((_AP_BLOCK_COLS, n), dtype=targets.dtype)
-    for lo in range(0, n_classes, _AP_BLOCK_COLS):
-        cols = slice(lo, lo + _AP_BLOCK_COLS)
-        width = min(_AP_BLOCK_COLS, n_classes - lo)
-        score_rows, target_rows = score_buf[:width], target_buf[:width]
-        for r in range(0, n, _AP_TILE_ROWS):
-            rows = slice(r, r + _AP_TILE_ROWS)
-            score_rows[:, rows] = scores[rows, cols].T
-            target_rows[:, rows] = targets[rows, cols].T
-        for j, (s, t) in enumerate(zip(score_rows, target_rows)):
-            if np.any(t == 1):
-                aps[lo + j] = _average_precision(s, t)
+
+    def share(first, last, buffers):  # blocks first to last
+        score_buf, target_buf = buffers
+        for lo in range(first * _AP_BLOCK_COLS, min(last * _AP_BLOCK_COLS, n_classes),
+                        _AP_BLOCK_COLS):
+            cols = slice(lo, lo + _AP_BLOCK_COLS)
+            width = min(_AP_BLOCK_COLS, n_classes - lo)
+            score_rows, target_rows = score_buf[:width], target_buf[:width]
+            for r in range(0, n, _AP_TILE_ROWS):
+                rows = slice(r, r + _AP_TILE_ROWS)
+                score_rows[:, rows] = scores[rows, cols].T
+                target_rows[:, rows] = targets[rows, cols].T
+            for j, (s, t) in enumerate(zip(score_rows, target_rows)):
+                if np.any(t == 1):
+                    aps[lo + j] = _average_precision(s, t)
+
+    workers._deal(share, -(-n_classes // _AP_BLOCK_COLS),
+                  lambda: (np.empty((_AP_BLOCK_COLS, n), dtype=np.float64),
+                           np.empty((_AP_BLOCK_COLS, n), dtype=targets.dtype)))
     return aps
 
 
 def map_score(scores: np.ndarray, targets: np.ndarray) -> float:
-    """Unweighted mean of per-class AP; positive-free classes are excluded."""
+    """Unweighted mean of per-class AP; positive-free classes are excluded.
+
+    The exclusion is silent: a caller that wants it known says so, as the
+    command line does.
+    """
     aps = per_class_ap(scores, targets)
-    excluded = int(np.sum(np.isnan(aps)))
-    if excluded == aps.size:
+    if np.all(np.isnan(aps)):
         raise ValueError("every class lacks positive targets; mAP is undefined")
-    if excluded:
-        warnings.warn(f"{excluded} class(es) without positives excluded from mAP")
     included = aps[~np.isnan(aps)]
     return math.fsum(included) / included.size
 
@@ -157,6 +171,8 @@ def decide(scores: np.ndarray, decision=("sigmoid", 0.5)) -> np.ndarray:
 
     Every rule runs over blocks of ``_DECIDE_BLOCK_ROWS`` rows written into
     the bool result, so no other array is the size of the score matrix.
+    The blocks are dealt out across the workers; a row's decision never
+    depends on another row.
 
     The sigmoid rule is decided on the scores, not on their sigmoid.  With
     ``z = log(t) - log1p(-t)`` and ``delta = 1e-6 * max(1, |z|)`` it
@@ -220,9 +236,14 @@ def decide(scores: np.ndarray, decision=("sigmoid", 0.5)) -> np.ndarray:
     else:
         raise ValueError(f"unknown decision rule {kind!r}")
     pred = np.empty(scores.shape, dtype=bool)
-    for r in range(0, scores.shape[0], _DECIDE_BLOCK_ROWS):
-        rows = slice(r, r + _DECIDE_BLOCK_ROWS)
-        rule(scores[rows], pred[rows])
+
+    def share(first, last, _):  # blocks first to last
+        for r in range(first * _DECIDE_BLOCK_ROWS, min(last * _DECIDE_BLOCK_ROWS, len(scores)),
+                       _DECIDE_BLOCK_ROWS):
+            rows = slice(r, r + _DECIDE_BLOCK_ROWS)
+            rule(scores[rows], pred[rows])
+
+    workers._deal(share, -(-len(scores) // _DECIDE_BLOCK_ROWS))
     return pred
 
 

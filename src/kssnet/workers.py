@@ -3,25 +3,39 @@
 numpy's bundled OpenBLAS starts with a thread budget (``OPENBLAS_NUM_THREADS``,
 else one thread per core), but it can only spend it inside a GEMM, and the
 backbone's copies, adds and elementwise passes run on one core beside it.
-The first call of :func:`run` reads that budget, sets OpenBLAS to one
-thread for the rest of the process and keeps one worker per thread of the
-budget: the calling thread and ``budget - 1`` pool threads.  A process
+The first call of :func:`run`, or of a label kernel of more than one block,
+reads that budget, sets OpenBLAS to one thread for the rest of the process
+and keeps one worker per thread of the budget: the calling thread and
+``budget - 1`` pool threads.  A process
 without numpy's bundled OpenBLAS has one worker, the caller.  OpenBLAS is
 set once, not per call, because an idle OpenBLAS thread keeps spinning on
 its core for a while after each GEMM.
 
 :func:`run` splits an index range into one contiguous share per worker and
 runs the same function on each: the caller runs the first share, and the
-pool threads take the others from one shared job queue.  The kernels that
-use it (the backbone's convolution and pooling in :mod:`kssnet.autodiff`,
-the Adam step in :mod:`kssnet.model`) split no sum, and a share computes
-each of its outputs as the whole would.  The convolution deals out fixed
-blocks of whole samples, one GEMM each, whose size follows the shapes
-alone; the pooling splits by whole samples and Adam by ranges of its flat
-buffer, both elementwise.  So their results are bit for bit the same with
-any number of workers.  A pool thread that has idled for a few
-milliseconds takes 0.05 to 0.2 ms to start its share, so a kernel split
-after other work gains less than one timed back to back.
+pool threads take the others from one shared job queue.  Its users keep
+three rules, so their results are bit for bit the same with any number of
+workers:
+
+- A share computes each of its outputs as the whole would.  The backbone's
+  convolution (:mod:`kssnet.autodiff`) deals out fixed blocks of whole
+  samples, one GEMM each, whose size follows the shapes alone; its pooling
+  splits by whole samples and the Adam step (:mod:`kssnet.model`) by
+  ranges of its flat buffer, both elementwise.  The label kernels of
+  :mod:`kssnet.metrics` deal out their blocks, 8 classes for per-class AP
+  and 4096 score rows for decisions, and each class's AP and each row's
+  decision is computed as in one pass.
+- No sum is split, except under the third rule.
+- A sum of exact integers may be split, because its partials add to the
+  same bits in any order.  :func:`kssnet.graph.cooccurrence_counts` deals
+  out its blocks of annotated samples, sums each share's integer counts in
+  a float64 partial and adds the partials, every one far below 2**53.
+
+The label kernels run through ``_deal``, which gives each share buffers
+made on the calling thread and runs an input of one block whole on the
+caller.  A pool thread that has idled for a few milliseconds takes 0.05 to
+0.2 ms to start its share, so a kernel split after other work gains less
+than one timed back to back.
 
 A run broken off by an exception, such as a ``KeyboardInterrupt`` in the
 caller, leaves no pool state behind: the shares it queued finish on their
@@ -41,7 +55,7 @@ import numpy as np
 
 # The pool threads' one job queue: (context, share, lo, hi, ticket) per pool share.
 _jobs = queue.SimpleQueue()
-# The workers, the caller included; 0 until the first run() reads the budget.
+# The workers, the caller included; 0 until _workers() first reads the budget.
 _size = 0
 # Held by run() while its shares run, so callers in two threads take turns.
 _lock = threading.Lock()
@@ -83,19 +97,26 @@ def _openblas():
     raise LookupError(f"no bundled OpenBLAS in {libs}")
 
 
-def _build() -> None:
-    """Read the BLAS thread budget, set OpenBLAS to one thread and start the pool threads."""
+def _workers() -> int:
+    """The number of workers, the caller included.  Call it holding ``_lock``.
+
+    The first call reads the BLAS thread budget, sets OpenBLAS to one
+    thread and starts the pool threads.
+    """
     global _size
+    if _size:
+        return _size
     try:
         get, set_threads = _openblas()
     except LookupError:
         _size = 1
-        return
+        return _size
     budget = get()
     set_threads(1)
     for _ in range(budget - 1):
         threading.Thread(target=_serve, args=(_jobs,), name="kssnet-worker", daemon=True).start()
     _size = budget
+    return _size
 
 
 def run(share, n: int, min_share: int = 1) -> None:
@@ -118,10 +139,7 @@ def run(share, n: int, min_share: int = 1) -> None:
     waits for, and the next run's shares queue behind them.
     """
     with _lock:
-        if not _size:
-            _build()
-        count = max(1, min(_size, n // min_share))
-        cuts = [n * k // count for k in range(count + 1)]
+        cuts = _cuts(n, max(1, min(_workers(), n // min_share)))
         tickets = []
         try:
             for lo, hi in zip(cuts[1:-1], cuts[2:]):
@@ -136,3 +154,31 @@ def run(share, n: int, min_share: int = 1) -> None:
         for _, error in tickets:
             if error is not None:
                 raise error
+
+
+def _cuts(n: int, count: int) -> list[int]:
+    """The bounds of ``count`` contiguous ranges that cover ``range(n)``, at most one apart."""
+    return [n * k // count for k in range(count + 1)]
+
+
+def _deal(share, n: int, scratch=lambda: None) -> list:
+    """Run ``share(lo, hi, buffers)`` on the ranges :func:`run` makes; return the buffers.
+
+    Each range gets its own ``buffers``, one result of ``scratch()``, and
+    all of them are made on the calling thread before any share starts: a
+    pool thread that allocated them would take them from its own heap
+    arena and raise the process's peak memory.  They come back in range
+    order.  A range of one item or none runs whole on the caller without
+    the pool, so a label kernel of one block neither waits for a handoff
+    nor, in a process that has split nothing yet, sets OpenBLAS to one
+    thread.
+    """
+    if n < 2:
+        buffers = [scratch()]
+        share(0, n, buffers[0])
+        return buffers
+    with _lock:
+        count = min(_workers(), n)
+    slots = {lo: scratch() for lo in _cuts(n, count)[:-1]}
+    run(lambda lo, hi: share(lo, hi, slots[lo]), n)
+    return list(slots.values())

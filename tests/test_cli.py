@@ -216,6 +216,19 @@ class TestEvaluate:
         row = capsys.readouterr().out.splitlines()[1].split()
         assert row == ["100.0"] * 7
 
+    def test_labels_without_positives_are_noted_naming_the_targets_file(self, tmp_path,
+                                                                         capsys):
+        # map_score leaves them out; the note goes to stderr, the table to stdout
+        targets = np.array([[1, 0, 0], [0, 0, 1], [1, 0, 0]], dtype=float)
+        storage.save_matrix_text(np.where(targets == 1, 9.0, -9.0), tmp_path / "s.txt")
+        storage.save_matrix_text(targets, tmp_path / "t.txt")
+        assert run(["evaluate", "--scores", str(tmp_path / "s.txt"),
+                    "--targets", str(tmp_path / "t.txt")]) == 0
+        out, err = capsys.readouterr()
+        assert err == (f"{tmp_path / 't.txt'}: the target matrix has no positive for 1 of 3 "
+                       "labels; its mAP leaves them out\n")
+        assert out.splitlines()[1].split()[0] == "100.0"
+
     def _matrix_error(self, tmp_path, capsys, scores, targets) -> str:
         storage.save_matrix_text(np.array(scores), tmp_path / "s.txt")
         storage.save_matrix_text(np.array(targets), tmp_path / "t.txt")
@@ -502,6 +515,21 @@ class TestTrainAndEvaluate:
                     *flags]) == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "m.ckpt").exists()
+
+    def test_splits_with_labels_without_positives_are_noted_once(self, tmp_path, capsys):
+        # data_seed 0 leaves one label out of the 4 training samples and four
+        # out of the validation sample; two epochs still note each split once
+        text = ("n_train = 4\nn_val = 1\ndata_seed = 0\nepochs = 2\nembed_dim = 4\n"
+                "stage_channels = 2,2,4,4\n")
+        cfg, ckpt = train(tmp_path, text)
+        assert len((tmp_path / "m.csv").read_text().splitlines()) == 3  # header, two epochs
+        notes = ["the training split (n_train = 4) has no positive for 1 of 8 labels; "
+                 "its mAP leaves them out",
+                 "the validation split (n_val = 1) has no positive for 4 of 8 labels; "
+                 "its mAP leaves them out"]
+        assert capsys.readouterr().err.splitlines() == [f"{cfg}: {note}" for note in notes]
+        assert run(["evaluate", "--checkpoint", str(ckpt)]) == 0
+        assert capsys.readouterr().err.splitlines() == [f"{ckpt}: {note}" for note in notes]
 
     @pytest.mark.parametrize("sizes, split", [
         ("n_train = 1\nn_val = 4\ndata_seed = 42\n", "training split (n_train = 1)"),

@@ -212,7 +212,6 @@ def _run_cli(d: Path) -> None:
              "--decision", decision)
 
 
-@pytest.mark.filterwarnings("ignore:.* without positives excluded from mAP")
 def test_the_program_runs_every_line_it_has(tmp_path, capsys, monkeypatch):
     try:
         get_threads, set_threads = workers._openblas()

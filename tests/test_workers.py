@@ -1,14 +1,18 @@
 """The worker pool: split kernels give the same bits with one worker as with two.
 
 The worker count is forced by patching ``workers._size``; for two, the job
-queue ``workers._jobs`` becomes one that a pool thread serves.  Shapes are those
-of the toy trainer (B = 50), of the last chunk of its ``train_map`` pass
-(B = 208), of ``wide-infer`` (B = 256) and a batch smaller than the worker
-count.  The thread budget itself is read from OpenBLAS when a process first
+queue ``workers._jobs`` becomes one that a pool thread serves.  Backbone
+shapes are those of the toy trainer (B = 50), of the last chunk of its
+``train_map`` pass (B = 208), of ``wide-infer`` (B = 256) and a batch smaller
+than the worker count.  The label kernels (per-class AP, decisions,
+co-occurrence counts) run on shapes whose blocks two workers split unevenly,
+with the block sizes patched small where the real ones would need large
+inputs.  The thread budget itself is read from OpenBLAS when a process first
 splits a kernel, so it is tested in fresh subprocesses.
 """
 
 import json
+import math
 import os
 import queue
 import signal
@@ -24,7 +28,10 @@ import numpy as np
 import pytest
 
 import kssnet.autodiff as ad
-from kssnet import model, workers
+from kssnet import graph, metrics, model, workers
+
+import oracles
+from test_ingest import annotation_set
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -81,11 +88,8 @@ def test_backbone_stages_give_the_same_bits_with_one_or_two_workers(
         side, c_in = side // 2, c_out
 
 
-@pytest.mark.parametrize("batch,blocks", [(256, 2), (208, 2), (129, 2), (128, 1), (50, 1)])
-def test_the_2x2_forward_is_dealt_out_in_blocks_of_128_samples(batch, blocks, n_workers,
-                                                                monkeypatch):
-    # With two workers each of two blocks is one worker's, so the bit test
-    # above covers a real split of the dense GEMM at 256 and 208 samples.
+def _spy_on_run(monkeypatch):
+    """Record ``(n, sorted share ranges)`` of every ``workers.run`` call."""
     run, calls = workers.run, []
 
     def spy(share, n, min_share=1):
@@ -94,11 +98,111 @@ def test_the_2x2_forward_is_dealt_out_in_blocks_of_128_samples(batch, blocks, n_
         calls.append((n, sorted(spans)))
 
     monkeypatch.setattr(workers, "run", spy)
+    return calls
+
+
+@pytest.mark.parametrize("batch,blocks", [(256, 2), (208, 2), (129, 2), (128, 1), (50, 1)])
+def test_the_2x2_forward_is_dealt_out_in_blocks_of_128_samples(batch, blocks, n_workers,
+                                                                monkeypatch):
+    # With two workers each of two blocks is one worker's, so the bit test
+    # above covers a real split of the dense GEMM at 256 and 208 samples.
+    calls = _spy_on_run(monkeypatch)
     x = np.ones((batch, 2, 2, 128), np.float32)
     w, b = np.ones((256, 128, 3, 3), np.float32), np.zeros(256, np.float32)
     ad.conv2d(ad.Tensor(x), ad.Tensor(w), ad.Tensor(b))
     shares = [(k, k + 1) for k in range(blocks)] if n_workers == 2 else [(0, blocks)]
     assert calls == [(blocks, shares)]
+
+
+def _label_case(rows, n_labels, seed=0):
+    """Scores on a grid of 0.1, so scores and positives tie, and 0/1 targets.
+
+    Class 3 has no positive.  A few scores of each column sit inside the
+    logit band of the sigmoid rule at t = 0.3, where ``decide`` evaluates
+    the sigmoid.
+    """
+    rng = np.random.default_rng(seed)
+    scores = np.round(rng.normal(size=(rows, n_labels)), 1)
+    z = math.log(0.3) - math.log1p(-0.3)
+    band = [z, np.nextafter(z, -np.inf), np.nextafter(z, np.inf), z - 5e-7, z + 5e-7]
+    scores[rng.integers(0, rows, 5 * n_labels), np.repeat(np.arange(n_labels), 5)] = \
+        np.tile(band, n_labels)
+    targets = (rng.random((rows, n_labels)) < 0.3).astype(np.int8)
+    targets[:, 3] = 0
+    return scores, targets
+
+
+DECISIONS = [("sigmoid", 0.5), ("sigmoid", 0.3), ("score", 0.1), ("top_k", 3), ("top_k", 7)]
+
+
+def test_label_metrics_give_the_same_bits_with_one_or_two_workers(monkeypatch):
+    # 37 classes are 5 blocks of 8 and 301 rows 19 blocks of 16: two
+    # workers take 2 and 3, and 9 and 10
+    monkeypatch.setattr(metrics, "_DECIDE_BLOCK_ROWS", 16)
+    scores, targets = _label_case(301, 37)
+    kth = np.sort(scores, axis=1)[:, -3, None]
+    assert np.any(np.count_nonzero(scores >= kth, axis=1) > 3)  # top_k rows tied at the k-th
+    z = math.log(0.3) - math.log1p(-0.3)
+    assert np.count_nonzero(abs(scores - z) <= 1e-6) >= 37  # scores inside the sigmoid band
+
+    def label_pass():
+        out = [metrics.per_class_ap(scores, targets), metrics.map_score(scores, targets)]
+        for rule in DECISIONS:
+            out += [metrics.decide(scores, rule), metrics.prf_suite(scores, targets, rule)]
+        return out
+
+    one, two = (_with_workers(monkeypatch, n, label_pass) for n in (1, 2))
+    assert np.isnan(one[0][3]) and np.isnan(two[0][3])
+    assert np.array_equal(one[0], two[0], equal_nan=True)
+    for a, c in zip(one[1:], two[1:]):
+        if isinstance(a, np.ndarray):
+            assert np.array_equal(a, c)
+        else:
+            assert repr(a) == repr(c)  # floats and PrfResults, bit for bit
+
+
+def test_cooccurrence_counts_give_the_same_bits_with_one_or_two_workers(monkeypatch):
+    # 53 samples are 11 blocks of 5, which two workers take as 5 and 6
+    monkeypatch.setattr(graph, "_COOC_BLOCK_ROWS", 5)
+    samples = oracles.random_annotation_samples(np.random.default_rng(2), 7, 53)
+    ann = annotation_set(7, samples)
+    one, two = (_with_workers(monkeypatch, n, lambda: graph.cooccurrence_counts(ann))
+                for n in (1, 2))
+    m_ref, counts_ref = oracles.cooccurrence_oracle(samples, 7)
+    for m, counts in (one, two):
+        assert m.dtype == counts.dtype == np.int64
+        assert np.array_equal(m, m_ref) and np.array_equal(counts, counts_ref)
+
+
+def _label_kernel(kernel, size):
+    if kernel == "map_score":  # size classes of 20 samples
+        scores, targets = _label_case(20, size)
+        targets[0] = 1
+        return lambda: metrics.map_score(scores, targets)
+    if kernel == "decide":  # size rows of 4 classes
+        scores = np.random.default_rng(1).normal(size=(size, 4))
+        return lambda: metrics.decide(scores, ("top_k", 2))
+    ann = annotation_set(3, [(f"s{i}", frozenset({i % 3})) for i in range(size)])
+    return lambda: graph.cooccurrence_counts(ann)
+
+
+@pytest.mark.parametrize("kernel,size,blocks", [
+    ("map_score", 80, 10), ("map_score", 9, 2), ("map_score", 8, 1),
+    ("decide", 2 * 4096 + 1, 3), ("decide", 4096, 1),
+    ("cooccurrence_counts", 2 * 8192 + 1, 3), ("cooccurrence_counts", 8192, 1),
+])
+def test_label_kernels_deal_out_whole_blocks_and_keep_one_on_the_caller(
+        kernel, size, blocks, n_workers, monkeypatch):
+    # Blocks of 8 classes, 4096 score rows and 8192 samples.  One block, such
+    # as the toy model's 8 labels in its per-epoch mAP, is no handoff at all.
+    calls = _spy_on_run(monkeypatch)
+    _label_kernel(kernel, size)()
+    if blocks == 1:
+        assert calls == []
+    else:
+        half = blocks // 2
+        shares = [(0, half), (half, blocks)] if n_workers == 2 else [(0, blocks)]
+        assert calls == [(blocks, shares)]
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
@@ -314,4 +418,21 @@ def test_the_budget_is_the_blas_thread_count_and_spends_no_more():
 
 def test_a_label_only_pass_leaves_blas_its_threads():
     assert _in_subprocess(_LABEL_SCRIPT, 2) == {"blas": 2, "pool": True}
+
+
+_SPLIT_LABEL_SCRIPT = """
+import json, threading
+import numpy as np
+from kssnet import metrics, workers
+
+before = threading.active_count()
+rng = np.random.default_rng(0)
+metrics.per_class_ap(rng.normal(size=(50, 9)), rng.random((50, 9)) < 0.5)
+print(json.dumps({"blas": workers._openblas()[0](), "workers": workers._size,
+                  "threads": threading.active_count() - before}))
+"""
+
+
+def test_a_label_pass_of_two_blocks_builds_the_pool():
+    assert _in_subprocess(_SPLIT_LABEL_SCRIPT, 2) == {"blas": 1, "workers": 2, "threads": 1}
 
