@@ -435,4 +435,3 @@ print(json.dumps({"blas": workers._openblas()[0](), "workers": workers._size,
 
 def test_a_label_pass_of_two_blocks_builds_the_pool():
     assert _in_subprocess(_SPLIT_LABEL_SCRIPT, 2) == {"blas": 1, "workers": 2, "threads": 1}
-
