@@ -12,10 +12,9 @@ core).  The model's convolution, pooling and optimizer step, and the label
 kernels behind ``build-graph`` and ``evaluate`` (co-occurrence counts,
 per-class AP and decisions), split their work across that many threads, and
 from the first split OpenBLAS runs on one thread, so its own threads do not
-compete with them.  A label kernel whose input is one block (at most 8192
-annotated samples, 8 labels for AP, 4096 score rows for decisions) runs
-unsplit, so a command that runs no model and splits nothing leaves OpenBLAS
-its threads.
+compete with them.  A kernel too small to split runs on the caller and
+builds no pool (see :mod:`kssnet.workers`), so a command that splits
+nothing leaves OpenBLAS its threads.
 
 A split or target matrix with a label that has no positive is noted once
 on stderr, since its mAP leaves that label out.
@@ -352,6 +351,9 @@ def _cmd_evaluate(args) -> int:
                            f"vs targets {targets.shape} in {args.targets}")
         if not np.all((targets == 0) | (targets == 1)):
             raise CliError(f"{args.targets}: entries must be 0 or 1")
+        if not targets.any():
+            raise CliError(f"{args.targets}: the target matrix has no positive label, "
+                           "so its mAP is undefined")
         _note_unscored_labels(f"{args.targets}: the target matrix", targets)
     map_value = metrics.map_score(scores, targets)
     prf = metrics.prf_suite(scores, targets, decision)

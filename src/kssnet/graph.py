@@ -60,13 +60,15 @@ class GraphPipelineConfig:
 
 
 def check_adjacency(a: np.ndarray, name: str = "adjacency") -> np.ndarray:
-    """Return ``a`` as float64 if it is square, finite and non-negative; else raise.
+    """Return ``a`` as float64 if it is square, non-empty, finite and non-negative; else raise.
 
     ``name`` (for a loaded file, its path) leads every error message.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
+    if not a.size:
+        raise ValueError(f"{name} is empty")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} has non-finite entries")
     if np.any(a < 0):
@@ -115,9 +117,9 @@ def cooccurrence_counts(ann: AnnotationSet):
             y[rows, ann.indices[bounds[0]:bounds[-1]]] = 1.0
             partial += y.T @ y
 
-    partials = workers._deal(share, -(-len(ann) // _COOC_BLOCK_ROWS),
-                             lambda: (np.empty((min(_COOC_BLOCK_ROWS, len(ann)), n),
-                                               dtype=np.float32), np.zeros((n, n))))
+    partials = workers.run(share, -(-len(ann) // _COOC_BLOCK_ROWS),
+                           scratch=lambda: (np.empty((min(_COOC_BLOCK_ROWS, len(ann)), n),
+                                                     dtype=np.float32), np.zeros((n, n))))
     m = sum(partial for _, partial in partials).astype(np.int64)
     counts = np.diag(m).copy()
     np.fill_diagonal(m, 0)

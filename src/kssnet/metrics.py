@@ -143,9 +143,9 @@ def per_class_ap(scores: np.ndarray, targets: np.ndarray) -> np.ndarray:
                 if np.any(t == 1):
                     aps[lo + j] = _average_precision(s, t)
 
-    workers._deal(share, -(-n_classes // _AP_BLOCK_COLS),
-                  lambda: (np.empty((_AP_BLOCK_COLS, n), dtype=np.float64),
-                           np.empty((_AP_BLOCK_COLS, n), dtype=targets.dtype)))
+    workers.run(share, -(-n_classes // _AP_BLOCK_COLS),
+                scratch=lambda: (np.empty((_AP_BLOCK_COLS, n), dtype=np.float64),
+                                 np.empty((_AP_BLOCK_COLS, n), dtype=targets.dtype)))
     return aps
 
 
@@ -243,7 +243,7 @@ def decide(scores: np.ndarray, decision=("sigmoid", 0.5)) -> np.ndarray:
             rows = slice(r, r + _DECIDE_BLOCK_ROWS)
             rule(scores[rows], pred[rows])
 
-    workers._deal(share, -(-len(scores) // _DECIDE_BLOCK_ROWS))
+    workers.run(share, -(-len(scores) // _DECIDE_BLOCK_ROWS))
     return pred
 
 

@@ -349,7 +349,7 @@ class Adam:
         for p, g in zip(self._params, self._grads):
             np.copyto(g, p.grad)
 
-        def share(lo, hi):
+        def share(lo, hi, _):
             m, v, tmp, data = self._m[lo:hi], self._v[lo:hi], self._tmp[lo:hi], self._data[lo:hi]
             g = update = self._update[lo:hi]  # update overwrites g once g is no longer read
             np.multiply(g, 1.0 - _BETA1, out=tmp)

@@ -3,13 +3,12 @@
 numpy's bundled OpenBLAS starts with a thread budget (``OPENBLAS_NUM_THREADS``,
 else one thread per core), but it can only spend it inside a GEMM, and the
 backbone's copies, adds and elementwise passes run on one core beside it.
-The first call of :func:`run`, or of a label kernel of more than one block,
-reads that budget, sets OpenBLAS to one thread for the rest of the process
-and keeps one worker per thread of the budget: the calling thread and
-``budget - 1`` pool threads.  A process
-without numpy's bundled OpenBLAS has one worker, the caller.  OpenBLAS is
-set once, not per call, because an idle OpenBLAS thread keeps spinning on
-its core for a while after each GEMM.
+The first call of :func:`run` that splits its range reads that budget,
+sets OpenBLAS to one thread for the rest of the process and keeps one
+worker per thread of the budget: the calling thread and ``budget - 1``
+pool threads.  A process without numpy's bundled OpenBLAS has one worker,
+the caller.  OpenBLAS is set once, not per call, because an idle OpenBLAS
+thread keeps spinning on its core for a while after each GEMM.
 
 :func:`run` splits an index range into one contiguous share per worker and
 runs the same function on each: the caller runs the first share, and the
@@ -31,11 +30,9 @@ workers:
   out its blocks of annotated samples, sums each share's integer counts in
   a float64 partial and adds the partials, every one far below 2**53.
 
-The label kernels run through ``_deal``, which gives each share buffers
-made on the calling thread and runs an input of one block whole on the
-caller.  A pool thread that has idled for a few milliseconds takes 0.05 to
-0.2 ms to start its share, so a kernel split after other work gains less
-than one timed back to back.
+A pool thread that has idled for a few milliseconds takes 0.05 to 0.2 ms
+to start its share, so a kernel split after other work gains less than
+one timed back to back.
 
 A run broken off by an exception, such as a ``KeyboardInterrupt`` in the
 caller, leaves no pool state behind: the shares it queued finish on their
@@ -53,7 +50,7 @@ from pathlib import Path
 import numpy as np
 
 
-# The pool threads' one job queue: (context, share, lo, hi, ticket) per pool share.
+# The pool threads' one job queue: (context, share, lo, hi, buffers, ticket) per pool share.
 _jobs = queue.SimpleQueue()
 # The workers, the caller included; 0 until _workers() first reads the budget.
 _size = 0
@@ -64,18 +61,18 @@ _lock = threading.Lock()
 def _serve(jobs) -> None:
     """A pool thread: run each share taken from ``jobs``, then release its ticket.
 
-    It drops the share before the release, so the arrays the share holds
-    are freed by the caller when :func:`run` and its caller let them go,
-    not by this thread when it takes the next job, at a moment that
-    depends on thread timing.
+    It drops the share and its buffers before the release, so the arrays
+    they hold are freed by the caller when :func:`run` and its caller let
+    them go, not by this thread when it takes the next job, at a moment
+    that depends on thread timing.
     """
     while True:
-        context, share, lo, hi, ticket = jobs.get()
+        context, share, lo, hi, buffers, ticket = jobs.get()
         try:
-            context.run(share, lo, hi)
+            context.run(share, lo, hi, buffers)
         except BaseException as exc:  # run() re-raises it once every share has finished
             ticket[1] = exc
-        del context, share
+        del context, share, buffers
         ticket[0].release()
 
 
@@ -119,12 +116,21 @@ def _workers() -> int:
     return _size
 
 
-def run(share, n: int, min_share: int = 1) -> None:
-    """Call ``share(lo, hi)`` on contiguous ranges that cover ``range(n)``, one per worker.
+def run(share, n: int, min_share: int = 1, scratch=lambda: None) -> list:
+    """Call ``share(lo, hi, buffers)`` on ranges that cover ``range(n)``; return the buffers.
 
-    There are as many ranges as workers, but no more than ``n //
-    min_share`` and at least one, so a kernel too small to repay a thread
-    handoff runs whole on the caller.  Their lengths differ by at most one.
+    The ranges are contiguous, as many as workers, but no more than ``n //
+    min_share``, so a kernel too small to repay a thread handoff runs
+    whole on the caller.  Their lengths differ by at most one.  A run
+    that cannot make two ranges neither builds the pool nor, in a process
+    that has split nothing yet, sets OpenBLAS to one thread.
+
+    Each range gets its own ``buffers``, one result of ``scratch()``, and
+    all of them are made on the calling thread before any share starts: a
+    pool thread that allocated them would take them from its own heap
+    arena and raise the process's peak memory.  They come back in range
+    order.
+
     The caller queues every range but the first, each with a ticket (a
     held lock and a slot for its exception) that the pool thread running
     it releases, and runs the first itself.  A pool share runs in a copy
@@ -138,47 +144,26 @@ def run(share, n: int, min_share: int = 1) -> None:
     running: they finish on their threads and release tickets that nobody
     waits for, and the next run's shares queue behind them.
     """
+    if n // min_share < 2:
+        buffers = [scratch()]
+        share(0, n, buffers[0])
+        return buffers
     with _lock:
-        cuts = _cuts(n, max(1, min(_workers(), n // min_share)))
+        count = min(_workers(), n // min_share)
+        cuts = [n * k // count for k in range(count + 1)]
+        buffers = [scratch() for _ in range(count)]
         tickets = []
         try:
-            for lo, hi in zip(cuts[1:-1], cuts[2:]):
+            for lo, hi, own in zip(cuts[1:-1], cuts[2:], buffers[1:]):
                 ticket = [threading.Lock(), None]
                 ticket[0].acquire()
-                _jobs.put((contextvars.copy_context(), share, lo, hi, ticket))
+                _jobs.put((contextvars.copy_context(), share, lo, hi, own, ticket))
                 tickets.append(ticket)
-            share(cuts[0], cuts[1])
+            share(cuts[0], cuts[1], buffers[0])
         finally:
             for done, _ in tickets:
                 done.acquire()
         for _, error in tickets:
             if error is not None:
                 raise error
-
-
-def _cuts(n: int, count: int) -> list[int]:
-    """The bounds of ``count`` contiguous ranges that cover ``range(n)``, at most one apart."""
-    return [n * k // count for k in range(count + 1)]
-
-
-def _deal(share, n: int, scratch=lambda: None) -> list:
-    """Run ``share(lo, hi, buffers)`` on the ranges :func:`run` makes; return the buffers.
-
-    Each range gets its own ``buffers``, one result of ``scratch()``, and
-    all of them are made on the calling thread before any share starts: a
-    pool thread that allocated them would take them from its own heap
-    arena and raise the process's peak memory.  They come back in range
-    order.  A range of one item or none runs whole on the caller without
-    the pool, so a label kernel of one block neither waits for a handoff
-    nor, in a process that has split nothing yet, sets OpenBLAS to one
-    thread.
-    """
-    if n < 2:
-        buffers = [scratch()]
-        share(0, n, buffers[0])
-        return buffers
-    with _lock:
-        count = min(_workers(), n)
-    slots = {lo: scratch() for lo in _cuts(n, count)[:-1]}
-    run(lambda lo, hi: share(lo, hi, slots[lo]), n)
-    return list(slots.values())
+    return buffers

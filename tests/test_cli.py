@@ -147,6 +147,7 @@ class TestInspect:
         "2 2\n1 -1\n0 1\n",  # negative weight
         "2 2\n1 nan\n0 1\n",  # not finite
         "2 2\n1 x\n0 1\n",  # not a number
+        "0 0\n",  # empty
     ])
     def test_invalid_text_adjacency_names_file(self, tmp_path, capsys, text):
         path = tmp_path / "a.txt"
@@ -249,6 +250,11 @@ class TestEvaluate:
     def test_non_binary_targets_name_the_targets_file(self, tmp_path, capsys):
         err = self._matrix_error(tmp_path, capsys, [[0.0, 1.0]], [[0.3, 1.0]])
         assert f"{tmp_path / 't.txt'}: entries must be 0 or 1" in err
+
+    def test_targets_without_any_positive_name_the_targets_file(self, tmp_path, capsys):
+        err = self._matrix_error(tmp_path, capsys, [[0.0, 1.0], [2.0, 3.0]], np.zeros((2, 2)))
+        assert err == (f"error: {tmp_path / 't.txt'}: the target matrix has no positive label, "
+                       "so its mAP is undefined\n")
 
     def test_missing_checkpoint_rejected(self, tmp_path, capsys):
         assert run(["evaluate", "--checkpoint", str(tmp_path / "none.ckpt")]) == 1

@@ -89,16 +89,27 @@ def test_backbone_stages_give_the_same_bits_with_one_or_two_workers(
 
 
 def _spy_on_run(monkeypatch):
-    """Record ``(n, sorted share ranges)`` of every ``workers.run`` call."""
-    run, calls = workers.run, []
+    """Record ``(n, sorted share ranges)`` of every ``workers.run`` call.
 
-    def spy(share, n, min_share=1):
+    The ranges that a pool thread ran are recorded too, in a second list.
+    """
+    run, calls, handed_off, caller = workers.run, [], [], threading.get_ident()
+
+    def spy(share, n, min_share=1, scratch=lambda: None):
         spans = []
-        run(lambda lo, hi: (spans.append((lo, hi)), share(lo, hi)), n, min_share)
+
+        def recorded(lo, hi, buffers):
+            spans.append((lo, hi))
+            if threading.get_ident() != caller:
+                handed_off.append((lo, hi))
+            share(lo, hi, buffers)
+
+        buffers = run(recorded, n, min_share, scratch)
         calls.append((n, sorted(spans)))
+        return buffers
 
     monkeypatch.setattr(workers, "run", spy)
-    return calls
+    return calls, handed_off
 
 
 @pytest.mark.parametrize("batch,blocks", [(256, 2), (208, 2), (129, 2), (128, 1), (50, 1)])
@@ -106,7 +117,7 @@ def test_the_2x2_forward_is_dealt_out_in_blocks_of_128_samples(batch, blocks, n_
                                                                 monkeypatch):
     # With two workers each of two blocks is one worker's, so the bit test
     # above covers a real split of the dense GEMM at 256 and 208 samples.
-    calls = _spy_on_run(monkeypatch)
+    calls, _ = _spy_on_run(monkeypatch)
     x = np.ones((batch, 2, 2, 128), np.float32)
     w, b = np.ones((256, 128, 3, 3), np.float32), np.zeros(256, np.float32)
     ad.conv2d(ad.Tensor(x), ad.Tensor(w), ad.Tensor(b))
@@ -195,10 +206,10 @@ def test_label_kernels_deal_out_whole_blocks_and_keep_one_on_the_caller(
         kernel, size, blocks, n_workers, monkeypatch):
     # Blocks of 8 classes, 4096 score rows and 8192 samples.  One block, such
     # as the toy model's 8 labels in its per-epoch mAP, is no handoff at all.
-    calls = _spy_on_run(monkeypatch)
+    calls, handed_off = _spy_on_run(monkeypatch)
     _label_kernel(kernel, size)()
     if blocks == 1:
-        assert calls == []
+        assert calls == [(1, [(0, 1)])] and handed_off == []
     else:
         half = blocks // 2
         shares = [(0, half), (half, blocks)] if n_workers == 2 else [(0, blocks)]
@@ -228,7 +239,7 @@ def test_a_share_that_raises_reaches_the_caller_after_every_share(raising, monke
     _with_workers(monkeypatch, 2)
     finished = []
 
-    def share(lo, hi):
+    def share(lo, hi, _):
         if lo == raising:
             raise KeyError(lo)
         time.sleep(0.05)
@@ -249,7 +260,7 @@ def test_an_interrupted_wait_lets_the_share_finish_before_the_next_run(monkeypat
     _with_workers(monkeypatch, 2)
     finished = threading.Event()
 
-    def share(lo, hi):
+    def share(lo, hi, _):
         if lo:
             time.sleep(0.05)  # the caller is waiting by now
             signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
@@ -267,7 +278,7 @@ def test_an_interrupted_wait_lets_the_share_finish_before_the_next_run(monkeypat
         signal.signal(signal.SIGINT, previous)
     assert not finished.is_set()
     spans = []
-    workers.run(lambda lo, hi: (time.sleep(0.05 * lo), spans.append((lo, hi))), 2)
+    workers.run(lambda lo, hi, _: (time.sleep(0.05 * lo), spans.append((lo, hi))), 2)
     assert finished.is_set()  # the next run's share queued behind the stale one
     assert sorted(spans) == [(0, 1), (1, 2)]  # and was waited for
 
@@ -285,16 +296,16 @@ def test_an_interrupted_queueing_leaves_the_pool_serving(monkeypatch):
     _with_workers(monkeypatch, 3)
     monkeypatch.setattr(workers, "_jobs", types.SimpleNamespace(put=put))
     with pytest.raises(_Interrupt):
-        workers.run(lambda lo, hi: (time.sleep(0.05), done.append(lo)), 3)
+        workers.run(lambda lo, hi, _: (time.sleep(0.05), done.append(lo)), 3)
     assert done == [1]
-    workers.run(lambda lo, hi: spans.append((lo, hi)), 3)
+    workers.run(lambda lo, hi, _: spans.append((lo, hi)), 3)
     assert sorted(spans) == [(0, 1), (1, 2), (2, 3)]
 
 
 def test_shares_cover_the_range_at_most_one_apart(n_workers):
     for n, min_share in [(0, 1), (1, 1), (7, 1), (50, 16), (50, 32), (5, 2)]:
         ranges = []
-        workers.run(lambda lo, hi: ranges.append((lo, hi)), n, min_share)
+        workers.run(lambda lo, hi, _: ranges.append((lo, hi)), n, min_share)
         ranges.sort()
         assert ranges[0][0] == 0 and ranges[-1][1] == n
         assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
@@ -302,16 +313,41 @@ def test_shares_cover_the_range_at_most_one_apart(n_workers):
         assert max(hi - lo for lo, hi in ranges) - min(hi - lo for lo, hi in ranges) <= 1
 
 
+@pytest.mark.parametrize("n,min_share", [(7, 1), (7, 4), (1, 1)])
+def test_scratch_runs_on_the_caller_once_per_range_before_any_share(n, min_share, n_workers):
+    # Each buffer is a list that records the ranges it was given; 7 items in
+    # shares of at least 4, or 1 item, make one range even with two workers.
+    events, caller = [], threading.get_ident()
+
+    def scratch():
+        events.append(("scratch", threading.get_ident() == caller))
+        return []
+
+    def share(lo, hi, own):
+        events.append(("share", lo))
+        own.append((lo, hi))
+
+    buffers = workers.run(share, n, min_share, scratch)
+    count = max(1, min(n_workers, n // min_share))
+    cuts = [n * k // count for k in range(count + 1)]
+    assert buffers == [[(lo, hi)] for lo, hi in zip(cuts, cuts[1:])]
+    assert events[:count] == [("scratch", True)] * count
+    assert sorted(events[count:]) == [("share", lo) for lo in cuts[:-1]]
+
+
 def test_the_pool_thread_lets_go_of_its_share_before_the_run_returns(monkeypatch):
-    # The share's array dies where the caller drops it, not when the pool
-    # thread takes its next job, at a moment that thread timing sets.
+    # The share's array and its buffers die where the caller drops them, not
+    # when the pool thread takes its next job, at a moment that thread timing sets.
     _with_workers(monkeypatch, 2)
     block = np.zeros(8)
     gone = weakref.ref(block)
     sizes = []
-    workers.run(lambda lo, hi, block=block: sizes.append(block[lo:hi].size), 2)
-    del block
+    buffers = workers.run(lambda lo, hi, own, block=block: sizes.append(block[lo:hi].size), 2,
+                          scratch=lambda: np.zeros(1))
+    buffers_gone = [weakref.ref(own) for own in buffers]
+    del block, buffers
     assert sizes == [1, 1] and gone() is None
+    assert [ref() for ref in buffers_gone] == [None, None]
 
 
 def test_callers_in_several_threads_take_turns(monkeypatch):
@@ -323,7 +359,7 @@ def test_callers_in_several_threads_take_turns(monkeypatch):
     def caller(key):
         for n in range(1, 40):
             spans = covered.setdefault((key, n), [])
-            workers.run(lambda lo, hi: spans.extend(range(lo, hi)), n)
+            workers.run(lambda lo, hi, _: spans.extend(range(lo, hi)), n)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -418,6 +454,22 @@ def test_the_budget_is_the_blas_thread_count_and_spends_no_more():
 
 def test_a_label_only_pass_leaves_blas_its_threads():
     assert _in_subprocess(_LABEL_SCRIPT, 2) == {"blas": 2, "pool": True}
+
+
+_GRADCHECK_SCRIPT = """
+import json
+from kssnet import checks, workers
+
+errors = checks.run_standard_checks(0)
+print(json.dumps({"errors": [f"{err:.3e}" for err in errors.values()],
+                  "blas": workers._openblas()[0](), "pool": workers._size == 0}))
+"""
+
+
+def test_a_model_too_small_to_split_leaves_blas_its_threads():
+    # gradcheck's model: two 8x8 images, so no kernel makes two ranges
+    assert _in_subprocess(_GRADCHECK_SCRIPT, 2) == {
+        "errors": ["1.647e-10", "4.108e-08", "9.050e-11"], "blas": 2, "pool": True}
 
 
 _SPLIT_LABEL_SCRIPT = """
