@@ -25,8 +25,7 @@ block's flattened input against a dense matrix of the taps (see
 and a GEMM followed by col2im for the input gradient, rebuilding the column
 matrix from the padded input it retains.  The backbone's LeakyReLU runs
 inside the pooling pass, block by block, so its full-size activation is
-never made (see :func:`avg_pool2d`).  Every LeakyReLU slope lies in
-(0, 1]; another is rejected with ``ValueError``.
+never made (see :func:`avg_pool2d`).
 
 The convolution's forward and the pooling split their work across the
 process's workers (:mod:`kssnet.workers`) by whole samples, and no sum is
@@ -173,32 +172,27 @@ def swap_last(a: Tensor) -> Tensor:
     return _node(np.swapaxes(a.data, -1, -2), (a,), backward)
 
 
-def _leaky_relu_into(x: np.ndarray, slope: float, out: np.ndarray) -> np.ndarray:
-    """Write ``np.where(x >= 0, x, slope * x)`` into ``out``, bit for bit.
+def _leaky_relu_into(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write ``np.where(x >= 0, x, _SLOPE * x)`` into ``out``, bit for bit.
 
-    ``slope`` must lie in (0, 1], else ``ValueError``.  Such a slope keeps
-    the sign of ``x``, zeros included, and does not grow it, so the result
-    is the larger of ``x`` and ``slope * x``.
+    ``_SLOPE`` lies in (0, 1], so it keeps the sign of ``x``, zeros
+    included, and does not grow it: the result is the larger of ``x`` and
+    ``_SLOPE * x``.
     """
-    if not 0 < slope <= 1:
-        raise ValueError(f"LeakyReLU slope must lie in (0, 1], got {slope}")
-    np.multiply(x, slope, out=out)
+    np.multiply(x, _SLOPE, out=out)
     return np.maximum(x, out, out=out)
 
 
-def _leaky_relu_slopes(x: np.ndarray, slope: float, dtype, out=None) -> np.ndarray:
-    """The derivative of ``leaky_relu`` at ``x``, 1 or ``slope``, in ``dtype``.
+def _leaky_relu_slopes(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the derivative of ``leaky_relu`` at ``x``, 1 or ``_SLOPE``, into ``out``.
 
-    Built in the bits of ``dtype``, so float32 gradients stay float32: the
-    ``x >= 0`` mask is written as 0 or 1 into the same-width integer view
-    of the result, which becomes ``mask * (bits(1) - bits(slope)) +
-    bits(slope)``, the bits of 1 or of ``slope``.  A slope in (0, 1] has
-    bits no greater than those of 1, so nothing overflows.  ``out`` is an
-    optional buffer of x's shape for the result.
+    Built in the bits of out's dtype, so float32 gradients stay float32:
+    the ``x >= 0`` mask is written as 0 or 1 into the same-width integer
+    view of ``out``, which becomes ``mask * (bits(1) - bits(_SLOPE)) +
+    bits(_SLOPE)``, the bits of 1 or of ``_SLOPE``.  A slope in (0, 1] has
+    bits no greater than those of 1, so nothing overflows.
     """
-    bits = np.array([slope, 1], dtype=dtype).view(f"i{np.dtype(dtype).itemsize}")
-    if out is None:
-        out = np.empty(x.shape, dtype=dtype)
+    bits = np.array([_SLOPE, 1], dtype=out.dtype).view(f"i{out.itemsize}")
     ints = out.view(bits.dtype)
     np.greater_equal(x, 0, out=ints)
     ints *= bits[1] - bits[0]
@@ -206,21 +200,21 @@ def _leaky_relu_slopes(x: np.ndarray, slope: float, dtype, out=None) -> np.ndarr
     return out
 
 
-def leaky_relu(a: Tensor, slope: float) -> Tensor:
-    """``x`` where ``x >= 0``, else ``slope * x``, for a ``slope`` in (0, 1].
+def leaky_relu(a: Tensor) -> Tensor:
+    """``x`` where ``x >= 0``, else ``_SLOPE * x``.
 
-    Bit for bit ``np.where(x >= 0, x, slope * x)``, signed zeros,
+    Bit for bit ``np.where(x >= 0, x, _SLOPE * x)``, signed zeros,
     infinities and NaNs included, written into one array (see
     :func:`_leaky_relu_into`).  Backward builds the ``x >= 0`` mask from
     the retained input, so a forward that is never differentiated builds
-    none, and multiplies ``g`` by ``slope`` or 1.  The backbone applies the
-    activation inside :func:`avg_pool2d`; this op serves the GCN.
+    none, and multiplies ``g`` by ``_SLOPE`` or 1.  The backbone applies
+    the activation inside :func:`avg_pool2d`; this op serves the GCN.
     """
     x = a.data
-    out = _leaky_relu_into(x, slope, np.empty_like(x))
+    out = _leaky_relu_into(x, np.empty_like(x))
 
     def backward(g):
-        return (g * _leaky_relu_slopes(x, slope, g.dtype),)
+        return (g * _leaky_relu_slopes(x, np.empty(x.shape, dtype=g.dtype)),)
 
     return _node(out, (a,), backward)
 
@@ -263,6 +257,9 @@ def tmean(a: Tensor) -> Tensor:
     return mul_scalar(tsum(a, axis=(1, 2)), 1.0 / (a.shape[1] * a.shape[2]))
 
 
+# The LeakyReLU slope below zero of every GCN layer and backbone stage, that of
+# ML-GCN's GCN (arXiv:1904.03582).  The LeakyReLU helpers rely on 0 < _SLOPE <= 1.
+_SLOPE = 0.2
 # The side of every convolution kernel; the zero padding is 1 on each side, so
 # the output keeps the input's height and width.
 _K = 3
@@ -436,13 +433,12 @@ _POOL_BLOCK_ELEMS = 2 ** 17
 _POOL_SHARE_ELEMS = 2 ** 16
 
 
-def avg_pool2d(x: Tensor, slope: float) -> Tensor:
-    """Non-overlapping 2x2 average pooling of ``leaky_relu(x, slope)``, channels-last.
+def avg_pool2d(x: Tensor) -> Tensor:
+    """Non-overlapping 2x2 average pooling of ``leaky_relu(x)``, channels-last.
 
-    Bit for bit the mean over each 2x2 window of ``leaky_relu(x, slope)``
-    forward and backward, without the full-size activation: the backbone's
-    activate-and-pool is one pass.  ``slope`` must lie in (0, 1], else
-    ``ValueError``; ``slope = 1`` pools ``x`` itself.
+    Bit for bit the mean over each 2x2 window of ``leaky_relu(x)`` forward
+    and backward, without the full-size activation: the backbone's
+    activate-and-pool is one pass.
 
     H and W must be even.  The work is split into shares of whole samples,
     one per worker (:func:`workers.run`), and each share runs over blocks
@@ -452,7 +448,7 @@ def avg_pool2d(x: Tensor, slope: float) -> Tensor:
     (contiguous runs of C) are summed into the block's slice of the output
     and divided by 4 there.  The backward writes ``g / 4`` into each 2x2
     window of the one gradient array, block by block, and multiplies each
-    block by the activation's slope (1 or ``slope``), built as bits in the
+    block by the activation's slope (1 or ``_SLOPE``), built as bits in the
     share's block buffer from the retained input while that block is in
     cache (see :func:`_leaky_relu_slopes`).
 
@@ -474,7 +470,7 @@ def avg_pool2d(x: Tensor, slope: float) -> Tensor:
         act = np.empty((min(step, hi - lo), h, w, c), dtype=xd.dtype)
         for first in range(lo, hi, step):
             last = min(first + step, hi)
-            a = _leaky_relu_into(xd[first:last], slope, act[:last - first])
+            a = _leaky_relu_into(xd[first:last], act[:last - first])
             o = out[first:last]
             np.copyto(o, a[:, ::k, ::k])
             for u in range(k):
@@ -496,8 +492,7 @@ def avg_pool2d(x: Tensor, slope: float) -> Tensor:
             for first in range(lo, hi, step):
                 last = min(first + step, hi)
                 np.divide(spread[first:last], k * k, out=windows[first:last])
-                gx[first:last] *= _leaky_relu_slopes(xd[first:last], slope, g.dtype,
-                                                     out=slopes[:last - first])
+                gx[first:last] *= _leaky_relu_slopes(xd[first:last], slopes[:last - first])
 
         workers.run(share, bs, min_share)
         return (gx,)

@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .graph import identity_mix, normalize
 from .lateral import lc_core
-from .model import _SLOPE, KssModel
+from .model import KssModel
 
 GRADCHECK_TOLERANCES = {
     "gcn_layer": 1e-5,
@@ -87,7 +87,7 @@ def gcn_layer_check(seed: int):
         if np.min(np.abs(pre)) > _KINK_MARGIN:
             break
     e, w = tensors = _leaves(e0, w0)
-    return tensors, lambda: ad.tsum(ad.leaky_relu(ad.matmul(ad.matmul(adj, e), w), _SLOPE))
+    return tensors, lambda: ad.tsum(ad.leaky_relu(ad.matmul(ad.matmul(adj, e), w)))
 
 
 def lc_check(seed: int):

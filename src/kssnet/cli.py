@@ -170,23 +170,23 @@ def _lc_stages(text: str) -> tuple[()] | None:
     return None if text.lower() in ("true", "1", "yes") else ()  # None: the model's default
 
 
-def _split_size(text: str) -> int:
-    size = int(text)
-    if size < 1:
-        raise ValueError("a split needs at least one sample")
-    return size
+def _int_at_least(text: str, low: int) -> int:
+    value = int(text)
+    if value < low:
+        raise ValueError(f"expected an integer >= {low}")
+    return value
 
 
 # Config key -> (the parts it sets, that part's parameter, parser).  The parts are
 # ``synthetic.make_dataset``, ``graph.GraphPipelineConfig``, ``KssModel`` and
 # ``TrainConfig``.
 _TOY_KEYS = {
-    "n_train": ("data", "n_train", _split_size),
-    "n_val": ("data", "n_val", _split_size),
+    "n_train": ("data", "n_train", lambda v: _int_at_least(v, 1)),
+    "n_val": ("data", "n_val", lambda v: _int_at_least(v, 1)),
     "n_labels": ("data", "n_labels", int),
-    "image_size": ("data", "size", int),
-    "embed_dim": ("data", "embed_dim", int),
-    "data_seed": ("data", "seed", int),
+    "image_size": ("data", "size", lambda v: _int_at_least(v, 1)),
+    "embed_dim": ("data", "embed_dim", lambda v: _int_at_least(v, 1)),
+    "data_seed": ("data", "seed", lambda v: _int_at_least(v, 0)),
     "weak_amp": ("data", "weak_amp", float),
     "noise": ("data", "noise", float),
     "lambda": ("graph", "lam", float),
@@ -198,7 +198,7 @@ _TOY_KEYS = {
     "lc": ("model", "lc_stages", _lc_stages),
     "dropout": ("model", "dropout_rate", float),
     "dtype": ("model", "dtype", str),
-    "seed": ("model train", "seed", int),
+    "seed": ("model train", "seed", lambda v: _int_at_least(v, 0)),
     "epochs": ("train", "epochs", int),
     "batch_size": ("train", "batch_size", int),
     "lr": ("train", "lr", float),
@@ -227,12 +227,14 @@ def _toy_setup(cfg: dict[str, str], path):
     float32`` merged in, or the copy its checkpoint stores.  A key it leaves
     out takes the library's default.  The graph is ``graph.build_ks_graph``'s
     (``lambda = 1``, ``lambda = 0``, ``eta = 0``: statistical only, knowledge
-    only, identity).  An unknown key, a value that does not parse or a split
-    size below 1 fails at once; a value a constructor rejects, a split with
-    no positive label, an image side the backbone stages cannot halve, or
-    images that overflow the model's dtype fail during set-up, before any
-    epoch runs.  Every error names ``path``, the file of ``cfg``, and so
-    does the note on stderr for a split with a label that has no positive.
+    only, identity).  An unknown key, a value that does not parse, a split
+    size, image side or embedding width below 1 or a negative seed fails at
+    once; a value a
+    constructor rejects, a split with no positive label, an image side the
+    backbone stages cannot halve, or images that overflow the model's dtype
+    fail during set-up, before any epoch runs.  Every error names ``path``,
+    the file of ``cfg``, and so does the note on stderr for a split with a
+    label that has no positive.
     """
     unknown = set(cfg) - set(_TOY_KEYS)
     if unknown:
@@ -274,6 +276,12 @@ def _toy_setup(cfg: dict[str, str], path):
 
 def _cmd_train_toy(args) -> int:
     config_path = _positive_file(args.config, "--config")
+    # checked now, or training would run every epoch only to fail at the save
+    checkpoint = Path(args.checkpoint)
+    if checkpoint.is_dir():
+        raise CliError(f"--checkpoint: is a directory: {checkpoint}")
+    if not checkpoint.parent.is_dir():
+        raise CliError(f"--checkpoint: no such directory: {checkpoint.parent}")
     run_cfg = {**_CLI_DEFAULTS, **storage.load_config(config_path)}
     data, model, cfg = _toy_setup(run_cfg, config_path)
     print(f"stage_channels={','.join(str(c) for c in model.stage_channels)}")

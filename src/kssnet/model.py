@@ -20,8 +20,6 @@ from . import lateral, metrics, workers
 from .synthetic import LabeledImages
 
 _DTYPES = {"float32": np.float32, "float64": np.float64}
-# The LeakyReLU slope below zero of every GCN layer and backbone stage.
-_SLOPE = 0.2
 
 # Adam's moment decay rates and denominator guard.
 _BETA1 = 0.9
@@ -84,9 +82,9 @@ class KssModel:
     the GCN channel schedule.
 
     The activations are fixed: every GCN layer and backbone stage applies
-    LeakyReLU with slope ``_SLOPE`` below zero, and every lateral connection
-    applies tanh to its embeddings (:func:`lateral.lc_core`).  Every
-    parameter, lateral biases included, is trainable.
+    LeakyReLU with slope ``autodiff._SLOPE`` below zero, and every lateral
+    connection applies tanh to its embeddings (:func:`lateral.lc_core`).
+    Every parameter, lateral biases included, is trainable.
     """
 
     def __init__(
@@ -184,7 +182,7 @@ class KssModel:
             h = ad.matmul(ad.matmul(self.adjacency, e), self._params[f"gcn.layer{layer}.W"])
             if on_preactivation is not None:
                 on_preactivation(h.data)
-            e = ad.leaky_relu(h, _SLOPE)
+            e = ad.leaky_relu(h)
             outs.append(e)
         return outs
 
@@ -192,7 +190,6 @@ class KssModel:
         self,
         x: np.ndarray,
         e0: np.ndarray,
-        train: bool = False,
         rng: np.random.Generator | None = None,
         on_preactivation=None,
     ) -> ad.Tensor:
@@ -203,9 +200,10 @@ class KssModel:
         (B, H, W, C_in) layout the backbone computes in.  Conv weights stay
         (O, C, 3, 3), so checkpoints do not depend on the layout.
 
-        Each backbone stage is ``conv2d`` then ``avg_pool2d(·, _SLOPE)``,
-        which applies the LeakyReLU inside its pooling pass, so no
-        full-size activation is made.
+        Each backbone stage is ``conv2d`` then ``avg_pool2d``, which
+        applies the LeakyReLU inside its pooling pass, so no full-size
+        activation is made.  Dropout at ``dropout_rate``, drawn from
+        ``rng``, applies when ``rng`` is given, as in training.
 
         ``on_preactivation``, if given, is called with the input of every
         activation as a plain array, in forward order: each GCN layer's
@@ -227,14 +225,12 @@ class KssModel:
             )
             if on_preactivation is not None:
                 on_preactivation(h.data)
-            h = ad.avg_pool2d(h, _SLOPE)
+            h = ad.avg_pool2d(h)
             if s in self.lc_stages:
                 h = self._inject(h, embeds[s - self.stage_offset], s)
 
         pooled = ad.tmean(h)  # (B, C)
-        if train and self.dropout_rate > 0.0:
-            if rng is None:
-                raise ValueError("training-mode forward needs a random generator for dropout")
+        if rng is not None and self.dropout_rate > 0.0:
             keep = (rng.random(pooled.shape) >= self.dropout_rate).astype(np_dtype)
             pooled = ad.mul(pooled, ad.Tensor(keep / (1.0 - self.dropout_rate)))
         return ad.matmul(pooled, ad.swap_last(embeds[-1]))
@@ -280,7 +276,7 @@ def predict(model: KssModel, x: np.ndarray, e0: np.ndarray, batch_size: int = 25
         p.requires_grad = False
     try:
         chunks = [
-            model.forward(x[i:i + batch_size], e0, train=False).data
+            model.forward(x[i:i + batch_size], e0).data
             for i in range(0, x.shape[0], batch_size)
         ]
     finally:
@@ -408,7 +404,7 @@ def train_toy(
         losses = []
         for start in range(0, len(data), cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
-            logits = model.forward(data.x[idx], data.e0, train=True, rng=rng)
+            logits = model.forward(data.x[idx], data.e0, rng=rng)
             loss = ad.bce_with_logits(logits, data.y[idx].astype(np_dtype))
             value = float(loss.data)
             if not np.isfinite(value):

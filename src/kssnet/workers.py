@@ -128,8 +128,10 @@ def run(share, n: int, min_share: int = 1, scratch=lambda: None) -> list:
     Each range gets its own ``buffers``, one result of ``scratch()``, and
     all of them are made on the calling thread before any share starts: a
     pool thread that allocated them would take them from its own heap
-    arena and raise the process's peak memory.  They come back in range
-    order.
+    arena and raise the process's peak memory.  With ``per_class_ap`` and
+    ``cooccurrence_counts`` making theirs inside each share, ``coco-labels``
+    read 168.24 -> 170.43 MB ``peak_rss_mb`` (0 of 8 pairs won; 2 cores).
+    They come back in range order.
 
     The caller queues every range but the first, each with a ticket (a
     held lock and a slot for its exception) that the pool thread running

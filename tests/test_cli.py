@@ -419,13 +419,18 @@ class TestTrainAndEvaluate:
                                 "which overflow float32"),
         ({"image_size": "24"}, "image_size = 24 is not divisible by 2 ** 4"),
         ({"stage_channels": "0,0,0,0"}, "stage_channels must all be >= 1, got (0, 0, 0, 0)"),
-        ({"n_train": "0"}, "n_train = '0': a split needs at least one sample"),
-        ({"n_val": "0"}, "n_val = '0': a split needs at least one sample"),
+        ({"n_train": "0"}, "n_train = '0': expected an integer >= 1"),
+        ({"n_val": "0"}, "n_val = '0': expected an integer >= 1"),
         ({"stop_at_train_map": "nan"}, "stop_at_train_map must lie in [0, 1], got nan"),
+        ({"seed": "-1"}, "seed = '-1': expected an integer >= 0"),
+        ({"data_seed": "-1"}, "data_seed = '-1': expected an integer >= 0"),
+        ({"image_size": "-16"}, "image_size = '-16': expected an integer >= 1"),
+        ({"embed_dim": "-1"}, "embed_dim = '-1': expected an integer >= 1"),
     ], ids=["dtype", "lc", "n_train", "stage_channels", "dropout", "lr-nan", "gcn_lr-inf",
             "weight_decay-nan", "weight_decay-negative", "noise-nan", "noise-overflow",
             "weak_amp-overflow", "image_size-24",
-            "stage_channels-zero", "n_train-zero", "n_val-zero", "stop_at_train_map-nan"])
+            "stage_channels-zero", "n_train-zero", "n_val-zero", "stop_at_train_map-nan",
+            "seed-negative", "data_seed-negative", "image_size-negative", "embed_dim-negative"])
     def test_unknown_dtype_is_validation_error(self, tmp_path, capsys, extra, message):
         cfg = tmp_path / "c.cfg"
         settings = {"epochs": "0", "n_train": "16", "n_val": "8", **extra}
@@ -434,6 +439,18 @@ class TestTrainAndEvaluate:
                     str(tmp_path / "m.ckpt"), "--history", str(tmp_path / "h.csv")]) == 1
         assert f"error: {cfg}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "m.ckpt").exists()
+
+    def test_unwritable_checkpoint_path_fails_before_training(self, tmp_path, capsys):
+        cfg, hist = tmp_path / "c.cfg", tmp_path / "h.csv"
+        cfg.write_text("epochs = 1\nn_train = 16\nn_val = 8\nstage_channels = 2,2,4,4\n")
+        missing = tmp_path / "missing"
+        for checkpoint, message in [(missing / "m.ckpt", f"no such directory: {missing}"),
+                                    (tmp_path, f"is a directory: {tmp_path}")]:
+            assert run(["train-toy", "--config", str(cfg), "--checkpoint", str(checkpoint),
+                        "--history", str(hist)]) == 1
+            captured = capsys.readouterr()
+            assert f"error: --checkpoint: {message}\n" in captured.err
+            assert captured.out == "" and not hist.exists()
 
     def test_invalid_utf8_config_names_file(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"

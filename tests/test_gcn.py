@@ -46,22 +46,22 @@ def gcn_forward(adj, e, weights):
     return [o.data for o in outs[:len(weights)]]
 
 
-def leaky_relu(x, slope):
-    return ad.leaky_relu(ad.Tensor(x), slope).data
+def leaky_relu(x):
+    return ad.leaky_relu(ad.Tensor(x)).data
 
 
 class TestLeakyRelu:
     def test_positive_branch(self):
-        assert leaky_relu(1.0, 0.2) == 1.0
+        assert leaky_relu(1.0) == 1.0
 
     def test_negative_branch(self):
-        assert leaky_relu(-1.0, 0.2) == pytest.approx(-0.2)
+        assert leaky_relu(-1.0) == pytest.approx(-0.2)
 
     def test_zero_fixed_point(self):
-        assert leaky_relu(0.0, 0.7) == 0.0
+        assert leaky_relu(0.0) == 0.0
 
     def test_array_input(self):
-        npt.assert_allclose(leaky_relu(np.array([-2.0, 3.0]), 0.5), [-1.0, 3.0])
+        npt.assert_allclose(leaky_relu(np.array([-2.0, 3.0])), [-0.4, 3.0])
 
 
 class TestLayerForward:

@@ -59,6 +59,16 @@ class TestForward:
         e0 = rng.normal(size=(8, 4))
         assert km.predict(m, x, e0).shape == (2, 8)
 
+    def test_dropout_applies_when_a_generator_is_given(self):
+        rng = np.random.default_rng(3)
+        x, e0 = rng.normal(size=(4, 3, 8, 8)), rng.normal(size=(8, 4))
+        for rate in (0.0, 0.5):
+            m = tiny_model(seed=6, dropout_rate=rate)
+            plain = m.forward(x, e0).data
+            npt.assert_array_equal(plain, km.predict(m, x, e0))
+            dropped = m.forward(x, e0, rng=np.random.default_rng(0)).data
+            assert np.array_equal(dropped, plain) == (rate == 0.0)
+
     def test_zero_lc_matches_lc_free_baseline_bitwise(self):
         rng = np.random.default_rng(2)
         with_lc = tiny_model(seed=5)
@@ -146,7 +156,7 @@ class TestForward:
         # dyadic inputs, slope 1/4, and one-nonzero-per-row lateral weights keep
         # every label-dimension contraction rounding-free, so the permutation
         # identity holds bitwise
-        monkeypatch.setattr(km, "_SLOPE", 0.25)
+        monkeypatch.setattr(ad, "_SLOPE", 0.25)
         rng = np.random.default_rng(5)
         n = 6
         adj = oracles.dyadic_nonneg(rng, (n, n), scale=1)
@@ -181,7 +191,7 @@ class TestForward:
     def test_forward_matches_reference_on_the_weight_layout(self):
         # the model is a fixed function of its (O, C, 3, 3) conv weights and
         # (C, N) lateral weights, whatever layout the backbone computes in
-        n, slope = 5, 0.2
+        n = 5
         m = tiny_model(n_labels=n, stage_channels=(4, 6, 8), gcn_depth=3, seed=3)
         rng = np.random.default_rng(17)
         for _, p in m.named_parameters():
@@ -190,7 +200,7 @@ class TestForward:
         x, e0 = rng.normal(size=(2, 3, 8, 8)), rng.normal(size=(n, 4))
         seen, expected = [], []
         logits = m.forward(x, e0, on_preactivation=seen.append).data
-        npt.assert_allclose(logits, reference_forward(m, x, e0, slope, expected.append),
+        npt.assert_allclose(logits, reference_forward(m, x, e0, expected.append),
                             rtol=0, atol=1e-12)
         # every GCN and backbone activation input, in forward order, the
         # backbone's channels-last
@@ -200,11 +210,11 @@ class TestForward:
             npt.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
-def reference_forward(m, x, e0, slope, on_preactivation):
+def reference_forward(m, x, e0, on_preactivation):
     """Logits of a float64 ``KssModel`` on (B, C, H, W) images, position by position."""
     def leaky(a):
         on_preactivation(a)
-        return np.where(a >= 0, a, slope * a)
+        return np.where(a >= 0, a, 0.2 * a)
 
     embeds, e = [], e0
     for layer in range(m.gcn_depth):
@@ -411,8 +421,7 @@ class TestAdam:
     def test_float32_train_step_gradients_stay_float32(self):
         data = small_data(n=32)
         m = small_train_model(data, dtype="float32")
-        logits = m.forward(data.train.x[:8], data.train.e0, train=True,
-                           rng=np.random.default_rng(0))
+        logits = m.forward(data.train.x[:8], data.train.e0, rng=np.random.default_rng(0))
         ad.bce_with_logits(logits, data.train.y[:8].astype(np.float32)).backward()
         for name, p in m.named_parameters():
             assert p.grad is not None and p.grad.dtype == np.float32, name

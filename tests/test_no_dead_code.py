@@ -30,15 +30,21 @@ fails the test.
 
 A parameter that every call passes, always as the same constant expression
 (a literal, or a tuple or arithmetic of literals, compared as
-``ast.unparse`` spells it), is one value too and fails.  This rule covers
-every named parameter, required or defaulted, of every module-level
-function and of every method of a module-level class (dataclass fields
-included), public or private.  A call with a ``*args`` or ``**mapping``
-argument may pass anything, so it keeps its callee's parameters out of this
-rule.
+``ast.unparse`` spells it) or always as the same module-level constant, is
+one value too and fails.  A module-level constant is a name assigned once,
+at module level under ``src/kssnet``, to a constant expression, and never
+rebound (``workers._size``, rebound under ``global``, is none).  A call
+reads one by its name, by an import of it or as an attribute of a ``kssnet``
+module it imports with ``from``, and it compares as ``module.name``.  This
+rule covers every named parameter, required or defaulted, of every
+module-level function and of every method of a module-level class (dataclass
+fields included), public or private.  A call with a ``*args`` or
+``**mapping`` argument may pass anything, so it keeps its callee's
+parameters out of this rule.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -172,11 +178,83 @@ def defaulted_parameters() -> list[tuple[str, str, str, int | None]]:
             for qual, callee, name, pos, default in parameters(private=False) if default]
 
 
-def passed_arguments() -> dict[str, list[tuple[float, set[str], ast.Call]]]:
-    """Callee name -> ``(positional count, keyword names, call)`` of every call to it."""
-    calls: dict[str, list[tuple[float, set[str], ast.Call]]] = {}
-    for _, tree in _caller_trees():
-        constants = {node.value for node in ast.walk(tree)
+_CONSTANT_NODES = (ast.Constant, ast.Tuple, ast.List, ast.UnaryOp, ast.BinOp,
+                   ast.unaryop, ast.operator, ast.expr_context)
+
+
+def _is_constant(node: ast.AST) -> bool:
+    return all(isinstance(child, _CONSTANT_NODES) for child in ast.walk(node))
+
+
+def _module_level_binds(statements) -> Counter:
+    """How often each name is stored to by ``statements``, function and class bodies aside."""
+    todo, binds = list(statements), Counter()
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            binds[node.id] += 1
+        elif not isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+    return binds
+
+
+def _assignment(stmt: ast.stmt):
+    """``(name, value)`` of a statement ``name = value`` or ``name: T = value``, else None."""
+    if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
+        target, value = stmt.targets[0], stmt.value
+    elif isinstance(stmt, ast.AnnAssign):
+        target, value = stmt.target, stmt.value
+    else:
+        return None
+    return (target.id, value) if isinstance(target, ast.Name) and value is not None else None
+
+
+def module_constants() -> dict[str, set[str]]:
+    """Module name -> the names of its module-level constants (see the module docstring)."""
+    out = {}
+    for path, tree in _modules():
+        binds = _module_level_binds(tree.body)
+        rebound = {name for node in ast.walk(tree) if isinstance(node, ast.Global)
+                   for name in node.names}
+        assignments = [found for stmt in tree.body if (found := _assignment(stmt))]
+        out[path.stem] = {name for name, value in assignments
+                          if _is_constant(value) and binds[name] == 1 and name not in rebound}
+    return out
+
+
+def visible_constants(path: Path, tree: ast.Module, constants) -> dict[str, str]:
+    """``ast.unparse`` spelling -> ``module.name`` of each module-level constant ``tree`` reads.
+
+    Its own, if it is a ``kssnet`` module; those it imports from one; and
+    ``alias.name`` for each ``kssnet`` module it imports as ``alias`` with
+    ``from``, the one spelling the program uses.
+    """
+    own = constants.get(path.stem, ()) if path.parent == PACKAGE else ()
+    seen = {name: f"{path.stem}.{name}" for name in own}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "kssnet"
+                                                 or (node.module or "").startswith("kssnet.")):
+            source = (node.module or "").removeprefix("kssnet").lstrip(".")
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if alias.name in constants.get(source, ()):
+                    seen[local] = f"{source}.{alias.name}"
+                elif not source:  # a module, as in ``from . import autodiff as ad``
+                    seen.update({f"{local}.{name}": f"{alias.name}.{name}"
+                                 for name in constants.get(alias.name, ())})
+    return seen
+
+
+def passed_arguments() -> dict[str, list[tuple[float, set[str], ast.Call, dict[str, str]]]]:
+    """Callee name -> ``(positional count, keyword names, call, constants)`` of every call to it.
+
+    ``constants`` is :func:`visible_constants` of the calling module.
+    """
+    calls: dict[str, list[tuple[float, set[str], ast.Call, dict[str, str]]]] = {}
+    constants = module_constants()
+    for path, tree in _caller_trees():
+        seen = visible_constants(path, tree, constants)
+        strings = {node.value for node in ast.walk(tree)
                      if isinstance(node, ast.Constant) and isinstance(node.value, str)}
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
@@ -188,35 +266,38 @@ def passed_arguments() -> dict[str, list[tuple[float, set[str], ast.Call]]]:
             starred = any(isinstance(arg, ast.Starred) for arg in node.args)
             keywords = {kw.arg for kw in node.keywords if kw.arg is not None}
             if any(kw.arg is None for kw in node.keywords):
-                keywords |= constants
+                keywords |= strings
             calls.setdefault(name, []).append(
-                (float("inf") if starred else len(node.args), keywords, node))
+                (float("inf") if starred else len(node.args), keywords, node, seen))
     return calls
 
 
-_CONSTANT_NODES = (ast.Constant, ast.Tuple, ast.List, ast.UnaryOp, ast.BinOp,
-                   ast.unaryop, ast.operator, ast.expr_context)
-
-
 def one_constant(calls, name: str, pos: int | None) -> str | None:
-    """The constant expression every call in ``calls`` passes to the parameter, if one.
+    """The constant every call in ``calls`` passes to the parameter, if one.
 
-    None when there is no call, when a call passes nothing there, passes an
-    expression that is not constant or has a ``*args`` or ``**mapping``
-    argument, or when two calls pass different constants.
+    That is a constant expression as ``ast.unparse`` spells it, or a
+    module-level constant as ``module.name``.  None when there is no call,
+    when a call passes nothing there, passes anything else or has a
+    ``*args`` or ``**mapping`` argument, or when two calls pass different
+    constants.
     """
     passed = set()
-    for _, _, call in calls:
+    for _, _, call, seen in calls:
         if any(isinstance(arg, ast.Starred) for arg in call.args) or \
                 any(kw.arg is None for kw in call.keywords):
             return None
         values = [kw.value for kw in call.keywords if kw.arg == name]
         if not values and pos is not None and len(call.args) > pos:
             values = [call.args[pos]]
-        if not values or not all(isinstance(node, _CONSTANT_NODES)
-                                 for node in ast.walk(values[0])):
+        if not values:
             return None
-        passed.add(ast.unparse(values[0]))
+        spelled = ast.unparse(values[0])
+        if spelled in seen:
+            passed.add(seen[spelled])
+        elif _is_constant(values[0]):
+            passed.add(spelled)
+        else:
+            return None
     return passed.pop() if len(passed) == 1 else None
 
 
@@ -231,7 +312,7 @@ def test_every_defaulted_parameter_is_set_by_a_caller():
     calls = passed_arguments()
     unset = [qual for qual, callee, name, pos in defaulted_parameters()
              if not any(name in keywords or (pos is not None and count > pos)
-                        for count, keywords, _ in calls.get(callee, ()))]
+                        for count, keywords, *_ in calls.get(callee, ()))]
     stray = [qual for qual in unset if qual not in ALLOWED_PARAMS]
     assert not stray, (f"{len(unset)} defaulted parameters no caller sets, {len(stray)} of "
                        "them not in ALLOWED_PARAMS: " + ", ".join(unset))
@@ -251,3 +332,10 @@ def test_no_defaulted_parameter_is_one_constant():
 def test_every_allowed_name_exists():
     defined = {name for path, tree in _modules() for name in public_definitions(path, tree)}
     assert set(ALLOWED) <= defined
+
+
+def test_module_constants_are_assigned_once_and_never_rebound():
+    constants = module_constants()
+    assert {"_SLOPE", "_K", "_POOL_BLOCK_ELEMS"} <= constants["autodiff"]
+    assert "_size" not in constants["workers"]  # rebound under ``global``
+    assert "_DTYPES" not in constants["model"]  # a dict, not a constant expression

@@ -58,11 +58,11 @@ def _with_workers(monkeypatch, n, fn=lambda: None):
     return fn()
 
 
-def _stage(x, w, b, slope, g):
+def _stage(x, w, b, g):
     """Conv then fused pool, and every gradient, for an upstream ``g`` at the pool."""
     xt, wt, bt = (ad.Tensor(a, requires_grad=True) for a in (x, w, b))
     conv = ad.conv2d(xt, wt, bt)
-    pooled = ad.avg_pool2d(conv, slope)
+    pooled = ad.avg_pool2d(conv)
     ad.tsum(ad.mul(pooled, ad.Tensor(g))).backward()
     return [conv.data, pooled.data, conv.grad, xt.grad, wt.grad, bt.grad]
 
@@ -79,7 +79,7 @@ def test_backbone_stages_give_the_same_bits_with_one_or_two_workers(
         w = rng.normal(0, 0.3, size=(c_out, c_in, 3, 3)).astype(dtype)
         b = rng.normal(size=c_out).astype(dtype)
         g = rng.normal(size=(batch, side // 2, side // 2, c_out)).astype(dtype)
-        one, two = (_with_workers(monkeypatch, n, lambda: _stage(x, w, b, 0.2, g))
+        one, two = (_with_workers(monkeypatch, n, lambda: _stage(x, w, b, g))
                     for n in (1, 2))
         for name, a, c in zip(["conv", "pool", "conv grad", "x grad", "w grad", "b grad"],
                               one, two):
@@ -383,9 +383,9 @@ def test_a_pool_share_runs_in_the_callers_error_state(n_workers):
     x = np.ones((8, 16, 16, 64))
     x[-1, 0, 0, 0], x[-1, 0, 1, 0] = np.inf, -np.inf
     with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
-        ad.avg_pool2d(ad.Tensor(x), 1.0)
+        ad.avg_pool2d(ad.Tensor(x))
     with np.errstate(invalid="ignore"):
-        assert np.isnan(ad.avg_pool2d(ad.Tensor(x), 1.0).data[-1, 0, 0, 0])
+        assert np.isnan(ad.avg_pool2d(ad.Tensor(x)).data[-1, 0, 0, 0])
 
 
 def test_a_conv_share_runs_in_the_callers_error_state(n_workers):
