@@ -6,13 +6,15 @@ threads.  Loading itself is single-threaded.
 An :class:`AnnotationSet` is stored as arrays, not as one Python object per
 sample: a tuple of sample ids plus CSR ``indptr``/``indices`` (``intp``,
 read-only), each row's labels sorted and without repeats.  The loader fills
-them from one split of the whole file, so loading a COCO-scale file leaves no
-per-sample containers for the cyclic garbage collector to scan.  Which of
-those tokens open a line it reads off the text's code points, not off a
-second, line-by-line split.
+them from one numpy pass over the file's code points: it finds every token's
+span and which tokens open a line there, and matches the label tokens
+against the vocabulary as rows of 64-bit words.  Only the sample ids become
+Python strings, so loading a COCO-scale file makes no object per label and
+leaves no per-sample containers for the cyclic garbage collector to scan.
 
 Every loader reads its file through :func:`kssnet.storage.read_text`, so a
-file that is not UTF-8 fails as a :class:`FormatError` that names it.
+file that is not UTF-8 fails as a :class:`FormatError` that names it, and a
+byte-order mark that opens the file is not part of its first record.
 
 File formats
 ------------
@@ -26,7 +28,6 @@ embedding table  text, ``token v1 v2 ... vF`` per line (GloVe-style), finite
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass, field
 
@@ -218,27 +219,14 @@ def load_vocabulary(path) -> LabelVocabulary:
         raise FormatError(f"{path}: {exc}") from None
 
 
-class _LabelCodes(dict):
-    """Label token -> vocabulary index, or -1 if unknown; resolves each token once."""
-
-    def __init__(self, vocab: LabelVocabulary):
-        super().__init__()
-        self.vocab = vocab
-
-    def __missing__(self, token: str) -> int:
-        try:
-            code = self.vocab.resolve(token)
-        except KeyError:
-            code = -1
-        self[token] = code
-        return code
-
-
 # The code points ``str.isspace()`` accepts beyond 9-13 and 28-32, and those
 # ``str.splitlines()`` breaks at beyond 10-13 and 28-30.
 _NON_ASCII_SPACES = np.array([0x85, 0xA0, 0x1680, *range(0x2000, 0x200B), 0x2028, 0x2029,
                               0x202F, 0x205F, 0x3000], dtype=np.uint32)
 _NON_ASCII_BREAKS = np.array([0x85, 0x2028, 0x2029], dtype=np.uint32)
+# Bytes of code points gathered per block of label tokens, so that no work
+# array grows with the file: 2**15 tokens when the longest form fits 16 bytes.
+_RESOLVE_BLOCK_BYTES = 2 ** 19
 
 
 def _spaces_and_breaks(cp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -256,29 +244,103 @@ def _spaces_and_breaks(cp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return space, np.flatnonzero(breaks)
 
 
-def _line_openers(text: str, n_tokens: int) -> np.ndarray:
-    """Which of the ``n_tokens`` tokens of ``text.split()`` open a line, as a bool mask.
+class _FormTable:
+    """The label tokens that :meth:`LabelVocabulary.resolve` maps, as rows of 64-bit words.
 
-    A token starts at a non-space after a space, with the spaces those of
-    ``str.isspace``, and opens a line if it is the first or a break of
-    ``str.splitlines`` lies between it and the token before.  The code
-    points are one byte each for ASCII text and UTF-32 otherwise.  The
-    full-length arrays live only in this call, so they are freed before
-    the tokens are resolved.
+    The forms are every name verbatim, then, for each name without ``_``,
+    that name with its spaces written as ``_``, unless a name is already
+    that form.  On every token without whitespace this map equals
+    ``resolve``:
+
+    - a token that is a name maps to it in both;
+    - any other token ``t`` that ``resolve`` maps is one whose
+      ``t.replace("_", " ")`` is a name ``n``.  ``n`` has no ``_``, and
+      ``t`` has no space, so ``n.replace(" ", "_")`` is ``t``: ``t`` is
+      ``n``'s form;
+    - conversely, the form of a name ``n`` without ``_`` turns back into
+      ``n`` by ``replace("_", " ")``, so ``resolve`` maps it to ``n``, and
+      no two names have the same form.
+
+    A form holding whitespace is never a token and is left out, and so are
+    non-ASCII forms when the text is ASCII and its code points are bytes.
+
+    Each form is its code points, zero-padded to ``width`` (the longest
+    form, rounded up to whole 64-bit words), viewed as ``uint64`` words.
+    A row of words and its length hash to one of ``2**bits`` slots as
+    ``(sum(word_j * m_j) + length * m_L) >> (64 - bits)`` in wrapping
+    ``uint64`` arithmetic, with ``bits = 2 * bit_length(#forms) + 2``: 2**16
+    one-byte slots for 80 names, 2**24 two-byte slots for 2,000.  The
+    multipliers come from a fixed seed and are drawn again until every
+    form has a slot of its own, which a draw achieves with probability
+    above 7/8.  Row 0 of the form arrays is a sentinel of length 0: the
+    empty slots hold it, and no token matches it.
     """
-    if text.isascii():
-        cp = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    else:
-        cp = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
-    space, breaks = _spaces_and_breaks(cp)
-    gap = np.concatenate(([True], space))  # the text starts after a space
-    starts = np.flatnonzero(gap[:-1] > gap[1:])
-    # one searchsorted marks the token after each break; a last slot takes
-    # the breaks after the last token
-    opens = np.zeros(n_tokens + 1, dtype=bool)
-    opens[np.searchsorted(starts, breaks)] = True
-    opens[0] = True
-    return opens[:-1]
+
+    def __init__(self, vocab: LabelVocabulary, dtype):
+        forms = dict(vocab.index)
+        for name, code in vocab.index.items():
+            if "_" not in name:
+                forms.setdefault(name.replace(" ", "_"), code)
+        byte_forms = dtype == np.uint8
+        forms = {form: code for form, code in forms.items()
+                 if form.split() == [form] and (form.isascii() or not byte_forms)}
+        per_word = 8 // np.dtype(dtype).itemsize
+        longest = max(map(len, forms), default=1)
+        self.width = -(-longest // per_word) * per_word
+        self.lengths = np.array([0, *map(len, forms)], dtype=np.intp)
+        self.codes = np.array([-1, *forms.values()], dtype=np.intp)
+        points = np.zeros((len(forms) + 1, self.width), dtype=dtype)
+        for row, form in enumerate(forms, 1):
+            points[row, :len(form)] = [ord(c) for c in form]
+        self.words = points.view(np.uint64)
+        # masks[k] keeps the first k code points of a row
+        keep = np.arange(self.width) < np.arange(self.width + 1)[:, None]
+        self.masks = np.where(keep, np.iinfo(dtype).max, 0).astype(dtype).view(np.uint64)
+        self.shift = np.uint64(64 - (2 * len(forms).bit_length() + 2))
+        rng = np.random.default_rng(0x6B73736E)
+        while True:
+            self.multipliers = rng.integers(0, 2 ** 64, self.words.shape[1] + 1,
+                                            dtype=np.uint64) | np.uint64(1)
+            slots = self._slots(self.words[1:], self.lengths[1:])
+            if np.unique(slots).size == slots.size:
+                break
+        self.slots = np.zeros(1 << (64 - int(self.shift)), dtype=np.min_scalar_type(len(forms)))
+        self.slots[slots] = np.arange(1, len(forms) + 1)
+
+    def _slots(self, words: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        h = lengths.astype(np.uint64) * self.multipliers[-1]
+        for j in range(words.shape[1]):  # a column at a time: numpy is slow to sum short rows
+            h += words[:, j] * self.multipliers[j]
+        return h >> self.shift
+
+    def resolve(self, window: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """The vocabulary index of each token, or -1 where it matches no form.
+
+        Token ``i`` is the ``lengths[i]`` code points at ``starts[i]``, and
+        ``window`` is the text's ``width``-wide sliding windows, zero-padded
+        past its end.  A token resolves only if its length and every word
+        equal those of the form in its slot, so a slot that two rows share
+        can never give a wrong label.
+        """
+        words = window[starts].view(np.uint64)
+        words &= np.take(self.masks, np.minimum(lengths, self.width), axis=0)
+        form = self.slots[self._slots(words, lengths)]
+        match = self.lengths[form] == lengths
+        for j, column in enumerate(np.take(self.words, form, axis=0).T):
+            match &= column == words[:, j]
+        return np.where(match, self.codes[form], -1)
+
+
+def _raise_unknown(path, text: str, vocab: LabelVocabulary):
+    """Raise for every label token of ``text`` that ``vocab`` cannot resolve, line by line."""
+    unknown = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        for token in raw.split()[1:]:
+            try:
+                vocab.resolve(token)
+            except KeyError:
+                unknown.append(f"{path}:{lineno}: {token!r}")
+    raise FormatError("unknown label name(s): " + ", ".join(unknown))
 
 
 def load_annotations(path, vocab: LabelVocabulary) -> AnnotationSet:
@@ -286,23 +348,53 @@ def load_annotations(path, vocab: LabelVocabulary) -> AnnotationSet:
 
     Unknown label names abort with an error listing every offender.
 
-    The text is split into tokens once, by ``str.split``.  Which tokens open
-    a line, and are thus sample ids, comes from the text's code points, not
-    from a second, line-by-line split (``_line_openers``).  No container is
-    built per line or per sample.
+    One numpy pass over the text's code points, one byte each for ASCII
+    text and UTF-32 otherwise, finds the span of every token: the
+    whitespace mask, padded with spaces at both ends, changes value at each
+    token's start and end.  A token opens a line, and is a sample id, if it
+    is the first or a line break lies between it and the token before.  The
+    label tokens are matched against the vocabulary's forms
+    (``_FormTable``) as rows of 64-bit words, gathered from the text
+    through a sliding window in blocks of ``_RESOLVE_BLOCK_BYTES``.  No
+    Python string is made per label: only the sample ids are, sliced from
+    the text, as code-point indices are ``str`` indices in both encodings.
+    No container is built per line or per sample.  The error for unknown
+    names walks the text line by line again, with ``vocab.resolve``.
     """
     text = read_text(path)
-    tokens = text.split()
-    is_id = _line_openers(text, len(tokens))
-    lengths = np.diff(np.flatnonzero(is_id), append=len(tokens))
-    codes = _LabelCodes(vocab)
-    labels = np.fromiter(map(codes.__getitem__, itertools.compress(tokens, (~is_id).tolist())),
-                         np.intp, len(tokens) - lengths.size)
+    if text.isascii():
+        cp = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    else:
+        cp = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
+    space, breaks = _spaces_and_breaks(cp)
+    gap = np.ones(cp.size + 2, dtype=bool)  # the text starts and ends after a space
+    gap[1:-1] = space
+    edges = np.flatnonzero(gap[:-1] != gap[1:])
+    del space, gap  # full-length masks, freed before the tokens are matched
+    starts, ends = edges[0::2], edges[1::2]
+    # one searchsorted marks the token after each break; a last slot takes
+    # the breaks after the last token
+    is_id = np.zeros(starts.size + 1, dtype=bool)
+    is_id[np.searchsorted(starts, breaks)] = True
+    is_id[0] = True
+    is_id = is_id[:-1]
+    opener = np.flatnonzero(is_id)
+    lengths = np.diff(opener, append=starts.size)
+
+    forms = _FormTable(vocab, cp.dtype)
+    window = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate((cp, np.zeros(forms.width, dtype=cp.dtype))), forms.width)
+    is_label = ~is_id
+    label_starts = starts[is_label]
+    label_lengths = ends[is_label] - label_starts
+    labels = np.empty(label_starts.size, dtype=np.intp)
+    block = max(1, _RESOLVE_BLOCK_BYTES // (forms.width * cp.itemsize))
+    for lo in range(0, labels.size, block):
+        hi = lo + block
+        labels[lo:hi] = forms.resolve(window, label_starts[lo:hi], label_lengths[lo:hi])
     if labels.size and labels.min() < 0:
-        unknown = [f"{path}:{lineno}: {tok!r}" for lineno, raw in enumerate(text.splitlines(), 1)
-                   for tok in raw.split()[1:] if codes[tok] < 0]
-        raise FormatError("unknown label name(s): " + ", ".join(unknown))
-    sample_ids = tuple(itertools.compress(tokens, is_id.tolist()))
+        _raise_unknown(path, text, vocab)
+    sample_ids = tuple([text[a:b] for a, b in zip(starts[opener].tolist(), ends[opener].tolist())])
     return AnnotationSet(len(vocab), sample_ids, lengths - 1, labels)
 
 

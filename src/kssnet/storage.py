@@ -4,7 +4,8 @@ each numeric format, a reader for configs.
 The dataset inputs (vocabulary, annotations, knowledge triples, word
 embedding tables) are parsed in :mod:`kssnet.ingest`.  Every text file,
 those and the two below, is read through :func:`read_text`, so a file that
-is not UTF-8 fails as a :class:`FormatError` that names it.
+is not UTF-8 fails as a :class:`FormatError` that names it, and a leading
+byte-order mark is dropped.
 
 Checkpoint (magic ``KSNTCKPT``): a run config and named tensors.  Integers
 are little-endian::
@@ -54,12 +55,18 @@ class FormatError(ValueError):
 
 
 def read_text(path) -> str:
-    """The file's UTF-8 text; a file that does not decode fails as a FormatError naming it."""
+    """The file's UTF-8 text, without one leading byte-order mark (U+FEFF).
+
+    A file that does not decode fails as a FormatError naming it and the
+    offset of the bad byte in the file.  The mark is dropped after decoding,
+    not by the ``utf-8-sig`` codec, whose error offsets leave out its 3 bytes.
+    """
     data = Path(path).read_bytes()
     try:
-        return data.decode("utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    return text.removeprefix("\ufeff")
 
 
 def save_checkpoint(path, config: dict[str, str], tensors: dict[str, np.ndarray]) -> None:

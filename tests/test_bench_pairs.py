@@ -72,7 +72,7 @@ def test_host_records_the_thread_limit_set_before_the_run(tmp_path, monkeypatch)
     env = {"nproc": 2, "python": "3.11", "numpy": "2.4", "blas": "scipy-openblas 0.3",
            "blas_threads": 1, "thread_limit": 2}
 
-    def stub(checkout, workload, seed, seconds):
+    def stub(checkout, workload, seed, seconds, trace):
         return {"env": env, "correct": True, "metrics": {"fastest_step_s": seed / 100}}
 
     monkeypatch.setattr(bench_pairs, "run", stub)
@@ -82,3 +82,36 @@ def test_host_records_the_thread_limit_set_before_the_run(tmp_path, monkeypatch)
     report = json.loads(out.read_text())
     assert report["host"] == {"nproc": 2, "python": "3.11", "numpy": "2.4",
                               "blas": "scipy-openblas 0.3", "thread_limit": 2}
+
+
+def test_traced_pairs_pass_the_flag_and_summarise_the_per_layer_metrics(tmp_path, monkeypatch):
+    spec = json.dumps({
+        "end_to_end": [{"name": "fastest_step_s", "better": "lower"}],
+        "per_layer": [{"name": "ingest.load_annotations_s", "better": "lower"},
+                      {"name": "trace.steps", "better": "higher"}]}).encode()
+    files = {"bench/run.py": b"r", "BENCHMARK.json": spec, "src/a.py": b"a"}
+    parent = _checkout(tmp_path / "parent", files)
+    change = _checkout(tmp_path / "change", files)
+    env = {"nproc": 2, "python": "3.11", "numpy": "2.4", "blas": "b", "thread_limit": 2}
+    traces = []
+
+    def stub(checkout, workload, seed, seconds, trace):
+        traces.append(trace)
+        faster = 0.5 if checkout == change else 1.0
+        return {"env": env, "correct": True,
+                "metrics": {"ingest.load_annotations_s": faster * (10 + seed), "trace.steps": 8}}
+
+    monkeypatch.setattr(bench_pairs, "run", stub)
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change), "--workload",
+                             "coco-labels", "--seeds", "1-4", "--seconds", "20", "--trace", "1",
+                             "--out", str(out)]) == 0
+    assert traces == [1] * 8
+    report = json.loads(out.read_text())
+    assert report["command"].endswith("--seconds 20 --trace 1")
+    assert sorted(report["summary"]) == ["ingest.load_annotations_s", "trace.steps"]
+    layer = report["summary"]["ingest.load_annotations_s"]
+    assert (layer["better"], layer["pairs_won"], layer["pairs_lost"]) == ("lower", 4, 0)
+    assert layer["gap_exceeds_parent_iqr"]
+    steps = report["summary"]["trace.steps"]
+    assert (steps["better"], steps["pairs_won"], steps["pairs_lost"]) == ("higher", 0, 0)

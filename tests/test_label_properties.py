@@ -4,15 +4,19 @@ Shapes stay small and scores come from a handful of values, so ties are the
 common case, or are distinct, so that AP takes its untied path; the sigmoid
 rule is checked on scores at the edges of its logit band.  The block and
 tile sizes of the vectorised code are shrunk to a few rows or columns, so
-that small inputs still cross their boundaries.  The
-annotation loader is checked against a line-by-line reference on ASCII and
-non-ASCII text with every kind of whitespace and line break.  Every file
-loader is fuzzed with truncated and flipped bytes, the checkpoint reader
-with flipped bytes only (``test_model.py`` tries every truncation of one and
-every single-byte change).
+that small inputs still cross their boundaries.  The annotation loader is
+checked against a line-by-line reference on ASCII and non-ASCII text with
+every kind of whitespace and line break, on files of several blocks of label
+tokens and on tokens that miss a label name by one code point.  Every text
+loader reads a file the same with a leading byte-order mark.  Every file
+loader is fuzzed with truncated and flipped bytes, the checkpoint reader with
+flipped bytes only (``test_model.py`` tries every truncation of one and every
+single-byte change).
 """
 
+import dataclasses
 import math
+import random
 import struct
 import sys
 import tempfile
@@ -21,6 +25,7 @@ from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from kssnet import autodiff, graph, ingest, metrics, storage
@@ -153,9 +158,12 @@ GAPS = [" ", "\t", "  ", " \t ", "\x1f", "\xa0", "\u1680", *map(chr, range(0x200
 
 
 def reference_load_annotations(path, vocab):
-    """The loader written line by line, one set per sample; returns the samples."""
+    """The loader written line by line, one set per sample; returns the samples.
+
+    The ``utf-8-sig`` codec drops one leading byte-order mark, as the loader does.
+    """
     samples, unknown, seen = [], [], set()
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
         tokens = raw.split()
         if not tokens:
             continue
@@ -202,30 +210,140 @@ def annotation_texts(draw):
     return "".join(parts)
 
 
-def _load_both(text: bytes):
+def _load_both(text: bytes, vocab=LOADER_VOCAB):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "annotations.txt"
         path.write_bytes(text)
         outcomes = []
         for load in (ingest.load_annotations, reference_load_annotations):
             try:
-                outcomes.append(load(path, LOADER_VOCAB))
+                outcomes.append(load(path, vocab))
             except FormatError as exc:
                 outcomes.append(exc)
         return outcomes
 
 
-@SETTINGS
-@given(annotation_texts())
-def test_load_annotations_equals_line_by_line_reference(text):
-    loaded, reference = _load_both(text.encode("utf-8"))
+def _assert_same_outcome(loaded, reference, vocab=LOADER_VOCAB):
     if isinstance(reference, FormatError):
         assert isinstance(loaded, FormatError)
         assert str(loaded) == str(reference)
     else:
         assert isinstance(loaded, AnnotationSet)
-        assert loaded.n_labels == len(LOADER_VOCAB)
+        assert loaded.n_labels == len(vocab)
         assert loaded.samples == reference
+
+
+@SETTINGS
+@given(annotation_texts())
+def test_load_annotations_equals_line_by_line_reference(text):
+    _assert_same_outcome(*_load_both(text.encode("utf-8")))
+
+
+def _block_scale_text(ascii_only: bool, unknown: bool) -> str:
+    """24,000 lines holding over 70,000 label tokens, drawn with a fixed seed."""
+    rng = random.Random(26)
+    tokens = [t for t in KNOWN_TOKENS if t.isascii() or not ascii_only]
+    gaps, breaks = ([" ", "\t"], ["\n", "\r\n"]) if ascii_only else \
+        ([" ", "\xa0", "\u3000"], ["\n", "\u2028"])
+    lines = []
+    for i in range(24_000):
+        sample_id = f"img{i}" if ascii_only or i % 3 else f"é{i}"
+        line = [sample_id, *rng.choices(tokens, k=rng.randint(0, 7))]
+        lines.append("".join(t + rng.choice(gaps) for t in line) + rng.choice(breaks))
+    if unknown:
+        lines.append("last dog horse\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("ascii_only,unknown", [(True, False), (False, False), (False, True)],
+                         ids=["ascii", "non_ascii", "non_ascii_unknown_last"])
+def test_load_annotations_equals_reference_across_blocks(ascii_only, unknown):
+    # Over 70,000 label tokens: the loader matches them block by block, and
+    # the last of three or more blocks is partial.
+    text = _block_scale_text(ascii_only, unknown)
+    assert text.isascii() == ascii_only
+    sizes = []
+    resolve = ingest._FormTable.resolve
+
+    def spy(self, window, starts, lengths):
+        sizes.append(starts.size)
+        return resolve(self, window, starts, lengths)
+
+    with mock.patch.object(ingest._FormTable, "resolve", spy):
+        loaded, reference = _load_both(text.encode("utf-8"))
+    assert sum(sizes) >= 70_000 and len(sizes) >= 3 and 0 < sizes[-1] < sizes[0]
+    _assert_same_outcome(loaded, reference)
+
+
+def _near_misses(form: str, longest: int) -> list[str]:
+    """The form, then tokens that differ from it in one code point or in length."""
+    out = [form, form[:-1], form + "a", form + "\x00", "z" * (longest + 9)]
+    out += [form[:i] + chr(ord(c) ^ 1) + form[i + 1:] for i, c in enumerate(form)]
+    return [t for t in out if t]
+
+
+@pytest.mark.parametrize("ascii_only", [True, False], ids=["ascii", "non_ascii"])
+def test_load_annotations_equals_reference_on_near_miss_tokens(ascii_only):
+    # 1,000 generated names beside LOADER_VOCAB's, so that a lookup table of
+    # the vocabulary's tokens holds over a thousand entries.  Every way a
+    # name is written in a file, and each near miss of it, is one line.
+    rng = random.Random(7)
+    alphabet = "abcxyz019_ " + ("" if ascii_only else "éß漢")
+    names = list(LOADER_VOCAB.names)
+    while len(names) < len(LOADER_VOCAB) + 1000:
+        name = "".join(rng.choices(alphabet, k=rng.randint(1, 24))).strip()
+        if name and name not in names:
+            names.append(name)
+    vocab = ingest.LabelVocabulary(tuple(names))
+    forms = {f for n in names for f in (n, n.replace(" ", "_")) if f.split() == [f]}
+    longest = max(map(len, forms))
+    candidates = sorted({t for f in forms for t in _near_misses(f, longest)
+                         if t.isascii() or not ascii_only})
+    text = "".join(f"line{k} {t}\n" for k, t in enumerate(candidates))
+    assert text.isascii() == ascii_only
+    loaded, reference = _load_both(text.encode("utf-8"), vocab)
+    _assert_same_outcome(loaded, reference, vocab)
+    assert isinstance(reference, FormatError)  # some near misses are unknown
+    # and the same file without them, so that every known token's index is compared
+    known = [t for t in candidates if t.split() != [t] or _resolves(vocab, t)]
+    text = "".join(f"line{k} {t}\n" for k, t in enumerate(known))
+    loaded, reference = _load_both(text.encode("utf-8"), vocab)
+    _assert_same_outcome(loaded, reference, vocab)
+    assert len(reference) == len(known)
+
+
+@pytest.mark.parametrize("ascii_only", [True, False], ids=["ascii", "non_ascii"])
+def test_a_token_in_the_slot_of_another_form_gets_no_label(ascii_only):
+    # Every slot of the loader's table is made to hold one form in turn, so
+    # each near miss is compared with that form: it takes the form's label
+    # only if it is the form, word for word and length for length.
+    vocab = ingest.LabelVocabulary(LOADER_VOCAB.names + ("a name of five words",))
+    forms = {f for n in vocab.names for f in (n, n.replace(" ", "_")) if f.split() == [f]}
+    longest = max(map(len, forms))
+    candidates = sorted({t for f in forms for t in _near_misses(f, longest)
+                         if t.split() == [t] and (t.isascii() or not ascii_only)})
+    dtype = np.uint8 if ascii_only else np.uint32
+    table = ingest._FormTable(vocab, dtype)
+    text = " ".join(candidates)
+    cp = np.frombuffer(text.encode("ascii" if ascii_only else "utf-32-le"), dtype=dtype)
+    window = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate((cp, np.zeros(table.width, dtype))), table.width)
+    lengths = np.array([len(t) for t in candidates])
+    starts = np.concatenate(([0], np.cumsum(lengths[:-1] + 1)))
+    want = np.array([vocab.resolve(t) if _resolves(vocab, t) else -1 for t in candidates])
+    assert table.words.shape[1] >= 3 and (want >= 0).sum() == table.codes.size - 1
+    for row in range(table.codes.size):
+        table.slots[:] = row
+        got = table.resolve(window, starts, lengths)
+        npt.assert_array_equal(got, np.where(want == table.codes[row], want, -1))
+
+
+def _resolves(vocab, token: str) -> bool:
+    try:
+        vocab.resolve(token)
+    except KeyError:
+        return False
+    return True
 
 
 def test_code_point_classes_equal_str_methods():
@@ -258,6 +376,47 @@ INPUT_FILES = {
     "embedding": (ingest.load_embedding_table,
                   "dog 1.0 -2.5 3e-1\ncat 0 0.5 1e300\n\ncafé 1 2 3\n".encode("utf-8")),
 }
+# Each text loader with a file it reads without error.
+TEXT_FILES = {**STORAGE_FILES, **INPUT_FILES,
+              "annotations": (lambda path: ingest.load_annotations(path, LOADER_VOCAB), VALID_FILE)}
+
+
+def _comparable(result):
+    """A loader's result with its arrays as bytes, so that ``==`` compares all of it."""
+    if isinstance(result, np.ndarray):
+        return result.dtype.str, result.shape, result.tobytes()
+    if isinstance(result, dict):
+        return {key: _comparable(value) for key, value in result.items()}
+    if dataclasses.is_dataclass(result):
+        return type(result), _comparable(vars(result))
+    return result
+
+
+@pytest.mark.parametrize("kind", sorted(TEXT_FILES))
+def test_a_leading_byte_order_mark_leaves_every_loader_result_unchanged(kind):
+    load, valid = TEXT_FILES[kind]
+    results = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, data in (("plain", valid), ("marked", "\ufeff".encode("utf-8") + valid)):
+            path = Path(tmp) / f"{name}.txt"
+            path.write_bytes(data)
+            results.append(_comparable(load(path)))
+    assert results[0] == results[1]
+
+
+def test_a_byte_order_mark_after_the_first_is_kept():
+    loaded, reference = _load_both("\ufeff\ufeffimg1 dog\nimg\ufeff2 cat\n".encode("utf-8"))
+    assert loaded.sample_ids == ("\ufeffimg1", "img\ufeff2")
+    _assert_same_outcome(loaded, reference)
+    loaded, reference = _load_both("img1 dog\ufeff\n".encode("utf-8"))
+    assert str(loaded).endswith(":1: 'dog\\ufeff'")
+    _assert_same_outcome(loaded, reference)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "vocabulary.txt"
+        path.write_bytes("\ufeffdog\ncat\ufeff\n".encode("utf-8"))
+        assert ingest.load_vocabulary(path).names == ("dog", "cat\ufeff")
+
+
 # A checkpoint of a two-key config, a scalar and a 2x3 matrix, in the documented layout.
 CHECKPOINT = v2_checkpoint("epochs = 3\nname = café\n".encode("utf-8"),
                            struct.pack("<I", 2)

@@ -10,7 +10,8 @@ that only tests reach passes it.  This test traces the lines of
   depend on the input: the statistical-only, knowledge-only and no-graph
   configs (``lambda = 1``, ``lambda = 0``, ``eta = 0``) without lateral
   connections and with ``stop_at_train_map``, a config with a comment line,
-  non-ASCII labels and annotations broken by NBSP and U+2028, blank
+  a vocabulary that opens with a byte-order mark, non-ASCII labels and
+  annotations broken by NBSP and U+2028, blank
   knowledge and embedding lines, and ``evaluate`` on tied scores with a
   class that has no positives, at ``top_k:0`` and at ``top_k`` >= the label
   count.
@@ -169,7 +170,7 @@ def _cli(*argv) -> None:
 
 def _run_cli(d: Path) -> None:
     vocab = d / "vocab.txt"
-    vocab.write_text("chien\nchat\ncafé crème\nballe\n", encoding="utf-8")
+    vocab.write_text("\ufeffchien\nchat\ncafé crème\nballe\n", encoding="utf-8")
     ann = d / "ann.txt"
     ann.write_text("img0\u00a0chien chat\u2028img1 café_crème\u00a0balle\nimg2 chien\n"
                    "img3 balle café_crème\nimg4 chat chien balle\n", encoding="utf-8")

@@ -3,12 +3,14 @@
     python3 tools/bench_pairs.py --parent DIR --change DIR --workload toy-train \
         --seeds 901-910 --seconds 40 --out BENCH_toy-train.json
 
-Each seed is one pair: ``bench/run.py --trace 0`` runs in both checkouts,
-the change first on odd seeds and the parent first on even ones.  The JSON
-written holds every run's end-to-end metrics, and per metric each side's
-median and quartiles, the pairs the change won (ties count for neither) and
-whether the gap between the medians exceeds the parent's interquartile
-range.  Both checkouts must hold the same ``bench/`` and ``BENCHMARK.json``;
+Each seed is one pair: ``bench/run.py`` runs in both checkouts, the change
+first on odd seeds and the parent first on even ones.  The JSON written
+holds every run's metrics, and per metric each side's median and quartiles,
+the pairs the change won (ties count for neither) and whether the gap
+between the medians exceeds the parent's interquartile range.  The runs are
+untraced and report the end-to-end metrics; with ``--trace 1`` they are
+traced and report the per-layer metrics, each with the direction that
+``BENCHMARK.json`` gives it under ``per_layer``.  Both checkouts must hold the same ``bench/`` and ``BENCHMARK.json``;
 when their digests differ it exits with status 2 before the first run.
 
 ``host`` comes from the environment line of the change's first run.  Its
@@ -73,11 +75,11 @@ def source_digest(checkout: Path, roots=("src",)) -> str:
     return digest.hexdigest()
 
 
-def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced run; its environment line and its metric values."""
+def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One run, traced if ``trace`` is 1; its environment line and its metric values."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, check=True)
     env_line, result_line = proc.stdout.strip().splitlines()[-2:]
     result = json.loads(result_line)
@@ -113,6 +115,8 @@ def main(argv=None) -> int:
     p.add_argument("--workload", required=True)
     p.add_argument("--seeds", type=_seeds, required=True, help="one seed or a range LO-HI")
     p.add_argument("--seconds", type=float, default=40.0)
+    p.add_argument("--trace", type=int, choices=(0, 1), default=0,
+                   help="1: traced runs, compared on the per-layer metrics")
     p.add_argument("--out", type=Path, required=True)
     args = p.parse_args(argv)
     if source_digest(args.parent, BENCH_FILES) != source_digest(args.change, BENCH_FILES):
@@ -121,14 +125,14 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    better = {m["name"]: m["better"] for m in spec["per_layer" if args.trace else "end_to_end"]}
 
     pairs = []
     for seed in args.seeds:
         order = ("change", "parent") if seed % 2 else ("parent", "change")
         pair = {"seed": seed, "first": order[0]}
         for side in order:
-            pair[side] = run(getattr(args, side), args.workload, seed, args.seconds)
+            pair[side] = run(getattr(args, side), args.workload, seed, args.seconds, args.trace)
         pairs.append(pair)
         print(json.dumps({"seed": seed, **{s: pair[s]["metrics"] for s in order}}), flush=True)
 
@@ -136,7 +140,7 @@ def main(argv=None) -> int:
     report = {
         "workload": args.workload,
         "command": f"python3 bench/run.py --workload {args.workload} --seed SEED "
-                   f"--seconds {args.seconds:g} --trace 0",
+                   f"--seconds {args.seconds:g} --trace {args.trace}",
         "seeds": args.seeds,
         "parent_sha": git_head(args.parent),
         "change_sha": git_head(args.change),
