@@ -10,8 +10,9 @@ the pairs the change won (ties count for neither) and whether the gap
 between the medians exceeds the parent's interquartile range.  The runs are
 untraced and report the end-to-end metrics; with ``--trace 1`` they are
 traced and report the per-layer metrics, each with the direction that
-``BENCHMARK.json`` gives it under ``per_layer``.  Both checkouts must hold the same ``bench/`` and ``BENCHMARK.json``;
-when their digests differ it exits with status 2 before the first run.
+``BENCHMARK.json`` gives it under ``per_layer``.  Both checkouts must hold
+the same ``bench/`` and ``BENCHMARK.json``; when their digests differ it
+exits with status 2 before the first run.
 
 ``host`` comes from the environment line of the change's first run.  Its
 thread count is ``thread_limit``, the budget ``bench/run.py`` sets before
