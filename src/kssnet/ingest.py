@@ -28,6 +28,7 @@ embedding table  text, ``token v1 v2 ... vF`` per line (GloVe-style), finite
 
 from __future__ import annotations
 
+import random
 import re
 from dataclasses import dataclass, field
 
@@ -297,12 +298,14 @@ class _FormTable:
         keep = np.arange(self.width) < np.arange(self.width + 1)[:, None]
         self.masks = np.where(keep, np.iinfo(dtype).max, 0).astype(dtype).view(np.uint64)
         self.shift = np.uint64(64 - (2 * len(forms).bit_length() + 2))
-        rng = np.random.default_rng(0x6B73736E)
+        # the stdlib generator and a set: numpy.random and np.unique (which
+        # imports numpy.ma) would add 12-28 ms of imports to a first load
+        rng = random.Random(0x6B73736E)
         while True:
-            self.multipliers = rng.integers(0, 2 ** 64, self.words.shape[1] + 1,
-                                            dtype=np.uint64) | np.uint64(1)
+            draw = [rng.getrandbits(64) | 1 for _ in range(self.words.shape[1] + 1)]
+            self.multipliers = np.array(draw, dtype=np.uint64)
             slots = self._slots(self.words[1:], self.lengths[1:])
-            if np.unique(slots).size == slots.size:
+            if len(set(slots.tolist())) == slots.size:
                 break
         self.slots = np.zeros(1 << (64 - int(self.shift)), dtype=np.min_scalar_type(len(forms)))
         self.slots[slots] = np.arange(1, len(forms) + 1)
